@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import dsl, mside, series, tside
-from .errors import AlgebraError, DslSyntaxError, UnknownIdentifier
+from .errors import (AlgebraError, DslSyntaxError, InvalidRay,
+                     UnknownIdentifier)
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -59,7 +60,6 @@ def build_parser():
     st.add_argument("--rays", type=_parse_ray, nargs="+", default=None,
                     metavar="A,B")
     st.add_argument("--json", dest="json_path", default=None)
-    st.add_argument("--seed", type=int, default=0)
     st.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("spotcheck", help="numeric cross-validation")
@@ -70,13 +70,6 @@ def build_parser():
     sp.add_argument("--json", dest="json_path", default=None)
     sp.add_argument("--verbose", action="store_true")
     return ap
-
-
-def _series_cfgs(args):
-    rays = args.rays or list(series.DEFAULT_RAYS)
-    return [series.SeriesConfig(a, b, N=args.N, K=args.K,
-                                weight=min(args.weight, args.K))
-            for a, b in rays]
 
 
 def _merge(name, reports, params):
@@ -94,27 +87,24 @@ def _merge(name, reports, params):
 
 
 def run_suites(args):
-    if args.name == "section2":
-        return tside.verify_section2(args.n_bound, args.m_bound)
-    if args.name == "section3":
-        return tside.verify_section3(args.n_max)
-    if args.name == "appendix":
-        return tside.verify_appendix(args.k_max)
-    if args.name == "mside":
-        return mside.verify_mside(args.n_max)
+    exact = {
+        "section2": lambda: tside.verify_section2(args.n_bound, args.m_bound),
+        "section3": lambda: tside.verify_section3(args.n_max),
+        "appendix": lambda: tside.verify_appendix(args.k_max),
+        "mside": lambda: mside.verify_mside(args.n_max),
+    }
+    if args.name in exact:
+        return exact[args.name]()
+    # build every config first, so a bad ray fails before any suite runs
+    cfgs = [series.SeriesConfig(a, b, N=args.N, K=args.K, weight=args.weight)
+            for a, b in args.rays or series.DEFAULT_RAYS]
     if args.name == "series":
-        reports = [series.verify_series(cfg) for cfg in _series_cfgs(args)]
-        return _merge("series", reports,
-                      {"N": args.N, "K": args.K,
-                       "weight": min(args.weight, args.K),
-                       "rays": [f"{c.alpha},{c.beta_ray}"
-                                for c in _series_cfgs(args)]})
-    reports = [tside.verify_section2(args.n_bound, args.m_bound),
-               tside.verify_section3(args.n_max),
-               tside.verify_appendix(args.k_max),
-               mside.verify_mside(args.n_max)]
-    reports += [series.verify_series(cfg) for cfg in _series_cfgs(args)]
-    return _merge("all", reports, {"seed": args.seed})
+        return _merge("series", [series.verify_series(cfg) for cfg in cfgs],
+                      {"N": args.N, "K": args.K, "weight": args.weight,
+                       "rays": [f"{c.alpha},{c.beta_ray}" for c in cfgs]})
+    reports = [run() for run in exact.values()]
+    reports += [series.verify_series(cfg) for cfg in cfgs]
+    return _merge("all", reports, {})
 
 
 _SPOT_TABLE = {
@@ -193,7 +183,7 @@ def main(argv=None):
             return _finish(run_suites(args), args)
         if args.command == "spotcheck":
             return _finish(run_spotcheck(args), args)
-    except (DslSyntaxError, UnknownIdentifier) as exc:
+    except (DslSyntaxError, UnknownIdentifier, InvalidRay) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import (DivisionByZero, NearPoleEvaluation, SymbolSetMismatch,
                      TruncationUnderflow)
-from .poly import Pol, poly_gcd
+from .poly import Pol, poly_gcd, term_str
 
 DEFAULT_TRUNC_ORDER = 12
 POLE_EPS = 1e-6
@@ -57,10 +57,6 @@ class RatFunc:
         if exp >= 0:
             return RatFunc(Pol.symbol(syms, name, exp), Pol.const(syms, 1), reduce=False)
         return RatFunc(Pol.const(syms, 1), Pol.symbol(syms, name, -exp), reduce=False)
-
-    @staticmethod
-    def from_pol(p):
-        return RatFunc(p, Pol.const(p.syms, 1), reduce=False)
 
     # -- predicates -------------------------------------------------------
 
@@ -155,7 +151,7 @@ class RatFunc:
                                          reverse=True)):
                 c = Fraction(self.num.terms[e], dc)
                 exps = tuple(x - y for x, y in zip(e, de))
-                parts.append(_frac_term_str(self.syms, exps, c, with_sign=i > 0))
+                parts.append(term_str(self.syms, exps, c, with_sign=i > 0))
             return " ".join(parts)
         num = str(self.num)
         if len(self.num.terms) > 1:
@@ -164,25 +160,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def _frac_term_str(syms, exps, c, with_sign=False):
-    parts = []
-    for i, ex in enumerate(exps):
-        if ex == 0:
-            continue
-        n = syms.names[i]
-        parts.append(n if ex == 1 else f"{n}^{ex}")
-    mag = abs(c)
-    if not parts:
-        body = str(mag)
-    elif mag == 1:
-        body = "*".join(parts)
-    else:
-        body = "*".join([str(mag)] + parts)
-    if with_sign:
-        return ("- " if c < 0 else "+ ") + body
-    return ("-" if c < 0 else "") + body
 
 
 class TruncLaurent:

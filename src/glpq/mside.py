@@ -15,7 +15,6 @@ from .coeff import RatFunc
 from .errors import NotAUnit
 from .nc import Element, Presentation, Ring, commutator
 from .poly import Pol, SymbolSet
-from .printing import print_element
 from .report import Identity, run_exact
 from .supermatrix import SuperMatrix, sdet
 
@@ -425,20 +424,6 @@ def mside_identities(n_max=8):
     yield from group_matrix_identities()
 
 
-def verify_power_blocks(n_max=8):
-    """Closed power blocks against iterated multiplication."""
-    params = {"n_max": n_max, "f_placement": resolve_f_placement()}
-    return run_exact("mside.power_blocks", power_block_identities(n_max), params,
-                     printer=print_element)
-
-
-def verify_group_relations():
-    """Defining relations and the superdeterminant of the rebuilt matrix."""
-    return run_exact("mside.group", group_matrix_identities(),
-                     printer=print_element)
-
-
 def verify_mside(n_max=8):
     params = {"n_max": n_max, "f_placement": resolve_f_placement()}
-    return run_exact("mside", mside_identities(n_max), params,
-                     printer=print_element)
+    return run_exact("mside", mside_identities(n_max), params)

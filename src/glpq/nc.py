@@ -425,7 +425,10 @@ def anticommutator(x, y):
     return x * y + y * x
 
 
-def invert_even_unit(u, max_iter=8):
+_UNIT_SERIES_TERMS = 8    # terms tried before a tail counts as non-nilpotent
+
+
+def invert_even_unit(u):
     """Two-sided inverse of m.(1 + n) with m an invertible even monomial.
 
     The nilpotent tail is inverted by the terminating geometric series.
@@ -451,7 +454,7 @@ def invert_even_unit(u, max_iter=8):
     r = u * v0 - pres.one_elt()
     acc = pres.one_elt()
     term = pres.one_elt()
-    for _ in range(max_iter):
+    for _ in range(_UNIT_SERIES_TERMS):
         if term.is_zero():
             break
         term = -(term * r)

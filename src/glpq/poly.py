@@ -9,7 +9,6 @@ the gcd machinery for canonical forms.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DivisionByZero, MissingSymbol, SymbolSetMismatch
 
@@ -302,35 +301,37 @@ class Pol:
 
     # -- printing ----------------------------------------------------------
 
-    def _term_str(self, e, c, with_sign=False):
-        parts = []
-        for i, ex in enumerate(e):
-            if ex == 0:
-                continue
-            n = self.syms.names[i]
-            parts.append(n if ex == 1 else f"{n}^{ex}")
-        mag = abs(c)
-        if not parts:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(parts)
-        else:
-            body = "*".join([str(mag)] + parts)
-        if with_sign:
-            return ("- " if c < 0 else "+ ") + body
-        return ("-" if c < 0 else "") + body
-
     def __str__(self):
         if not self.terms:
             return "0"
         keys = sorted(self.terms, key=_gl_key, reverse=True)
-        out = [self._term_str(keys[0], self.terms[keys[0]])]
+        out = [term_str(self.syms, keys[0], self.terms[keys[0]])]
         for e in keys[1:]:
-            out.append(self._term_str(e, self.terms[e], with_sign=True))
+            out.append(term_str(self.syms, e, self.terms[e], with_sign=True))
         return " ".join(out)
 
     def __repr__(self):
         return f"Pol({self})"
+
+
+def term_str(syms, exps, c, with_sign=False):
+    """One monomial with its coefficient, sign folded out in front."""
+    parts = []
+    for i, ex in enumerate(exps):
+        if ex == 0:
+            continue
+        n = syms.names[i]
+        parts.append(n if ex == 1 else f"{n}^{ex}")
+    mag = abs(c)
+    if not parts:
+        body = str(mag)
+    elif mag == 1:
+        body = "*".join(parts)
+    else:
+        body = "*".join([str(mag)] + parts)
+    if with_sign:
+        return ("- " if c < 0 else "+ ") + body
+    return ("-" if c < 0 else "") + body
 
 
 # -- gcd ------------------------------------------------------------------
@@ -438,9 +439,3 @@ def poly_gcd(f, g):
     _, h = _int_primitive(h)
     h = _normalize_sign(h)
     return (h * cont).mul_int(c) if c != 1 or not cont.is_one() else h
-
-
-def pol_from_fraction(syms, q):
-    """Return (num, den) integer pair of Pols for a Fraction/int."""
-    q = Fraction(q)
-    return Pol.const(syms, q.numerator), Pol.const(syms, q.denominator)

@@ -1,10 +1,12 @@
-"""Structured verification reports shared by the suites and the CLI."""
+"""The one check runner and the report structures the suites share."""
 
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass, field
+
+from .printing import print_element
 
 
 @dataclass
@@ -68,15 +70,24 @@ class Report:
         return lines
 
 
-def run_exact(suite, identities, params=None, printer=str):
-    """Evaluate each identity by exact subtraction; collect a Report."""
+def run_exact(suite, identities, params=None, min_prec=None):
+    """Evaluate each identity by exact subtraction; collect a Report.
+
+    With ``min_prec`` set, a difference whose tracked window ``prec`` is
+    below it fails before the zero test: over truncated series a zero
+    on too shallow a window proves nothing.
+    """
     t0 = time.perf_counter()
     checks = []
     for ident in identities:
         diff = ident.lhs - ident.rhs
-        if diff.is_zero():
+        if min_prec is not None and diff.prec < min_prec:
+            checks.append(Check(ident.id, ident.anchor, "fail",
+                                f"window {diff.prec} below required {min_prec}"))
+        elif diff.is_zero():
             checks.append(Check(ident.id, ident.anchor, "pass"))
         else:
-            checks.append(Check(ident.id, ident.anchor, "fail", printer(diff)))
+            checks.append(Check(ident.id, ident.anchor, "fail",
+                                print_element(diff)))
     ms = int((time.perf_counter() - t0) * 1000)
     return Report(suite, params or {}, checks, ms)

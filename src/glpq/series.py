@@ -15,14 +15,13 @@ value.  Checks report and enforce that bound.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import TruncLaurent
 from .errors import InvalidRay, NotAUnit, TruncationUnderflow
 from .nc import Element, Presentation, Ring
-from .report import Check, Identity, Report
+from .report import Identity, run_exact
 from .printing import print_element
 from .supermatrix import SuperMatrix
 
@@ -51,6 +50,8 @@ class SeriesConfig:
             raise InvalidRay("K must be at least N + 2")
         if self.weight < self.N:
             raise InvalidRay("weight cap below the adic reporting order")
+        if self.weight > self.K:
+            raise InvalidRay("weight cap above the scalar expansion order K")
 
 
 class TruncElement:
@@ -586,67 +587,12 @@ def _odd_part(te):
     return TruncElement(te.ctx, Element(pres, terms), te.prec, trim=False)
 
 
-def expand_scalar_fn(which, cfg):
-    """One even-sector prefactor by name: 'f_q', 'f_p_tau' or 'g'."""
-    ctx = series_context(cfg)
-    if which == "f_q":
-        return scalar_expansions(ctx, swapped=False)[1]
-    if which == "f_p_tau":
-        return scalar_expansions(ctx, swapped=True)[1]
-    if which == "g":
-        return scalar_expansions(ctx, swapped=False)[2]
-    if which == "g_tau":
-        return scalar_expansions(ctx, swapped=True)[2]
-    raise ValueError(f"unknown scalar function {which!r}")
-
-
-def closed_TminusI_powers(cfg, n):
-    return closed_tminus_powers(series_context(cfg), n)
-
-
-def _filtered(cfg, prefixes, suite):
-    idents = [i for i in series_identities(cfg)
-              if i.id.startswith(prefixes)]
-    rep = verify_series(cfg, idents)
-    rep.suite = suite
-    return rep
-
-
-def verify_bracket_relations(cfg):
-    """Bracket relations, the diagonal commutator split and centrality."""
-    return _filtered(cfg, ("bracket.", "diagonal.", "supertrace."),
-                     "series.brackets")
-
-
-def verify_roundtrip(cfg):
-    """exp(h M) against the defining matrix, entry by entry."""
-    return _filtered(cfg, ("roundtrip.",), "series.roundtrip")
-
-
-def verify_log_closed_forms(cfg):
-    """Closed matrix-log entries against the partial-sum series."""
-    return _filtered(cfg, ("log.closed.",), "series.log_closed")
-
-
 def verify_series(cfg, identities=None):
     """Run the per-ray suite; a check passes only when the difference
     vanishes on a window at least as deep as the adic order N."""
-    t0 = time.perf_counter()
-    checks = []
-    min_prec = cfg.N
-    for ident in (identities if identities is not None
-                  else series_identities(cfg)):
-        diff = ident.lhs - ident.rhs
-        if diff.prec < min_prec:
-            checks.append(Check(ident.id, ident.anchor, "fail",
-                                f"window {diff.prec} below required {min_prec}"))
-        elif diff.is_zero():
-            checks.append(Check(ident.id, ident.anchor, "pass"))
-        else:
-            checks.append(Check(ident.id, ident.anchor, "fail",
-                                print_element(diff.element)))
-    ms = int((time.perf_counter() - t0) * 1000)
-    return Report("series", {"alpha": str(cfg.alpha),
-                             "beta_ray": str(cfg.beta_ray),
-                             "N": cfg.N, "K": cfg.K,
-                             "weight": cfg.weight}, checks, ms)
+    if identities is None:
+        identities = series_identities(cfg)
+    return run_exact("series", identities,
+                     {"alpha": str(cfg.alpha), "beta_ray": str(cfg.beta_ray),
+                      "N": cfg.N, "K": cfg.K, "weight": cfg.weight},
+                     min_prec=cfg.N)

@@ -16,7 +16,6 @@ from .errors import UnsupportedNegativeN
 from .nc import Element, Presentation, Ring, commutator, invert_even_unit
 from .poly import SymbolSet
 from .report import Identity, run_exact
-from .printing import print_element
 from .supermatrix import (SuperMatrix, crout, sdet, sdet_factorizations,
                           sinverse)
 
@@ -342,15 +341,12 @@ def appendix_identities(k_max=6):
 
 def verify_section2(n_bound=6, m_bound=4):
     return run_exact("section2", section2_identities(n_bound, m_bound),
-                     {"n_bound": n_bound, "m_bound": m_bound},
-                     printer=print_element)
+                     {"n_bound": n_bound, "m_bound": m_bound})
 
 
 def verify_section3(n_max=8):
-    return run_exact("section3", section3_identities(n_max),
-                     {"n_max": n_max}, printer=print_element)
+    return run_exact("section3", section3_identities(n_max), {"n_max": n_max})
 
 
 def verify_appendix(k_max=6):
-    return run_exact("appendix", appendix_identities(k_max),
-                     {"k_max": k_max}, printer=print_element)
+    return run_exact("appendix", appendix_identities(k_max), {"k_max": k_max})

@@ -15,7 +15,6 @@ from glpq import tside as ts
 from glpq.coeff import TruncLaurent
 from glpq.numeric import (sample_mside, sample_series, sample_tside,
                           spotcheck)
-from glpq.printing import print_element
 from glpq.report import run_exact
 from glpq.tside import tside
 
@@ -42,7 +41,7 @@ def _exact(key, name, builder):
     if key not in _CACHE:
         t0 = time.perf_counter()
         ids = list(builder())
-        rep = run_exact(name, ids, printer=print_element)
+        rep = run_exact(name, ids)
         _CACHE[key] = (ids, rep, time.perf_counter() - t0)
     return _CACHE[key]
 
@@ -135,7 +134,7 @@ def test_criterion_5_mside():
     if "m" not in _CACHE:
         t0 = time.perf_counter()
         ids = list(ms.mside_identities(8))
-        rep = run_exact("mside", ids, printer=print_element)
+        rep = run_exact("mside", ids)
         _CACHE["m"] = (ids, rep, time.perf_counter() - t0)
     ids, rep, secs = _CACHE["m"]
     ok = rep.ok and secs < 60.0

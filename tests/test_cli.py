@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
+from glpq import series, tside
 from glpq.cli import main
 from glpq.dsl import get_context, parse
 from glpq.mside import mside
-from glpq.printing import print_element
 from glpq.report import Identity, run_exact
 
 
@@ -74,11 +76,26 @@ class TestSuiteCommand:
         ctx = mside()
         bad = Identity("intentional", "x*y = y*x + mu",
                        ctx.x * ctx.y, ctx.y * ctx.x + ctx.mu)
-        rep = run_exact("demo", [bad], printer=print_element)
+        rep = run_exact("demo", [bad])
         assert not rep.ok
         witness = rep.checks[0].witness
         parsed = parse(witness, "mside")
         assert get_context("mside").eval(parsed) == -ctx.mu
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "series", "--rays", "1,-1"],
+        ["suite", "series", "--K", "7"],
+        ["suite", "all", "--rays", "1,2", "--K", "10", "--weight", "11"],
+    ])
+    def test_bad_series_config_is_usage_error(self, argv, capsys,
+                                              monkeypatch):
+        # every config is built before the first suite runs
+        def no_suite(*args):
+            raise AssertionError("a suite ran before the configs were checked")
+        monkeypatch.setattr(tside, "verify_section2", no_suite)
+        monkeypatch.setattr(series, "verify_series", no_suite)
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestSpotcheckCommand:

@@ -4,6 +4,8 @@ import pytest
 
 from glpq.coeff import TruncLaurent
 from glpq.errors import InvalidRay
+from glpq.printing import print_element
+from glpq.report import Identity
 from glpq.series import (DEFAULT_RAYS, SeriesConfig, closed_tminus_powers,
                          exp_matrix, log_partial_sums, log_T, m_entries_scaled,
                          m_from_T, scalar_expansions, series_context,
@@ -162,3 +164,26 @@ def test_precision_bookkeeping():
     # element bound accordingly
     shallow = ctx.scalar_te(ctx.one_tl.with_cap(3))
     assert shallow.prec == 3
+
+
+class TestWindowRule:
+    def test_shallow_window_fails_before_zero_test(self):
+        # the difference is zero on its window, but the window is
+        # shallower than the adic order N = 6
+        cfg = cfg_for(1, 2)
+        ctx = series_context(cfg)
+        shallow = Identity("shallow", "zero on a too-shallow window",
+                           ctx.scalar_te(ctx.one_tl.with_cap(3)), ctx.one_te())
+        rep = verify_series(cfg, [shallow])
+        assert [(c.status, c.witness) for c in rep.checks] == [
+            ("fail", "window 3 below required 6")]
+
+    def test_deep_nonzero_difference_fails_with_its_normal_form(self):
+        cfg = cfg_for(1, 2)
+        ctx = series_context(cfg)
+        lhs, rhs = ctx.A * ctx.beta, ctx.beta * ctx.A
+        assert (lhs - rhs).prec >= cfg.N
+        rep = verify_series(cfg, [Identity("swap", "A*beta = beta*A",
+                                           lhs, rhs)])
+        assert [(c.status, c.witness) for c in rep.checks] == [
+            ("fail", print_element(lhs - rhs))]
