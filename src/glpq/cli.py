@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import dsl, mside, series, tside
-from .errors import (AlgebraError, DslSyntaxError, InvalidRay,
-                     UnknownIdentifier)
+from .errors import (AlgebraError, BadAssignment, DslSyntaxError,
+                     InvalidRay, UnknownIdentifier)
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -147,7 +147,11 @@ def cmd_eval(args):
     if args.assign:
         for pair in args.assign.split(","):
             name, _, value = pair.partition("=")
-            assignment[name.strip()] = float(value)
+            try:
+                assignment[name.strip()] = float(value)
+            except ValueError:
+                raise BadAssignment(f"bad --assign pair {pair!r}: "
+                                    "expected name=number") from None
     element = dsl.evaluate(args.expr, args.ctx)
     from .numeric import eval_terms
     values = eval_terms(element, assignment)
@@ -183,7 +187,8 @@ def main(argv=None):
             return _finish(run_suites(args), args)
         if args.command == "spotcheck":
             return _finish(run_spotcheck(args), args)
-    except (DslSyntaxError, UnknownIdentifier, InvalidRay) as exc:
+    except (DslSyntaxError, UnknownIdentifier, InvalidRay,
+            BadAssignment) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

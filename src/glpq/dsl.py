@@ -41,7 +41,11 @@ def tokenize(text):
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
-                out.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k])), i))
+                den = int(text[j + 1:k])
+                if den == 0:
+                    raise DslSyntaxError("zero denominator in rational literal",
+                                         i)
+                out.append(("num", Fraction(int(text[i:j]), den), i))
                 i = k
             else:
                 out.append(("num", Fraction(int(text[i:j])), i))

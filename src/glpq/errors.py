@@ -45,6 +45,10 @@ class InvalidRay(AlgebraError):
     """Series configuration with a degenerate ray."""
 
 
+class BadAssignment(AlgebraError):
+    """Numeric assignment that is not a name=number pair."""
+
+
 class UnknownIdentifier(AlgebraError):
     """Expression references a name the active context does not define."""
 

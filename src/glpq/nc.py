@@ -364,36 +364,13 @@ class Element:
 
     def __mul__(self, other):
         self._check(other)
-        pres = self.pres
-        one = pres.ring.one
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c2s = pres.cross_left(m1, c2)
-                c = c2s if c1 is one else (c1 if c2s is one else c1 * c2s)
-                if c.is_zero():
-                    continue
-                for mono, lam in pres.word_product(m1, m2):
-                    nc = c if lam is one else (lam if c is one else c * lam)
-                    prev = out.get(mono)
-                    acc = nc if prev is None else prev + nc
-                    if acc.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = acc
-        return Element(pres, out)
+        return mul_pairs(self.pres, ((t1, t2) for t1 in self.terms.items()
+                                     for t2 in other.terms.items()))
 
     def __pow__(self, n):
         if n < 0:
             return invert_even_unit(self) ** (-n)
-        r = self.pres.one_elt()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self.pres.one_elt(), self, n)
 
     # -- comparisons ----------------------------------------------------------------
 
@@ -415,6 +392,43 @@ class Element:
                             for g, e in enumerate(m) if e) or "1"
             bits.append(f"({self.terms[m]})*{word}")
         return "Element(" + " + ".join(bits) + ")"
+
+
+def mul_pairs(pres, pairs):
+    """Sum of the products (c1*m1).(c2*m2) over the given term pairs.
+
+    ``pairs`` yields ((m1, c1), (m2, c2)); the full product of two
+    elements passes every pair, a truncated product only those that can
+    land inside its window.
+    """
+    one = pres.ring.one
+    out = {}
+    for (m1, c1), (m2, c2) in pairs:
+        c2s = pres.cross_left(m1, c2)
+        c = c2s if c1 is one else (c1 if c2s is one else c1 * c2s)
+        if c.is_zero():
+            continue
+        for mono, lam in pres.word_product(m1, m2):
+            nc = c if lam is one else (lam if c is one else c * lam)
+            prev = out.get(mono)
+            acc = nc if prev is None else prev + nc
+            if acc.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = acc
+    return Element(pres, out)
+
+
+def power(one, base, n):
+    """base**n for n >= 0 by square-and-multiply, starting from ``one``."""
+    r = one
+    while n:
+        if n & 1:
+            r = r * base
+        n >>= 1
+        if n:
+            base = base * base
+    return r
 
 
 def commutator(x, y):

@@ -1,6 +1,8 @@
-"""Shared randomized generators for the engine property tests."""
+"""Shared randomized generators and naive references for the engine
+property tests."""
 
 from glpq.nc import Element
+from glpq.series import INF, TruncElement
 from glpq.tside import tside
 
 
@@ -58,3 +60,27 @@ def random_homogeneous(rng, parity, max_len=5):
         if terms:
             return Element(ctx.pres, terms)
     raise AssertionError("could not draw a homogeneous element")
+
+
+def naive_product(a, b):
+    """Reference TruncElement product: normal-orders every term pair and
+    leaves it to the trim to discard what lies outside the window."""
+    prec = min(a.prec + b.min_weight(), b.prec + a.min_weight(), INF)
+    return TruncElement(a.ctx, a.element * b.element, prec)
+
+
+def naive_power(te, n):
+    """Reference TruncElement power by repeated naive multiplication."""
+    if n < 0:
+        return naive_power(te.ctx.invert_unit(te), -n)
+    out = te.ctx.one_te()
+    for _ in range(n):
+        out = naive_product(out, te)
+    return out
+
+
+def trunc_dump(te):
+    """Every stored datum of a truncated element: its window and, per
+    monomial, the coefficient's numerators, denominator and cap."""
+    return te.prec, {m: (c.lead, c.nums, c.den, c.cap)
+                     for m, c in te.element.terms.items()}

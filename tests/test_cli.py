@@ -34,6 +34,10 @@ class TestNormalizeCommand:
     def test_unknown_identifier_exit_code(self):
         assert main(["normalize", "--ctx", "tside", "zz*a"]) == 2
 
+    def test_zero_denominator_exit_code(self, capsys):
+        assert main(["normalize", "1/0"]) == 2
+        assert "error: zero denominator" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_scalar(self, capsys):
@@ -47,6 +51,10 @@ class TestEvalCommand:
         assert main(["eval", "--ctx", "tside", "[a,d] - (p - q^-1)*gamma*beta",
                      "--assign", "p=2,q=3"]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+    def test_bad_assignment_exit_code(self, capsys):
+        assert main(["eval", "a", "--assign", "p=x"]) == 2
+        assert "error: bad --assign pair 'p=x'" in capsys.readouterr().err
 
 
 class TestSuiteCommand:
@@ -86,6 +94,7 @@ class TestSuiteCommand:
         ["suite", "series", "--rays", "1,-1"],
         ["suite", "series", "--K", "7"],
         ["suite", "all", "--rays", "1,2", "--K", "10", "--weight", "11"],
+        ["suite", "series", "--rays", "1,1", "--K", "8", "--weight", "8"],
     ])
     def test_bad_series_config_is_usage_error(self, argv, capsys,
                                               monkeypatch):

@@ -1,16 +1,21 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glpq.coeff import TruncLaurent
 from glpq.errors import InvalidRay
+from glpq.nc import Element
 from glpq.printing import print_element
 from glpq.report import Identity
-from glpq.series import (DEFAULT_RAYS, SeriesConfig, closed_tminus_powers,
-                         exp_matrix, log_partial_sums, log_T, m_entries_scaled,
-                         m_from_T, scalar_expansions, series_context,
-                         verify_series)
+from glpq.series import (DEFAULT_RAYS, SeriesConfig, TruncElement,
+                         closed_tminus_powers, exp_matrix, log_partial_sums,
+                         log_T, m_entries_scaled, m_from_T, scalar_expansions,
+                         series_context, series_identities, verify_series)
 from glpq.supermatrix import SuperMatrix
+
+from helpers import naive_power, naive_product, trunc_dump
 
 
 def cfg_for(a, b, weight=8):
@@ -29,6 +34,8 @@ class TestConfig:
             SeriesConfig(F(1), F(-1))     # h would not be invertible
         with pytest.raises(InvalidRay):
             SeriesConfig(F(1), F(1), N=6, K=7)
+        with pytest.raises(InvalidRay):
+            SeriesConfig(F(1), F(1), N=6, K=8, weight=8)
 
     def test_ray_scalars(self):
         ctx = series_context(cfg_for(2, 3))
@@ -187,3 +194,46 @@ class TestWindowRule:
                                            lhs, rhs)])
         assert [(c.status, c.witness) for c in rep.checks] == [
             ("fail", print_element(lhs - rhs))]
+
+
+# -- the window-pruned product against the naive one ------------------------
+
+PRUNE_CTX = series_context(cfg_for(1, 2))
+
+_coeffs = st.builds(
+    lambda lead, nums, den: TruncLaurent(lead, nums, den, PRUNE_CTX.K),
+    st.integers(-3, PRUNE_CTX.W),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.integers(1, 3))
+_monos = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                   st.integers(0, 1), st.integers(0, 1))
+_trunc_elements = st.builds(
+    lambda terms, prec: TruncElement(
+        PRUNE_CTX,
+        Element(PRUNE_CTX.pres,
+                {m: c for m, c in terms.items() if not c.is_zero()}),
+        prec),
+    st.dictionaries(_monos, _coeffs, max_size=6),
+    st.integers(0, PRUNE_CTX.W))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trunc_elements, _trunc_elements)
+def test_pruned_product_matches_naive(a, b):
+    assert trunc_dump(a * b) == trunc_dump(naive_product(a, b))
+
+
+@pytest.mark.parametrize("ray", DEFAULT_RAYS, ids=lambda r: f"{r[0]},{r[1]}")
+def test_identities_match_naive_product_and_power(ray, monkeypatch):
+    # every identity operand, built with the pruned product and
+    # square-and-multiply powers, equals its naive build datum for datum
+    cfg = SeriesConfig(*ray, N=4, K=7, weight=6)
+
+    def dump():
+        return [(i.id, trunc_dump(i.lhs), trunc_dump(i.rhs))
+                for i in series_identities(cfg)]
+
+    fast = dump()
+    monkeypatch.setattr(TruncElement, "__mul__", naive_product)
+    monkeypatch.setattr(TruncElement, "__pow__", naive_power)
+    assert fast == dump()
