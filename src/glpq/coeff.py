@@ -3,7 +3,30 @@
 Three kinds of scalars feed the algebra layers: plain rationals
 (``fractions.Fraction``), :class:`RatFunc` over a :class:`SymbolSet`, and
 :class:`TruncLaurent` in one formal parameter ``t``.  All are immutable
-values with canonical representations, so ``==`` is the identity test.
+values.  Rationals and rational functions have canonical
+representations, so ``==`` is the identity test and ``hash`` agrees
+with it; truncated series compare by their windows and are unhashable.
+
+Canonical form of a rational function: ``num/den`` with ``num`` and
+``den`` coprime in ``Z[syms]`` and the graded-lex leading coefficient of
+``den`` positive (``den = 1`` for zero).  ``Z[syms]`` is a unique
+factorization domain whose units are ``+-1``, so two coprime pairs that
+represent the same fraction differ by a unit, and the sign rule removes
+it: the form is unique, whatever route reduced it.  The arithmetic
+therefore never reduces a full product.  Each operation cancels only
+the common factors that can exist, and then it builds the result as an
+already coprime pair:
+
+* reduction by :func:`glpq.poly.cofactors`, which takes a single-term
+  operand (the Laurent monomials in ``p, q``) apart by exponent shifts,
+  and tries an exact division before running a PRS;
+* products by cross-cancellation (Henrici 1956; Knuth, TAOCP vol. 2,
+  section 4.5.1): ``a/b * c/d`` divides ``gcd(a, d)`` and ``gcd(c, b)``
+  out of the operands;
+* sums through ``gcd(b, d)``: with ``b = b'g``, ``d = d'g``,
+  ``t = a d' + c b'`` and ``h = gcd(t, g)``, the sum is
+  ``(t/h) / (b' * (d/h))``.  ``t`` shares no factor with ``b'`` or
+  ``d'``, so ``h`` is all there is to cancel.
 """
 
 from __future__ import annotations
@@ -13,33 +36,36 @@ from fractions import Fraction
 
 from .errors import (DivisionByZero, NearPoleEvaluation, SymbolSetMismatch,
                      TruncationUnderflow)
-from .poly import Pol, poly_gcd, term_str
+from .poly import Pol, cofactors, term_str
 
 DEFAULT_TRUNC_ORDER = 12
 POLE_EPS = 1e-6
 
 
 class RatFunc:
-    """Reduced fraction of integer polynomials; equality is representational."""
+    """Rational function in canonical form (see the module docstring).
+
+    ``RatFunc(num, den)`` reduces its arguments; ``reduce=False`` is for
+    parts already known to be coprime, and only fixes the sign.  Every
+    result of the arithmetic below is built that way, so no operation
+    pays for a gcd of a full product, and every result is the same pair
+    a full reduction would give.  A constant compares equal to, and
+    hashes like, its ``int`` or ``Fraction`` value.
+    """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Pol, den: Pol, reduce=True):
-        if num.syms != den.syms:
+        if num.syms is not den.syms and num.syms != den.syms:
             raise SymbolSetMismatch(f"{num.syms} vs {den.syms}")
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             den = Pol.const(num.syms, 1)
         elif reduce and not den.is_one():
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = num.divexact(g)
-                den = den.divexact(g)
-        if not den.is_zero():
-            _, lc = den.leading() if not den.is_zero() else ((), 1)
-            if lc < 0:
-                num, den = -num, -den
+            _, num, den = cofactors(num, den)
+        if den.leading()[1] < 0:
+            num, den = -num, -den
         self.num = num
         self.den = den
         self._hash = None
@@ -73,12 +99,22 @@ class RatFunc:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
             other = RatFunc.const(self.syms, other)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        u, v = self.den, other.den
+        if u == v:
+            return RatFunc(self.num + other.num, u)
+        # t is not zero: t = 0 would force u1 = v1 = 1, that is u = v
+        d, u1, v1 = cofactors(u, v)
+        t = self.num * v1 + other.num * u1
+        if d.is_one():
+            return RatFunc(t, u * v, reduce=False)
+        _, t, dh = cofactors(t, d)
+        return RatFunc(t, u1 * (v1 * dh), reduce=False)
 
     def __sub__(self, other):
         return self + (-other)
@@ -87,14 +123,16 @@ class RatFunc:
         return RatFunc(-self.num, self.den, reduce=False)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
             other = RatFunc.const(self.syms, other)
         if self.is_zero() or other.is_zero():
             return RatFunc.const(self.syms, 0)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        _, a, d = cofactors(self.num, other.den)
+        _, c, b = cofactors(other.num, self.den)
+        return RatFunc(a * c, b * d, reduce=False)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
             other = RatFunc.const(self.syms, other)
         return self * other.inv()
 
@@ -106,24 +144,23 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        r = RatFunc.const(self.syms, 1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        # powers of coprime polynomials stay coprime
+        return RatFunc(self.num ** n, self.den ** n, reduce=False)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
             other = RatFunc.const(self.syms, other)
         return (isinstance(other, RatFunc) and self.num == other.num
                 and self.den == other.den)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            if self.num.is_const() and self.den.is_const():
+                # equal to a Fraction, so hash like one
+                self._hash = hash(Fraction(self.num.const_value(),
+                                           self.den.const_value()))
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     # -- evaluation / substitution ---------------------------------------------
@@ -168,6 +205,10 @@ class TruncLaurent:
     Stored as integer numerators over one positive denominator, starting
     at exponent ``lead``.  The window is trimmed so that either ``nums``
     is empty (zero through the cap) or its first entry is nonzero.
+
+    Unhashable: ``==`` compares windows up to the smaller cap, so
+    ``zero(cap=c)`` equals every series of valuation above ``c``, and no
+    hash that is not constant could agree with it.
     """
 
     __slots__ = ("lead", "nums", "den", "cap")
@@ -341,8 +382,7 @@ class TruncLaurent:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        return hash((self.lead, self.nums, self.den))
+    __hash__ = None
 
     # -- evaluation ---------------------------------------------------------------
 

@@ -10,6 +10,9 @@ Grammar (binding tightest last):
 Identifiers are resolved against the active context (the defining
 algebra, the exponent algebra, or the truncated-series sector); the
 bracket atom is the commutator.  Rational literals are INT or INT/INT.
+An exponent whose absolute value exceeds :data:`MAX_EXPONENT` is a
+syntax error: a power of a generator expands into one letter per unit
+of exponent, so an unbounded exponent would mean unbounded work.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from functools import lru_cache
 
 from .errors import DslSyntaxError, UnknownIdentifier
 from .printing import print_element
+
+# largest |n| accepted in ``factor ^ n``; the paper's powers stay far below
+MAX_EXPONENT = 64
 
 # -- tokens ------------------------------------------------------------------
 
@@ -117,7 +123,11 @@ class _Parser:
             tok = self.take("num")
             if tok[1].denominator != 1:
                 raise DslSyntaxError("exponent must be an integer", tok[2])
-            node = ("pow", node, sign * int(tok[1]))
+            n = sign * int(tok[1])
+            if abs(n) > MAX_EXPONENT:
+                raise DslSyntaxError(
+                    f"exponent {n} exceeds the bound {MAX_EXPONENT}", tok[2])
+            node = ("pow", node, n)
         return node
 
     def parse_atom(self):

@@ -1,14 +1,15 @@
 """Sparse multivariate polynomials with integer coefficients.
 
 Terms are stored as a map from exponent tuples to nonzero ints; the
-exponent tuple is aligned with a fixed :class:`SymbolSet`.  Everything
-here is exact; the rational-function layer in :mod:`glpq.coeff` relies on
-the gcd machinery for canonical forms.
+exponent tuple is aligned with a fixed :class:`SymbolSet`.  Exponents are
+never negative.  Everything here is exact; the rational-function layer in
+:mod:`glpq.coeff` relies on :func:`cofactors` for canonical forms.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, le, sub
 
 from .errors import DivisionByZero, MissingSymbol, SymbolSetMismatch
 
@@ -16,7 +17,7 @@ from .errors import DivisionByZero, MissingSymbol, SymbolSetMismatch
 class SymbolSet:
     """Ordered set of commuting symbol names; order fixes the term order."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "zero")
 
     def __init__(self, names):
         names = tuple(names)
@@ -24,6 +25,7 @@ class SymbolSet:
             raise ValueError("duplicate symbol names")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
+        self.zero = (0,) * len(names)     # exponents of the constant term
 
     def __len__(self):
         return len(self.names)
@@ -58,8 +60,7 @@ class Pol:
     @staticmethod
     def const(syms, c):
         c = int(c)
-        z = (0,) * len(syms)
-        return Pol(syms, {z: c} if c else {})
+        return Pol(syms, {syms.zero: c} if c else {})
 
     @staticmethod
     def symbol(syms, name, exp=1):
@@ -75,15 +76,14 @@ class Pol:
         return not self.terms
 
     def is_one(self):
-        z = (0,) * len(self.syms)
-        return self.terms == {z: 1}
+        t = self.terms
+        return len(t) == 1 and t.get(self.syms.zero) == 1
 
     def is_const(self):
         return all(not any(e) for e in self.terms)
 
     def const_value(self):
-        z = (0,) * len(self.syms)
-        return self.terms.get(z, 0)
+        return self.terms.get(self.syms.zero, 0)
 
     def is_monomial(self):
         return len(self.terms) <= 1
@@ -94,7 +94,7 @@ class Pol:
     # -- ring operations -----------------------------------------------
 
     def _check(self, other):
-        if self.syms != other.syms:
+        if self.syms is not other.syms and self.syms != other.syms:
             raise SymbolSetMismatch(f"{self.syms} vs {other.syms}")
 
     def __add__(self, other):
@@ -119,10 +119,15 @@ class Pol:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a single term shifts the other operand: no collisions
+            (e1, c1), = a.items()
+            return Pol(self.syms, {tuple(map(add, e1, e2)): c1 * c2
+                                   for e2, c2 in b.items()})
         t = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 nc = t.get(e, 0) + c1 * c2
                 if nc:
                     t[e] = nc
@@ -139,7 +144,7 @@ class Pol:
     def mul_term(self, exps, coeff):
         if coeff == 0:
             return Pol(self.syms, {})
-        return Pol(self.syms, {tuple(x + y for x, y in zip(e, exps)): c * coeff
+        return Pol(self.syms, {tuple(map(add, e, exps)): c * coeff
                                for e, c in self.terms.items()})
 
     def __pow__(self, n):
@@ -150,8 +155,9 @@ class Pol:
         while n:
             if n & 1:
                 r = r * b
-            b = b * b
             n >>= 1
+            if n:
+                b = b * b
         return r
 
     def __eq__(self, other):
@@ -166,6 +172,9 @@ class Pol:
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return e, c
         e = max(self.terms, key=_gl_key)
         return e, self.terms[e]
 
@@ -387,17 +396,73 @@ def _normalize_sign(p):
 
 
 def _monomial_gcd(f, g):
-    cf, ef = f.content(), None
-    cg = g.content()
-    c = math.gcd(cf, cg)
-    mins = None
-    for e in list(f.terms) + list(g.terms):
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-    return Pol(f.syms, {mins: c})
+    """gcd of two nonzero polynomials one of which is a single term: the
+    per-variable minimum exponent times the integer gcd of all
+    coefficients."""
+    exps = tuple(map(min, *f.terms, *g.terms))
+    return Pol(f.syms, {exps: math.gcd(*f.terms.values(), *g.terms.values())})
+
+
+def _shift_div(p, h):
+    """p / h for a single-term h that divides every term of p."""
+    (he, hc), = h.terms.items()
+    if not any(he):
+        return p if hc == 1 else \
+            Pol(p.syms, {e: c // hc for e, c in p.terms.items()})
+    return Pol(p.syms, {tuple(map(sub, e, he)): c // hc
+                        for e, c in p.terms.items()})
+
+
+def _quotient(f, g):
+    """f / g when g divides f exactly, else None; f and g have at least
+    two terms each."""
+    if not all(map(le, map(max, *g.terms), map(max, *f.terms))):
+        return None     # g has a higher degree in some variable
+    try:
+        return f.divexact(g)
+    except ArithmeticError:
+        return None
+
+
+def cofactors(f, g):
+    """``(h, f/h, g/h)`` with ``h = poly_gcd(f, g)``; f and g nonzero.
+
+    The route depends on the operands' shape, and each lands on the
+    gcd that :func:`poly_gcd` returns (primitive part with positive
+    leading coefficient, times the integer gcd of the contents):
+
+    * a single-term operand: ``h`` is the single-term gcd and both
+      cofactors are exponent shifts with an integer division;
+    * one operand divides the other: ``h`` is the divisor with its sign
+      normalized, found by one exact division instead of a PRS;
+    * otherwise ``h`` comes from the primitive PRS in :func:`poly_gcd`.
+    """
+    if f.syms is not g.syms and f.syms != g.syms:
+        raise SymbolSetMismatch(f"{f.syms} vs {g.syms}")
+    if g.is_one():
+        return g, f, g
+    if f.is_one():
+        return f, f, g
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        h = _monomial_gcd(f, g)
+        return h, _shift_div(f, h), _shift_div(g, h)
+    q = _quotient(f, g)
+    if q is not None:
+        unit = Pol.const(f.syms, 1)
+        return (-g, -q, -unit) if g.leading()[1] < 0 else (g, q, unit)
+    q = _quotient(g, f)
+    if q is not None:
+        unit = Pol.const(f.syms, 1)
+        return (-f, -unit, -q) if f.leading()[1] < 0 else (f, unit, q)
+    h = poly_gcd(f, g)
+    if h.is_one():
+        return h, f, g
+    return h, f.divexact(h), g.divexact(h)
 
 
 def poly_gcd(f, g):
-    """gcd over Z[symbols], primitive with positive leading coefficient."""
+    """gcd over Z[symbols] with positive leading coefficient; its integer
+    content is the gcd of the operands' contents."""
     if f.syms != g.syms:
         raise SymbolSetMismatch(f"{f.syms} vs {g.syms}")
     if f.is_zero():

@@ -1,7 +1,9 @@
 """Shared randomized generators and naive references for the engine
 property tests."""
 
+from glpq.coeff import RatFunc
 from glpq.nc import Element
+from glpq.poly import poly_gcd
 from glpq.series import INF, TruncElement
 from glpq.tside import tside
 
@@ -84,3 +86,22 @@ def trunc_dump(te):
     monomial, the coefficient's numerators, denominator and cap."""
     return te.prec, {m: (c.lead, c.nums, c.den, c.cap)
                      for m, c in te.element.terms.items()}
+
+
+def naive_ratfunc(num, den):
+    """Reference reduction: one PRS gcd of the whole pair, divided out,
+    then the sign rule; no shortcut by operand shape."""
+    if not num.is_zero():
+        g = poly_gcd(num, den)
+        num, den = num.divexact(g), den.divexact(g)
+    return RatFunc(num, den, reduce=False)
+
+
+def naive_ratfunc_mul(a, b):
+    """Reference RatFunc product: reduces the full product."""
+    return naive_ratfunc(a.num * b.num, a.den * b.den)
+
+
+def naive_ratfunc_add(a, b):
+    """Reference RatFunc sum over the full product of the denominators."""
+    return naive_ratfunc(a.num * b.den + b.num * a.den, a.den * b.den)

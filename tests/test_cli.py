@@ -4,7 +4,7 @@ import pytest
 
 from glpq import series, tside
 from glpq.cli import main
-from glpq.dsl import get_context, parse
+from glpq.dsl import Context, get_context, parse
 from glpq.mside import mside
 from glpq.report import Identity, run_exact
 
@@ -37,6 +37,14 @@ class TestNormalizeCommand:
     def test_zero_denominator_exit_code(self, capsys):
         assert main(["normalize", "1/0"]) == 2
         assert "error: zero denominator" in capsys.readouterr().err
+
+    def test_huge_exponent_rejected_at_parse_time(self, capsys, monkeypatch):
+        # a^100000000 would expand into 10^8 letters if it reached the engine
+        def no_eval(*args):
+            raise AssertionError("the expression was evaluated")
+        monkeypatch.setattr(Context, "eval", no_eval)
+        assert main(["normalize", "a^100000000"]) == 2
+        assert "exceeds the bound" in capsys.readouterr().err
 
 
 class TestEvalCommand:

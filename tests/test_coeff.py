@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glpq import poly
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
                          TruncationUnderflow)
-from glpq.poly import Pol, SymbolSet
+from glpq.poly import Pol, SymbolSet, cofactors, poly_gcd
+
+from helpers import naive_ratfunc, naive_ratfunc_add, naive_ratfunc_mul
 
 PQ = SymbolSet(["p", "q"])
 
@@ -84,6 +87,151 @@ class TestRatFunc:
         got = (x * y + y).eval_float(assign)
         want = x.eval_float(assign) * y.eval_float(assign) + y.eval_float(assign)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+# -- fast reductions against the reference reduction ---------------------------
+#
+# The reference runs the PRS gcd on full products, and that PRS slows
+# down sharply as degrees grow in four variables: one product with the
+# denominator 72*p^4*s*phi^4*(s + phi)^2 took more than 2 s.  The
+# operands are therefore kept small, and the examples are derandomized
+# so that every run checks the same set in bounded time.
+
+PQSF = SymbolSet(["p", "q", "s", "phi"])
+_P, _Q, _S, _PHI = (Pol.symbol(PQSF, n) for n in PQSF.names)
+_ONE, _TWO = Pol.const(PQSF, 1), Pol.const(PQSF, 2)
+# factors of the shapes the suites meet: p*q - 1 (q - p^-1 and p - q^-1
+# cleared of their monomials), s + phi, s - psi with psi = 2 - phi, and
+# three others
+_FACTORS = (_P * _Q - _ONE, _P - _Q, _S + _PHI, _S + _PHI - _TWO,
+            _P * _S + _Q * _PHI, _ONE + _P * _P)
+
+
+@st.composite
+def sparse_pols(draw):
+    """Up to three random terms; may be zero."""
+    exps = st.tuples(*[st.integers(0, 2)] * len(PQSF))
+    return Pol(PQSF, draw(st.dictionaries(exps, st.integers(-3, 3),
+                                          min_size=1, max_size=3)))
+
+
+@st.composite
+def monomials(draw, max_exp=2):
+    exps = tuple(draw(st.integers(0, max_exp)) for _ in PQSF.names)
+    return Pol(PQSF, {exps: draw(st.sampled_from((1, 2, 3, 6, -1, -4)))})
+
+
+@st.composite
+def factored(draw, min_factors=0, max_factors=2):
+    """An integer times a few factors from the pool."""
+    out = Pol.const(PQSF, draw(st.sampled_from((1, 1, 2, 3, -2, 6))))
+    for i in draw(st.lists(st.integers(0, len(_FACTORS) - 1),
+                           min_size=min_factors, max_size=max_factors)):
+        out = out * _FACTORS[i]
+    return out
+
+
+@st.composite
+def num_den(draw):
+    """A numerator and denominator pair, not reduced, by denominator shape:
+    none, one term (Laurent monomials, often with integer content), a
+    product of factors, or one that divides the numerator."""
+    num = draw(st.one_of(sparse_pols(), factored(), monomials()))
+    kind = draw(st.sampled_from(("polynomial", "laurent", "general",
+                                 "divides")))
+    if kind == "polynomial":
+        den = _ONE
+    elif kind == "laurent":
+        den = draw(monomials())
+    elif kind == "general":
+        den = draw(factored(min_factors=1, max_factors=1)) * \
+            draw(monomials(max_exp=1))
+    else:
+        den = draw(factored(min_factors=1))
+        num = den * draw(st.one_of(factored(), monomials()))
+    return num, den
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """Two canonical RatFuncs; the second is sometimes derived from the
+    first so that sums cancel to 0 or products to 1."""
+    a = RatFunc(*draw(num_den()))
+    how = draw(st.sampled_from(("free", "free", "neg", "inverse",
+                                "same_den")))
+    if how == "neg":
+        b = -a
+    elif how == "inverse" and not a.is_zero():
+        b = a.inv()
+    elif how == "same_den":
+        b = RatFunc(draw(sparse_pols()), a.den)
+    else:
+        b = RatFunc(*draw(num_den()))
+    return a, b
+
+
+def _dump(r):
+    return r.num, r.den, hash(r)
+
+
+@given(num_den())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reduction_matches_reference(pair):
+    num, den = pair
+    assert _dump(RatFunc(num, den)) == _dump(naive_ratfunc(num, den))
+
+
+@given(ratfunc_pairs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_arithmetic_matches_reference(pair):
+    a, b = pair
+    assert _dump(a * b) == _dump(naive_ratfunc_mul(a, b))
+    assert _dump(a + b) == _dump(naive_ratfunc_add(a, b))
+    assert _dump(a - b) == _dump(naive_ratfunc_add(a, -b))
+
+
+@given(factored(min_factors=1), st.one_of(factored(), monomials(),
+                                          sparse_pols()), st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_exact_quotient_matches_prs(g, k, negate):
+    # g has at least two terms, so f = g*k does too, and cofactors takes
+    # the exact-quotient route in both argument orders, never the PRS
+    if k.is_zero():
+        k = _TWO
+    if negate:
+        g = -g
+    f = g * k
+    for x, y in ((f, g), (g, f)):
+        h = poly_gcd(x, y)
+        want = (h, x.divexact(h), y.divexact(h))
+        real = poly.poly_gcd
+
+        def refuse(*args):
+            raise AssertionError("cofactors ran the PRS")
+        poly.poly_gcd = refuse
+        try:
+            got = cofactors(x, y)
+        finally:
+            poly.poly_gcd = real
+        assert got == want
+
+
+class TestScalarContracts:
+    def test_constant_ratfunc_equals_and_hashes_like_its_value(self):
+        one, half = r_const(1), r_const(Fraction(1, 2))
+        assert one == 1 and hash(one) == hash(1)
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert len({one, 1, Fraction(1), r_sym("p") / r_sym("p")}) == 1
+        assert half != Fraction(1, 3) and r_sym("p") != Fraction(1, 2)
+
+    def test_trunc_laurent_is_unhashable(self):
+        a = TruncLaurent.const(1, 12) + TruncLaurent.t_power(5, 12)
+        b = TruncLaurent.const(1, 3)
+        assert a == b
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(TypeError):
+            {a, b}
 
 
 class TestTruncLaurent:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from glpq.dsl import (evaluate, get_context, parse, print_canonical,
-                      print_tree, tokenize)
+from glpq.dsl import (MAX_EXPONENT, evaluate, get_context, parse,
+                      print_canonical, print_tree, tokenize)
 from glpq.errors import DslSyntaxError, NotAUnit, UnknownIdentifier
+from glpq.printing import print_element
 from glpq.tside import tside
 
 from helpers import random_element
@@ -123,3 +124,41 @@ class TestRoundTrips:
 def test_tokenizer_rejects_garbage():
     with pytest.raises(DslSyntaxError):
         tokenize("a ? d")
+
+
+def test_exponent_bound():
+    assert parse(f"a^{MAX_EXPONENT}") == ("pow", ("sym", "a"), MAX_EXPONENT)
+    for text in (f"a^{MAX_EXPONENT + 1}", f"(a + d)^-{MAX_EXPONENT + 1}"):
+        with pytest.raises(DslSyntaxError, match="exceeds the bound"):
+            parse(text)
+
+
+# Printed canonical forms with general and monomial denominators, as the
+# plain gcd reduction of every full product printed them.  Any route
+# that reduces a rational function has to land on these strings.
+GOLDEN = [
+    ("tside", "(p*q - 1)*(p - q^-1)^-1", "q"),
+    ("tside", "(p*q - 1)*(p - q^-1)^-1*a", "q*a"),
+    ("tside", "(p + q)*(p*q - 1)^-1*beta*gamma",
+     "((p + q)*(p*q - 1)^-1)*beta*gamma"),
+    ("tside", "(p - q^-1)^-1*a + (p*q - 1)^-2*d",
+     "(q*(p*q - 1)^-1)*a + (1*(p^2*q^2 - 2*p*q + 1)^-1)*d"),
+    ("tside", "(p^2 - q^-2)*(p - q^-1)^-1*d", "(p + q^-1)*d"),
+    ("tside", "(2*p + 4)*(6*p*q - 6)^-1*a", "((p + 2)*(3*p*q - 3)^-1)*a"),
+    ("tside", "3/2*p^-2*q*a + (q^-1 - 1/3)*d^-1",
+     "3/2*p^-2*q*a - (1/3 - q^-1)*d^-1"),
+    ("tside", "(p^-1 - q)*(p^2*q)^-1*a*d", "-(p^-2 - p^-3*q^-1)*a*d"),
+    ("tside", "(p*q - 1)^-1*(p - q^-1)*q^-1*gamma - 2*p^-1*q^-3*a^-1",
+     "-2*p^-1*q^-3*a^-1 + q^-2*gamma"),
+    ("mside", "(x - y + phi)^-1*mu", "(1*(phi + x - y)^-1)*mu"),
+    ("mside", "(x^2 - y^2 + 2*phi)*(x - y + phi)^-1*mu*nu",
+     "((x^2 - y^2 + 2*phi)*(phi + x - y)^-1)*mu*nu"),
+    ("mside", "[x,mu]*(x - y + phi)^-1 + (x - y - psi)^-1*nu",
+     "(1*(phi + x - y - 2)^-1)*nu + (phi*(phi + x - y)^-1)*mu"),
+    ("mside", "(x^2 - 1)*(2*x - 2)^-1*E1^-1", "((1/2*x + 1/2)*E1^-1)"),
+]
+
+
+@pytest.mark.parametrize("ctx, text, printed", GOLDEN)
+def test_golden_printed_forms(ctx, text, printed):
+    assert print_element(evaluate(text, ctx)) == printed
