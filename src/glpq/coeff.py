@@ -190,10 +190,13 @@ class RatFunc:
                 exps = tuple(x - y for x, y in zip(e, de))
                 parts.append(term_str(self.syms, exps, c, with_sign=i > 0))
             return " ".join(parts)
+        inv = f"({self.den})^-1"
+        if self.num.is_const() and abs(self.num.const_value()) == 1:
+            return inv if self.num.const_value() > 0 else f"-{inv}"
         num = str(self.num)
         if len(self.num.terms) > 1:
             num = f"({num})"
-        return f"{num}*({self.den})^-1"
+        return f"{num}*{inv}"
 
     def __repr__(self):
         return f"RatFunc({self})"

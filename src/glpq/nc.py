@@ -4,6 +4,22 @@ Elements are finite scalar-weighted sums of canonical monomials over a
 :class:`Presentation`.  Multiplication rewrites words into canonical
 order using the presentation's scalar twists and correction rules; odd
 generators are nilpotent and may carry coefficient-shift automorphisms.
+
+Dead pairs: odd generators square to zero, and no rule lowers the number
+of copies of any odd generator in a word (a twist swaps two letters, a
+cancellation removes an even pair, and ``Presentation.__init__`` rejects
+a correction word with fewer copies of some odd generator than the pair
+it replaces).  A word holding an odd generator twice therefore rewrites
+to zero, so the product of two monomials that both carry the same odd
+generator is zero.  ``_reduce`` drops such words unread, and
+``mul_pairs`` skips such term pairs before it touches their
+coefficients or calls ``word_product``.
+
+Two word builders: ``word_elt`` appends the letters of a word one at a
+time through the cached single-letter step that ``word_product`` also
+uses, and ``normalize`` rewrites the whole word directly with no cache,
+under a choice of strategy; it is the reference for the confluence
+tests.
 """
 
 from __future__ import annotations
@@ -69,6 +85,7 @@ class Presentation:
         for (g, h, sg, sh), (lam, terms) in (corrections or {}).items():
             words = tuple((c, self._resolve_word(w)) for c, w in terms)
             key = (gi(g), gi(h), sg, sh)
+            self._check_odd_counts(key, words)
             self.corrections[key] = (lam, words)
             # crossings of the form g.h -> (lam h + c).g admit a closed
             # binomial expansion over whole runs of h, which avoids the
@@ -79,6 +96,22 @@ class Presentation:
         self.shifts = {gi(g): fns for g, fns in (shifts or {}).items()}
         self._word_cache = {}
         self._step_cache = {}
+
+    def _check_odd_counts(self, key, words):
+        """Reject a correction that lowers some odd generator's count.
+
+        The dead-word and dead-pair shortcuts rely on every rule keeping
+        at least as many copies of each odd generator as it consumes.
+        """
+        g, h = key[0], key[1]
+        for _, word in words:
+            for o in range(self.n_even, self.n_gens):
+                have = sum(e for i, e in word if i == o)
+                if have < (g == o) + (h == o):
+                    raise ValueError(
+                        f"correction for {self.gen_names[g]},"
+                        f"{self.gen_names[h]} has fewer copies of odd "
+                        f"generator {self.gen_names[o]} than its left side")
 
     def _resolve_word(self, word):
         out = []
@@ -110,8 +143,13 @@ class Presentation:
         return self.word_elt([(name, exp)])
 
     def word_elt(self, word, coeff=None):
+        """Element ``coeff * word``, built through the cached letter step."""
         coeff = self.ring.one if coeff is None else coeff
-        return Element(self, self.normalize(word, coeff))
+        letters = self._letters(self._resolve_word(word))
+        if coeff.is_zero():
+            return self.zero_elt()
+        return Element(self, self._append(
+            {(0,) * self.n_gens: coeff}, letters))
 
     def monomial_letters(self, mono):
         letters = []
@@ -141,7 +179,9 @@ class Presentation:
     def normalize(self, word, coeff, strategy="leftmost"):
         """Rewrite ``word`` (sequence of (gen, exp) pairs) times ``coeff``.
 
-        Returns a canonical dict monomial -> nonzero scalar.
+        Returns a canonical dict monomial -> nonzero scalar.  Rewrites the
+        whole word directly, with no cache; ``word_elt`` gives the same
+        terms through the cached letter step.
         """
         out = {}
         self._reduce(self._letters(self._resolve_word(word)), coeff, out,
@@ -260,6 +300,25 @@ class Presentation:
             self._step_cache[key] = hit
         return hit
 
+    def _append(self, acc, letters):
+        """Canonical terms of (sum of acc) times the letters, one letter
+        at a time through the cached ``_word_step``."""
+        one = self.ring.one
+        for letter in letters:
+            new = {}
+            for mono, sc in acc.items():
+                for mono2, lam in self._word_step(mono, letter):
+                    nc = sc if lam is one else (
+                        lam if sc is one else sc * lam)
+                    prev = new.get(mono2)
+                    nc = nc if prev is None else prev + nc
+                    if nc.is_zero():
+                        new.pop(mono2, None)
+                    else:
+                        new[mono2] = nc
+            acc = new
+        return acc
+
     def word_product(self, m1, m2):
         """Canonical terms of the concatenation of two canonical monomials.
 
@@ -269,22 +328,8 @@ class Presentation:
         key = (m1, m2)
         hit = self._word_cache.get(key)
         if hit is None:
-            one = self.ring.one
-            acc = {m1: one}
-            for letter in self.monomial_letters(m2):
-                new = {}
-                for mono, sc in acc.items():
-                    for mono2, lam in self._word_step(mono, letter):
-                        nc = sc if lam is one else (
-                            lam if sc is one else sc * lam)
-                        prev = new.get(mono2)
-                        nc = nc if prev is None else prev + nc
-                        if nc.is_zero():
-                            new.pop(mono2, None)
-                        else:
-                            new[mono2] = nc
-                acc = new
-            hit = tuple(acc.items())
+            hit = tuple(self._append({m1: self.ring.one},
+                                     self.monomial_letters(m2)).items())
             self._word_cache[key] = hit
         return hit
 
@@ -399,11 +444,15 @@ def mul_pairs(pres, pairs):
 
     ``pairs`` yields ((m1, c1), (m2, c2)); the full product of two
     elements passes every pair, a truncated product only those that can
-    land inside its window.
+    land inside its window.  A pair whose monomials share an odd
+    generator is zero (see the module docstring) and is skipped first.
     """
     one = pres.ring.one
+    odd = range(pres.n_even, pres.n_gens)
     out = {}
     for (m1, c1), (m2, c2) in pairs:
+        if any(m1[g] and m2[g] for g in odd):
+            continue
         c2s = pres.cross_left(m1, c2)
         c = c2s if c1 is one else (c1 if c2s is one else c1 * c2s)
         if c.is_zero():

@@ -64,6 +64,80 @@ def random_homogeneous(rng, parity, max_len=5):
     raise AssertionError("could not draw a homogeneous element")
 
 
+def naive_normal_form(pres, letters, coeff):
+    """Reference rewriter: canonical terms of ``coeff`` times the word of
+    unit letters ``letters`` ((generator index, +1 or -1) pairs).
+
+    Rewrites one rule at a time at the rightmost reducible pair: an odd
+    square dies, an even letter next to its inverse cancels, and a pair
+    out of canonical order is swapped with its twist or its correction
+    terms.  No cache, no dead-word shortcut, no binomial run expansion.
+    Rightmost first sorts the odd letters that a correction inserts
+    before it crosses more even letters, so a word with a repeated odd
+    generator reaches its odd square quickly; leftmost first keeps
+    spawning corrections inside such words and takes minutes on
+    six-letter inputs like d^-2*beta*gamma*a^-2.
+    """
+    out = {}
+    stack = [(coeff, list(letters))]
+    while stack:
+        c, w = stack.pop()
+        if c.is_zero():
+            continue
+        for i in range(len(w) - 2, -1, -1):
+            (g, sg), (h, sh) = w[i], w[i + 1]
+            rest = w[i + 2:]
+            if g == h and pres.parity[g]:
+                break
+            if g == h and sg != sh:
+                stack.append((c, w[:i] + rest))
+                break
+            if g > h:
+                swapped = w[:i] + [(h, sh), (g, sg)] + rest
+                rule = pres.corrections.get((g, h, sg, sh))
+                if rule is None:
+                    lam = pres._twist(g, h, sg * sh)
+                    stack.append((c if lam is None else c * lam, swapped))
+                    break
+                lam, corr = rule
+                stack.append((c * lam, swapped))
+                for cs, cw in corr:
+                    units = [(k, 1 if e > 0 else -1)
+                             for k, e in cw for _ in range(abs(e))]
+                    stack.append((c * cs, w[:i] + units + rest))
+                break
+        else:
+            mono = [0] * pres.n_gens
+            for g, s in w:
+                mono[g] += s
+            mono = tuple(mono)
+            out[mono] = out[mono] + c if mono in out else c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def mono_units(mono):
+    """Unit letters of a canonical monomial, in order."""
+    return [(g, 1 if e > 0 else -1) for g, e in enumerate(mono)
+            for _ in range(abs(e))]
+
+
+def naive_element_product(x, y):
+    """Reference Element product: the naive normal form of every term
+    pair, with the right coefficient first moved left across the odd
+    letters of the left monomial, rightmost letter first."""
+    pres = x.pres
+    out = pres.zero_elt()
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            for g in reversed(range(pres.n_gens)):
+                if m1[g] and g in pres.shifts:
+                    c2 = pres.shifts[g][1](c2)
+            terms = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
+                                      c1 * c2)
+            out = out + Element(pres, terms)
+    return out
+
+
 def naive_product(a, b):
     """Reference TruncElement product: normal-orders every term pair and
     leaves it to the trim to discard what lies outside the window."""

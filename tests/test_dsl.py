@@ -135,14 +135,16 @@ def test_exponent_bound():
 
 # Printed canonical forms with general and monomial denominators, as the
 # plain gcd reduction of every full product printed them.  Any route
-# that reduces a rational function has to land on these strings.
+# that reduces a rational function has to land on these strings.  A
+# numerator of 1 or -1 over several denominator terms prints as the
+# bare inverse, (den)^-1 or -(den)^-1.
 GOLDEN = [
     ("tside", "(p*q - 1)*(p - q^-1)^-1", "q"),
     ("tside", "(p*q - 1)*(p - q^-1)^-1*a", "q*a"),
     ("tside", "(p + q)*(p*q - 1)^-1*beta*gamma",
      "((p + q)*(p*q - 1)^-1)*beta*gamma"),
     ("tside", "(p - q^-1)^-1*a + (p*q - 1)^-2*d",
-     "(q*(p*q - 1)^-1)*a + (1*(p^2*q^2 - 2*p*q + 1)^-1)*d"),
+     "(q*(p*q - 1)^-1)*a + ((p^2*q^2 - 2*p*q + 1)^-1)*d"),
     ("tside", "(p^2 - q^-2)*(p - q^-1)^-1*d", "(p + q^-1)*d"),
     ("tside", "(2*p + 4)*(6*p*q - 6)^-1*a", "((p + 2)*(3*p*q - 3)^-1)*a"),
     ("tside", "3/2*p^-2*q*a + (q^-1 - 1/3)*d^-1",
@@ -150,11 +152,11 @@ GOLDEN = [
     ("tside", "(p^-1 - q)*(p^2*q)^-1*a*d", "-(p^-2 - p^-3*q^-1)*a*d"),
     ("tside", "(p*q - 1)^-1*(p - q^-1)*q^-1*gamma - 2*p^-1*q^-3*a^-1",
      "-2*p^-1*q^-3*a^-1 + q^-2*gamma"),
-    ("mside", "(x - y + phi)^-1*mu", "(1*(phi + x - y)^-1)*mu"),
+    ("mside", "(x - y + phi)^-1*mu", "((phi + x - y)^-1)*mu"),
     ("mside", "(x^2 - y^2 + 2*phi)*(x - y + phi)^-1*mu*nu",
      "((x^2 - y^2 + 2*phi)*(phi + x - y)^-1)*mu*nu"),
     ("mside", "[x,mu]*(x - y + phi)^-1 + (x - y - psi)^-1*nu",
-     "(1*(phi + x - y - 2)^-1)*nu + (phi*(phi + x - y)^-1)*mu"),
+     "((phi + x - y - 2)^-1)*nu + (phi*(phi + x - y)^-1)*mu"),
     ("mside", "(x^2 - 1)*(2*x - 2)^-1*E1^-1", "((1/2*x + 1/2)*E1^-1)"),
 ]
 
@@ -162,3 +164,22 @@ GOLDEN = [
 @pytest.mark.parametrize("ctx, text, printed", GOLDEN)
 def test_golden_printed_forms(ctx, text, printed):
     assert print_element(evaluate(text, ctx)) == printed
+
+
+# Scalars that are 1 or -1 over a denominator with several terms, bare
+# and next to other terms, in both exact contexts.
+UNIT_NUMERATORS = [
+    ("tside", "(p*q - 1)^-1"),
+    ("tside", "-(p*q - 1)^-1*a"),
+    ("tside", "(p + q)^-1*a - (p*q - 1)^-2*beta*gamma + d"),
+    ("mside", "-(x - y + phi)^-1*mu + (x + 1)^-1*nu"),
+    ("mside", "(x - y + phi)^-1*E1 - (x + 1)^-1*E2^-1*mu"),
+]
+
+
+@pytest.mark.parametrize("ctx, text", UNIT_NUMERATORS)
+def test_unit_numerator_prints_bare_inverse(ctx, text):
+    element = evaluate(text, ctx)
+    printed = print_element(element)
+    assert "1*(" not in printed
+    assert evaluate(printed, ctx) == element

@@ -1,14 +1,24 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glpq.coeff import RatFunc
 from glpq.errors import NonInvertibleNegativePower, NotAUnit, PresentationMismatch
-from glpq.nc import anticommutator, commutator, invert_even_unit
-from glpq.mside import mside
+from glpq.nc import (Element, Presentation, Ring, anticommutator, commutator,
+                     invert_even_unit)
+from glpq.mside import MCoefficient, MSide, mside
+from glpq.poly import SymbolSet
 from glpq.printing import print_element
-from glpq.tside import tside
+from glpq.series import (DEFAULT_RAYS, SeriesConfig, SeriesContext,
+                         series_context)
+from glpq.tside import TSide, tside
 
-from helpers import random_element, random_word, renormalize, random_homogeneous
+from helpers import (mono_units, naive_element_product, naive_normal_form,
+                     random_element, random_word, renormalize,
+                     random_homogeneous)
 
 
 class TestNormalize:
@@ -175,3 +185,152 @@ def test_print_element_readable():
     ctx = tside()
     s = print_element(ctx.word([("d", 1), ("a", 1)]))
     assert s == "a*d + (q - p^-1)*beta*gamma"
+
+
+# -- the cached engine against the naive reference rewriter ----------------
+
+
+def _tside_case():
+    ctx = tside()
+    scalars = [ctx.one, -ctx.one, ctx.p, ctx.q_inv, ctx.scalar(2) + ctx.p,
+               ctx.bracket(2)]
+    return ctx.pres, ((-2, 2), (-2, 2)), scalars
+
+
+def _mside_case():
+    m = mside()
+    scalars = [m.one_c, MCoefficient.of(m.x_rf), MCoefficient.of(m.y_rf - m.phi),
+               m.E1, m.E2 * MCoefficient.of(m.x_rf), MCoefficient.const(3)]
+    return m.pres, (), scalars
+
+
+def _affine_case():
+    ctx = series_context(SeriesConfig(Fraction(1), Fraction(2)))
+    scalars = [ctx.one_tl, ctx.q, ctx.h1, ctx.p_inv - 1, ctx.tl(3)]
+    return ctx.pres, ((0, 2), (0, 2)), scalars
+
+
+CASES = {"tside": _tside_case, "mside": _mside_case, "affine": _affine_case}
+
+
+@st.composite
+def _monomials(draw, case):
+    pres, even_ranges, _ = case
+    evens = tuple(draw(st.integers(lo, hi)) for lo, hi in even_ranges)
+    odds = tuple(draw(st.integers(0, 1))
+                 for _ in range(pres.n_gens - pres.n_even))
+    return evens + odds
+
+
+@st.composite
+def _elements(draw, case):
+    pres, _, scalars = case
+    terms = draw(st.dictionaries(_monomials(case), st.sampled_from(scalars),
+                                 min_size=1, max_size=3))
+    return Element(pres, terms)
+
+
+@st.composite
+def _words(draw, case):
+    """Short words that reach every rule, odd squares included."""
+    pres, even_ranges, _ = case
+    word = []
+    for _ in range(draw(st.integers(0, 4))):
+        g = draw(st.integers(0, pres.n_gens - 1))
+        if g < pres.n_even:
+            lo, hi = even_ranges[g]
+            e = draw(st.integers(lo, hi).filter(bool))
+        else:
+            e = draw(st.integers(1, 2))
+        word.append((pres.gen_names[g], e))
+    return word
+
+
+def _word_units(pres, word):
+    return [(pres.index[name], 1 if e > 0 else -1)
+            for name, e in word for _ in range(abs(e))]
+
+
+def _shares_odd(pres, m1, m2):
+    return any(m1[g] and m2[g] for g in range(pres.n_even, pres.n_gens))
+
+
+@pytest.mark.parametrize("name", CASES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_product_matches_naive(name, data):
+    case = CASES[name]()
+    pres, _, _ = case
+    m1, m2 = data.draw(_monomials(case)), data.draw(_monomials(case))
+    want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
+                             pres.ring.one)
+    assert dict(pres.word_product(m1, m2)) == want
+    if _shares_odd(pres, m1, m2):
+        assert want == {}
+
+
+@pytest.mark.parametrize("name", CASES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_elt_matches_naive(name, data):
+    case = CASES[name]()
+    pres, _, scalars = case
+    word = data.draw(_words(case))
+    coeff = data.draw(st.sampled_from(scalars))
+    want = naive_normal_form(pres, _word_units(pres, word), coeff)
+    assert pres.word_elt(word, coeff).terms == want
+    assert pres.normalize(word, coeff) == want
+
+
+@pytest.mark.parametrize("name", CASES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_element_product_matches_naive(name, data):
+    case = CASES[name]()
+    x, y = data.draw(_elements(case)), data.draw(_elements(case))
+    assert x * y == naive_element_product(x, y)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_dead_pairs_never_reach_word_product(name, monkeypatch):
+    pres, _, _ = CASES[name]()
+    seen = []
+    orig = pres.word_product
+
+    def counting(m1, m2):
+        seen.append((m1, m2))
+        return orig(m1, m2)
+
+    monkeypatch.setattr(pres, "word_product", counting)
+    odd = (0,) * pres.n_even + (1,) * (pres.n_gens - pres.n_even)
+    full = Element(pres, {(0,) * pres.n_gens: pres.ring.one,
+                          odd: pres.ring.one})
+    assert full * full == naive_element_product(full, full)
+    assert seen and not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
+
+
+class TestOddCountGuard:
+    """Every correction must keep each odd generator's count."""
+
+    def _pres(self, word):
+        syms = SymbolSet(("p",))
+        one = RatFunc.const(syms, 1)
+        return Presentation(Ring(one, RatFunc.const(syms, 0)),
+                            evens=[("x", True)], odds=["b", "c"],
+                            corrections={("b", "x", 1, 1): (one, [(one, word)])})
+
+    def test_lowering_correction_rejected(self):
+        for word in ((("x", 1),), (("c", 1),), ()):
+            with pytest.raises(ValueError, match="odd generator b"):
+                self._pres(word)
+
+    def test_keeping_correction_accepted(self):
+        self._pres((("b", 1),))
+        self._pres((("x", 1), ("b", 1), ("c", 1)))
+
+    def test_shipped_presentations_pass(self):
+        # fresh builds, so the check runs past the factories' caches
+        TSide()
+        MSide()
+        for ray in DEFAULT_RAYS:
+            SeriesContext(SeriesConfig(*ray))
