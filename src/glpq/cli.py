@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import dsl, mside, series, tside
 from .errors import (AlgebraError, BadAssignment, DslSyntaxError,
-                     InvalidRay, UnknownIdentifier)
+                     ExponentOutOfRange, InvalidRay, UnknownIdentifier)
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -188,7 +188,7 @@ def main(argv=None):
         if args.command == "spotcheck":
             return _finish(run_spotcheck(args), args)
     except (DslSyntaxError, UnknownIdentifier, InvalidRay,
-            BadAssignment) as exc:
+            BadAssignment, ExponentOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

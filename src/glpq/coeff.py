@@ -7,19 +7,32 @@ values.  Rationals and rational functions have canonical
 representations, so ``==`` is the identity test and ``hash`` agrees
 with it; truncated series compare by their windows and are unhashable.
 
-Canonical form of a rational function: ``num/den`` with ``num`` and
-``den`` coprime in ``Z[syms]`` and the graded-lex leading coefficient of
-``den`` positive (``den = 1`` for zero).  ``Z[syms]`` is a unique
-factorization domain whose units are ``+-1``, so two coprime pairs that
-represent the same fraction differ by a unit, and the sign rule removes
-it: the form is unique, whatever route reduced it.  The arithmetic
-therefore never reduces a full product.  Each operation cancels only
-the common factors that can exist, and then it builds the result as an
-already coprime pair:
+Canonical form of a rational function: ``num/den`` where
 
-* reduction by :func:`glpq.poly.cofactors`, which takes a single-term
-  operand (the Laurent monomials in ``p, q``) apart by exponent shifts,
-  and tries an exact division before running a PRS;
+* ``num`` is a Laurent polynomial (negative exponents allowed),
+* ``den`` is a polynomial with no monomial factor (its minimum exponent
+  is 0 in every symbol) and a positive graded-lex leading coefficient;
+  it keeps any positive integer content,
+* and the two are coprime in ``Z[syms^+-1]`` (``den = 1`` for zero).
+
+``Z[syms^+-1]`` is a localization of the unique factorization domain
+``Z[syms]``, so it is one too, and its units are the signed monomials
+``+-x^a``.  Two coprime pairs that represent the same fraction
+therefore differ by such a unit.  A denominator free of monomial
+factors fixes ``x^a``, and the sign rule fixes the sign: the form is
+unique, whatever route reduced it.
+
+Every twist and correction scalar of the tside presentation (``q^-1``,
+``p^-1``, ``-(q p^-1)``, ``eps = q - p^-1``, ``eps pq``) has ``den = 1``
+in this form.  When both denominators are constants, a product is one
+convolution of the numerators plus one integer gcd, and a sum is a
+dict merge.  Otherwise the arithmetic never reduces a full product: it
+cancels only the common factors that can exist, and then it builds the
+result as an already coprime pair:
+
+* reduction by :func:`glpq.poly.cofactors`, which tries an exact
+  division before running a PRS, on polynomial parts only: a Laurent
+  numerator is split into its monomial factor and a polynomial first;
 * products by cross-cancellation (Henrici 1956; Knuth, TAOCP vol. 2,
   section 4.5.1): ``a/b * c/d`` divides ``gcd(a, d)`` and ``gcd(c, b)``
   out of the operands;
@@ -27,6 +40,12 @@ already coprime pair:
   ``t = a d' + c b'`` and ``h = gcd(t, g)``, the sum is
   ``(t/h) / (b' * (d/h))``.  ``t`` shares no factor with ``b'`` or
   ``d'``, so ``h`` is all there is to cancel.
+
+The printer and :meth:`RatFunc.subst` work on the cleared pair: ``num``
+and ``den`` times the monomial that clears the negative exponents of
+``num``.  That is the coprime polynomial pair with positive leading
+coefficient, since a monomial shift keeps both the graded-lex order and
+the sign of the leading coefficient.
 """
 
 from __future__ import annotations
@@ -41,19 +60,54 @@ from .poly import Pol, cofactors, term_str
 DEFAULT_TRUNC_ORDER = 12
 POLE_EPS = 1e-6
 
+_new = object.__new__
+
+
+def _rf(num, den):
+    """Trusted constructor: a pair already in canonical form."""
+    r = _new(RatFunc)
+    r.num = num
+    r.den = den
+    r._hash = None
+    return r
+
+
+def _strip(p):
+    """``(delta, p0)`` with ``p = x^delta * p0`` and ``p0`` free of
+    monomial factors; ``p`` nonzero, ``delta`` a key offset."""
+    delta = p.syms.offset(p.lowest())
+    return delta, p.shift(-delta)
+
+
+def _cancel(n, d):
+    """``(n/h, d/h)`` for ``h = gcd(n, d)``: ``n`` a nonzero Laurent
+    polynomial, ``d`` a denominator in canonical form, and so is
+    ``d/h``."""
+    if len(n.terms) == 1 or len(d.terms) == 1:
+        # d has no monomial factor, so h is an integer
+        g = math.gcd(*n.terms.values(), *d.terms.values())
+        if g == 1:
+            return n, d
+        g = Pol.const(n.syms, g)
+        return n.divexact(g), d.divexact(g)
+    delta, n = _strip(n)
+    _, n, d = cofactors(n, d)
+    return n.shift(delta), d
+
 
 class RatFunc:
     """Rational function in canonical form (see the module docstring).
 
     ``RatFunc(num, den)`` reduces its arguments; ``reduce=False`` is for
-    parts already known to be coprime, and only fixes the sign.  Every
-    result of the arithmetic below is built that way, so no operation
-    pays for a gcd of a full product, and every result is the same pair
-    a full reduction would give.  A constant compares equal to, and
+    parts already known to be coprime, and only moves the monomial
+    factor of ``den`` into ``num`` and fixes the sign.  Every result of
+    the arithmetic below is built in canonical form, so no operation
+    pays for a gcd of a full product, and every result is the pair a
+    full reduction would give.  A constant compares equal to, and
     hashes like, its ``int`` or ``Fraction`` value.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_cleared")
 
     def __init__(self, num: Pol, den: Pol, reduce=True):
         if num.syms is not den.syms and num.syms != den.syms:
@@ -62,10 +116,13 @@ class RatFunc:
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             den = Pol.const(num.syms, 1)
-        elif reduce and not den.is_one():
-            _, num, den = cofactors(num, den)
-        if den.leading()[1] < 0:
-            num, den = -num, -den
+        else:
+            delta, den = _strip(den)
+            num = num.shift(-delta)
+            if den.leading()[1] < 0:
+                num, den = -num, -den
+            if reduce:
+                num, den = _cancel(num, den)
         self.num = num
         self.den = den
         self._hash = None
@@ -75,14 +132,11 @@ class RatFunc:
     @staticmethod
     def const(syms, q):
         q = Fraction(q)
-        return RatFunc(Pol.const(syms, q.numerator),
-                       Pol.const(syms, q.denominator), reduce=False)
+        return _rf(Pol.const(syms, q.numerator), Pol.const(syms, q.denominator))
 
     @staticmethod
     def symbol(syms, name, exp=1):
-        if exp >= 0:
-            return RatFunc(Pol.symbol(syms, name, exp), Pol.const(syms, 1), reduce=False)
-        return RatFunc(Pol.const(syms, 1), Pol.symbol(syms, name, -exp), reduce=False)
+        return _rf(Pol.symbol(syms, name, exp), Pol.const(syms, 1))
 
     # -- predicates -------------------------------------------------------
 
@@ -101,35 +155,59 @@ class RatFunc:
     def __add__(self, other):
         if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
             other = RatFunc.const(self.syms, other)
-        if self.is_zero():
+        a, u = self.num, self.den
+        c, v = other.num, other.den
+        if not a.terms:
             return other
-        if other.is_zero():
+        if not c.terms:
             return self
-        u, v = self.den, other.den
         if u == v:
-            return RatFunc(self.num + other.num, u)
-        # t is not zero: t = 0 would force u1 = v1 = 1, that is u = v
+            num = a + c
+            if u.is_one():
+                return _rf(num, u)
+            if not num.terms:
+                return RatFunc.const(a.syms, 0)
+            return _rf(*_cancel(num, u))
+        # below, the sum is not zero: a zero sum would mean equal
+        # canonical forms of a/u and -c/v, that is u = v
+        if len(u.terms) == 1 and len(v.terms) == 1:
+            # distinct constant denominators: merge over their lcm
+            (cu,), (cv,) = u.terms.values(), v.terms.values()
+            lcm = cu * cv // math.gcd(cu, cv)
+            num = a.mul_int(lcm // cu) + c.mul_int(lcm // cv)
+            return _rf(*_cancel(num, Pol.const(a.syms, lcm)))
         d, u1, v1 = cofactors(u, v)
-        t = self.num * v1 + other.num * u1
+        t = a * v1 + c * u1
         if d.is_one():
-            return RatFunc(t, u * v, reduce=False)
-        _, t, dh = cofactors(t, d)
-        return RatFunc(t, u1 * (v1 * dh), reduce=False)
+            return _rf(t, u * v)
+        t, dh = _cancel(t, d)
+        return _rf(t, u1 * (v1 * dh))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return _rf(-self.num, self.den)
 
     def __mul__(self, other):
         if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
             other = RatFunc.const(self.syms, other)
-        if self.is_zero() or other.is_zero():
-            return RatFunc.const(self.syms, 0)
-        _, a, d = cofactors(self.num, other.den)
-        _, c, b = cofactors(other.num, self.den)
-        return RatFunc(a * c, b * d, reduce=False)
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if len(b.terms) == 1 and len(d.terms) == 1:
+            # constant denominators: one convolution, one integer gcd
+            num = a * c
+            (cb,), (cd,) = b.terms.values(), d.terms.values()
+            if cb == 1 and cd == 1:
+                return _rf(num, b)
+            if not num.terms:
+                return RatFunc.const(a.syms, 0)
+            return _rf(*_cancel(num, Pol.const(a.syms, cb * cd)))
+        if not a.terms or not c.terms:
+            return RatFunc.const(a.syms, 0)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _rf(a * c, b * d)
 
     def __truediv__(self, other):
         if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
@@ -144,8 +222,8 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        # powers of coprime polynomials stay coprime
-        return RatFunc(self.num ** n, self.den ** n, reduce=False)
+        # powers of coprime parts stay coprime, and den^n keeps the form
+        return _rf(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if type(other) is not RatFunc and isinstance(other, (int, Fraction)):
@@ -163,40 +241,57 @@ class RatFunc:
                 self._hash = hash((self.num, self.den))
         return self._hash
 
+    def cleared(self):
+        """``num`` and ``den`` times the monomial that clears the negative
+        exponents of ``num``: the coprime polynomial pair.  Kept once
+        computed, since a spot check evaluates each scalar many times."""
+        try:
+            return self._cleared
+        except AttributeError:
+            pass
+        num, den = self.num, self.den
+        if num.terms:
+            delta = num.syms.offset([-e if e < 0 else 0 for e in num.lowest()])
+            num, den = num.shift(delta), den.shift(delta)
+        self._cleared = num, den
+        return self._cleared
+
     # -- evaluation / substitution ---------------------------------------------
 
     def eval_float(self, assignment, eps=POLE_EPS):
-        d = self.den.eval_float(assignment)
+        num, den = self.cleared()
+        d = den.eval_float(assignment)
         if abs(d) < eps:
             raise NearPoleEvaluation(f"|denominator| = {abs(d):.2e}")
-        return self.num.eval_float(assignment) / d
+        return num.eval_float(assignment) / d
 
     def subst(self, mapping):
-        """Substitute symbols by Pol values in numerator and denominator."""
-        return RatFunc(self.num.subst(mapping), self.den.subst(mapping))
+        """Substitute symbols by Pol values in the cleared pair."""
+        num, den = self.cleared()
+        return RatFunc(num.subst(mapping), den.subst(mapping))
 
     # -- printing -----------------------------------------------------------------
 
     def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        if self.den.is_monomial():
-            # distribute a monomial denominator into the numerator terms
-            (de, dc), = self.den.terms.items()
-            parts = []
-            for i, e in enumerate(sorted(self.num.terms, key=lambda e: (sum(e), e),
-                                         reverse=True)):
-                c = Fraction(self.num.terms[e], dc)
-                exps = tuple(x - y for x, y in zip(e, de))
-                parts.append(term_str(self.syms, exps, c, with_sign=i > 0))
-            return " ".join(parts)
-        inv = f"({self.den})^-1"
-        if self.num.is_const() and abs(self.num.const_value()) == 1:
-            return inv if self.num.const_value() > 0 else f"-{inv}"
-        num = str(self.num)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        return f"{num}*{inv}"
+        num, den = self.num, self.den
+        if len(den.terms) == 1:
+            dc = den.const_value()
+            if dc == 1:
+                return str(num)
+            # distribute a constant denominator into the numerator terms
+            syms = self.syms
+            return " ".join(
+                term_str(syms, syms.unpack(k), Fraction(num.terms[k], dc),
+                         with_sign=i > 0)
+                for i, k in enumerate(sorted(num.terms, reverse=True)))
+        num, den = self.cleared()
+        inv = f"({den})^-1"
+        if num.is_const() and abs(num.const_value()) == 1:
+            return inv if num.const_value() > 0 else f"-{inv}"
+        text = str(num)
+        if len(num.terms) > 1:
+            text = f"({text})"
+        return f"{text}*{inv}"
 
     def __repr__(self):
         return f"RatFunc({self})"

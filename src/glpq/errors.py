@@ -25,6 +25,10 @@ class NearPoleEvaluation(AlgebraError):
     """Numeric evaluation too close to a denominator zero."""
 
 
+class ExponentOutOfRange(AlgebraError):
+    """Exponent outside the range that packed exponent keys can hold."""
+
+
 class UnknownGenerator(AlgebraError):
     """Word references a generator the presentation does not declare."""
 

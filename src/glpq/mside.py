@@ -233,7 +233,7 @@ class MSide:
         return ((self.x_rf + phi) ** n - self.y_rf ** n) / (s + phi)
 
     def tau_rf(self, r):
-        return RatFunc(r.num.subst(_TAU_MAP), r.den.subst(_TAU_MAP))
+        return r.subst(_TAU_MAP)
 
     def tau_coeff(self, c):
         return MCoefficient({(l, k): self.tau_rf(r)

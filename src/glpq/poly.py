@@ -1,31 +1,96 @@
-"""Sparse multivariate polynomials with integer coefficients.
+"""Sparse multivariate Laurent polynomials with integer coefficients.
 
-Terms are stored as a map from exponent tuples to nonzero ints; the
-exponent tuple is aligned with a fixed :class:`SymbolSet`.  Exponents are
-never negative.  Everything here is exact; the rational-function layer in
-:mod:`glpq.coeff` relies on :func:`cofactors` for canonical forms.
+Terms are stored as a map from packed exponent keys to nonzero ints.
+Exponents may be negative.  Everything here is exact; the
+rational-function layer in :mod:`glpq.coeff` relies on
+:func:`cofactors` for canonical forms.
+
+Packed keys (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Over symbols
+``x_0 .. x_{n-1}`` the monomial with exponents ``e`` has the key
+
+    (e_0 + ... + e_{n-1}) * 2^(n*W)  +  sum_i (e_i + H) * 2^((n-1-i)*W)
+
+with field width ``W = FIELD_BITS`` and bias ``H = 2^(W-1)``.  Each
+low field holds one biased exponent; the top field holds the total
+degree and is not bounded (a negative degree makes the key negative).
+Integer order on keys is therefore graded-lex order: the total degree
+decides first, then ``e_0``, then ``e_1`` and so on, exactly as the
+tuple order of ``(sum(e), e)``.  So the leading term is ``max(terms)``
+and the printer sorts keys as plain ints.  ``SymbolSet.zero`` is the
+key of the constant monomial, the sum of the biases, and a monomial
+product is ``k1 + k2 - zero``.
+
+Every stored exponent lies in ``[-2^(W-2), 2^(W-2))``
+(:data:`EXPONENT_BOUND`).  The sum of two such exponents stays inside a
+field, so no product of stored keys carries from one field into the
+next; :meth:`SymbolSet.check` then rejects any product exponent outside
+the bound with :class:`~glpq.errors.ExponentOutOfRange`.  The test adds
+``2^(W-2)`` to every field and reads the top bit of each: the bit is
+set exactly when the exponent is inside the bound.
+
+Only the gcd boundary (:func:`poly_gcd`, :func:`_prem`,
+``as_univariate``), evaluation, substitution and printing read
+exponents one by one.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, le, sub
 
-from .errors import DivisionByZero, MissingSymbol, SymbolSetMismatch
+from .errors import (DivisionByZero, ExponentOutOfRange, MissingSymbol,
+                     SymbolSetMismatch)
+
+FIELD_BITS = 40
+_HALF = 1 << (FIELD_BITS - 1)        # bias of one field
+_MASK = (1 << FIELD_BITS) - 1
+EXPONENT_BOUND = 1 << (FIELD_BITS - 2)
 
 
 class SymbolSet:
-    """Ordered set of commuting symbol names; order fixes the term order."""
+    """Ordered set of commuting symbol names, with the packing constants
+    of its exponent keys (see the module docstring)."""
 
-    __slots__ = ("names", "index", "zero")
+    __slots__ = ("names", "index", "zero", "shifts", "units", "top",
+                 "_offset")
 
     def __init__(self, names):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
+        n = len(names)
         self.names = names
-        self.index = {n: i for i, n in enumerate(names)}
-        self.zero = (0,) * len(names)     # exponents of the constant term
+        self.index = {name: i for i, name in enumerate(names)}
+        self.shifts = tuple((n - 1 - i) * FIELD_BITS for i in range(n))
+        self.top = n * FIELD_BITS         # position of the degree field
+        # key step of one unit of exponent i: its field and the degree
+        self.units = tuple((1 << self.top) + (1 << s) for s in self.shifts)
+        self.zero = sum(_HALF << s for s in self.shifts)
+        self._offset = self.zero >> 1     # 2^(W-2) in every field
+
+    def pack(self, exps):
+        if len(exps) != len(self.names):
+            raise SymbolSetMismatch(f"{len(exps)} exponents for {self}")
+        for e in exps:
+            if not -EXPONENT_BOUND <= e < EXPONENT_BOUND:
+                raise ExponentOutOfRange(_bound_message(e))
+        return self.zero + self.offset(exps)
+
+    def offset(self, exps):
+        """Key difference that multiplies by the monomial ``exps``."""
+        return sum(e * u for e, u in zip(exps, self.units))
+
+    def unpack(self, key):
+        return tuple(((key >> s) & _MASK) - _HALF for s in self.shifts)
+
+    def check(self, keys):
+        """Raise unless every exponent of every key is inside the bound;
+        valid for keys that are sums or differences of two checked keys."""
+        off, guard = self._offset, self.zero
+        for k in keys:
+            if (k + off) & guard != guard:
+                bad = max(self.unpack(k), key=abs)
+                raise ExponentOutOfRange(_bound_message(bad))
 
     def __len__(self):
         return len(self.names)
@@ -40,19 +105,36 @@ class SymbolSet:
         return f"SymbolSet{self.names}"
 
 
-def _gl_key(exps):
-    # graded lexicographic: total degree first, then exponent vector
-    return (sum(exps), exps)
+def _bound_message(e):
+    return (f"exponent {e} out of range: exponents must lie in "
+            f"[-2^{FIELD_BITS - 2}, 2^{FIELD_BITS - 2})")
+
+
+_new = object.__new__
+
+
+def _pol(syms, terms):
+    """Trusted constructor: packed keys, no zero coefficient."""
+    p = _new(Pol)
+    p.syms = syms
+    p.terms = terms
+    p._hash = None
+    return p
 
 
 class Pol:
-    """Polynomial over a SymbolSet.  Immutable once constructed."""
+    """Laurent polynomial over a SymbolSet.  Immutable once constructed.
+
+    ``Pol(syms, {exponent tuple: coefficient})`` packs the exponents and
+    drops zero coefficients.
+    """
 
     __slots__ = ("syms", "terms", "_hash")
 
     def __init__(self, syms, terms):
+        pack = syms.pack
         self.syms = syms
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {pack(e): c for e, c in terms.items() if c}
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -60,7 +142,7 @@ class Pol:
     @staticmethod
     def const(syms, c):
         c = int(c)
-        return Pol(syms, {syms.zero: c} if c else {})
+        return _pol(syms, {syms.zero: c} if c else {})
 
     @staticmethod
     def symbol(syms, name, exp=1):
@@ -68,7 +150,7 @@ class Pol:
             raise SymbolSetMismatch(f"symbol {name!r} not in {syms}")
         e = [0] * len(syms)
         e[syms.index[name]] = exp
-        return Pol(syms, {tuple(e): 1})
+        return _pol(syms, {syms.pack(e): 1})
 
     # -- predicates ----------------------------------------------------
 
@@ -80,7 +162,8 @@ class Pol:
         return len(t) == 1 and t.get(self.syms.zero) == 1
 
     def is_const(self):
-        return all(not any(e) for e in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and self.syms.zero in t)
 
     def const_value(self):
         return self.terms.get(self.syms.zero, 0)
@@ -89,7 +172,7 @@ class Pol:
         return len(self.terms) <= 1
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms) >> self.syms.top if self.terms else 0
 
     # -- ring operations -----------------------------------------------
 
@@ -100,65 +183,86 @@ class Pol:
     def __add__(self, other):
         self._check(other)
         t = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = t.get(e, 0) + c
+        for k, c in other.terms.items():
+            nc = t.get(k, 0) + c
             if nc:
-                t[e] = nc
-            elif e in t:
-                del t[e]
-        return Pol(self.syms, t)
+                t[k] = nc
+            elif k in t:
+                del t[k]
+        return _pol(self.syms, t)
 
     def __neg__(self):
-        return Pol(self.syms, {e: -c for e, c in self.terms.items()})
+        return _pol(self.syms, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
+        syms = self.syms
+        if syms is not other.syms:
+            self._check(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if not a:
+            return _pol(syms, {})
+        z = syms.zero
         if len(a) == 1:
             # a single term shifts the other operand: no collisions
-            (e1, c1), = a.items()
-            return Pol(self.syms, {tuple(map(add, e1, e2)): c1 * c2
-                                   for e2, c2 in b.items()})
-        t = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                nc = t.get(e, 0) + c1 * c2
-                if nc:
-                    t[e] = nc
-                elif e in t:
-                    del t[e]
-        return Pol(self.syms, t)
+            (k1, c1), = a.items()
+            if k1 == z:
+                return _pol(syms, {k: c1 * c for k, c in b.items()})
+            s = k1 - z
+            t = {k + s: c1 * c for k, c in b.items()}
+        else:
+            t = {}
+            for k1, c1 in a.items():
+                s = k1 - z
+                for k2, c2 in b.items():
+                    k = k2 + s
+                    nc = t.get(k, 0) + c1 * c2
+                    if nc:
+                        t[k] = nc
+                    elif k in t:
+                        del t[k]
+        syms.check(t)
+        return _pol(syms, t)
 
     def mul_int(self, k):
         k = int(k)
         if k == 0:
-            return Pol(self.syms, {})
-        return Pol(self.syms, {e: c * k for e, c in self.terms.items()})
+            return _pol(self.syms, {})
+        return _pol(self.syms, {e: c * k for e, c in self.terms.items()})
 
-    def mul_term(self, exps, coeff):
-        if coeff == 0:
-            return Pol(self.syms, {})
-        return Pol(self.syms, {tuple(map(add, e, exps)): c * coeff
-                               for e, c in self.terms.items()})
+    def shift(self, delta):
+        """Product with the monomial whose key offset is ``delta`` (see
+        :meth:`SymbolSet.offset`)."""
+        if not delta:
+            return self
+        t = {k + delta: c for k, c in self.terms.items()}
+        self.syms.check(t)
+        return _pol(self.syms, t)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power on a polynomial")
-        r = Pol.const(self.syms, 1)
+        syms = self.syms
+        if n == 0:
+            return Pol.const(syms, 1)
+        if len(self.terms) == 1:
+            # a monomial power scales the exponents: one key, no product
+            (k, c), = self.terms.items()
+            return _pol(syms, {syms.pack([n * e for e in syms.unpack(k)]):
+                               c ** n})
+        r = None
         b = self
-        while n:
+        while True:
             if n & 1:
-                r = r * b
+                r = b if r is None else r * b
             n >>= 1
-            if n:
-                b = b * b
-        return r
+            if not n:
+                return r
+            b = b * b
 
     def __eq__(self, other):
         return isinstance(other, Pol) and self.syms == other.syms and self.terms == other.terms
@@ -171,65 +275,69 @@ class Pol:
     # -- structure helpers ----------------------------------------------
 
     def leading(self):
-        """(exponents, coefficient) of the graded-lex leading term."""
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            return e, c
-        e = max(self.terms, key=_gl_key)
-        return e, self.terms[e]
+        """(key, coefficient) of the graded-lex leading term."""
+        k = max(self.terms)
+        return k, self.terms[k]
 
     def content(self):
         return math.gcd(*self.terms.values()) if self.terms else 0
 
+    def _field(self, var, pick):
+        """``pick`` (min or max) of the exponents of symbol ``var``."""
+        s = self.syms.shifts[var]
+        return pick([(k >> s) & _MASK for k in self.terms]) - _HALF
+
+    def lowest(self):
+        """Per-symbol minimum exponent over the terms; self nonzero."""
+        return tuple(map(min, zip(*map(self.syms.unpack, self.terms))))
+
     def max_var(self):
         """Largest symbol index with a positive exponent, or -1."""
-        m = -1
-        for e in self.terms:
-            for i in range(len(e) - 1, m, -1):
-                if e[i]:
-                    m = i
-                    break
-        return m
+        if self.terms:
+            for i in range(len(self.syms) - 1, -1, -1):
+                if self._field(i, max) > 0:
+                    return i
+        return -1
 
     def degree_in(self, var):
-        return max((e[var] for e in self.terms), default=0)
+        return self._field(var, max) if self.terms else 0
 
     def as_univariate(self, var):
         """Map degree-in-var -> coefficient Pol (var exponent zeroed)."""
+        s, u = self.syms.shifts[var], self.syms.units[var]
         out = {}
-        for e, c in self.terms.items():
-            d = e[var]
-            r = list(e)
-            r[var] = 0
-            r = tuple(r)
-            bucket = out.setdefault(d, {})
-            bucket[r] = bucket.get(r, 0) + c
-        return {d: Pol(self.syms, t) for d, t in out.items()}
+        for k, c in self.terms.items():
+            d = ((k >> s) & _MASK) - _HALF
+            out.setdefault(d, {})[k - d * u] = c
+        return {d: _pol(self.syms, t) for d, t in out.items()}
 
     @staticmethod
     def from_univariate(syms, var, coeffs):
+        u = syms.units[var]
         t = {}
         for d, p in coeffs.items():
-            for e, c in p.terms.items():
-                r = list(e)
-                r[var] += d
-                r = tuple(r)
-                nc = t.get(r, 0) + c
+            for k, c in p.terms.items():
+                k += d * u
+                nc = t.get(k, 0) + c
                 if nc:
-                    t[r] = nc
-                elif r in t:
-                    del t[r]
-        return Pol(syms, t)
+                    t[k] = nc
+                elif k in t:
+                    del t[k]
+        syms.check(t)
+        return _pol(syms, t)
 
     # -- exact division --------------------------------------------------
 
     def divexact(self, other):
-        """Exact polynomial quotient; raises if the division is not exact."""
+        """Exact polynomial quotient; raises if the division is not exact
+        or would need a negative exponent."""
         self._check(other)
+        syms = self.syms
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         if other.is_one():
             return self
+        z = syms.zero
         if other.is_const():
             k = other.const_value()
             t = {}
@@ -238,41 +346,48 @@ class Pol:
                 if r:
                     raise ArithmeticError("inexact constant division")
                 t[e] = q
-            return Pol(self.syms, t)
+            return _pol(syms, t)
+        # a quotient key is a difference of two stored keys, so no field
+        # borrows, and its exponents are all >= 0 exactly when the top
+        # bit of every field is set
         if other.is_monomial():
-            (de, dc), = other.terms.items()
+            (dk, dc), = other.terms.items()
+            s = dk - z
             t = {}
-            for e, c in self.terms.items():
+            for k, c in self.terms.items():
                 q, r = divmod(c, dc)
-                ne = tuple(x - y for x, y in zip(e, de))
-                if r or any(x < 0 for x in ne):
+                k -= s
+                if r or k & z != z:
                     raise ArithmeticError("inexact monomial division")
-                t[ne] = q
-            return Pol(self.syms, t)
+                t[k] = q
+            syms.check(t)
+            return _pol(syms, t)
         rem = self
         out = {}
-        le, lc = other.leading()
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            qe = tuple(x - y for x, y in zip(re, le))
-            if any(x < 0 for x in qe):
+        lk, lc = other.leading()
+        while rem.terms:
+            rk, rc = rem.leading()
+            qk = rk - lk + z
+            if qk & z != z:
                 raise ArithmeticError("inexact division (monomial mismatch)")
+            syms.check((qk,))
             qc, r = divmod(rc, lc)
             if r:
                 raise ArithmeticError("inexact division (coefficient)")
-            out[qe] = out.get(qe, 0) + qc
-            rem = rem - other.mul_term(qe, qc)
-        return Pol(self.syms, out)
+            out[qk] = out.get(qk, 0) + qc
+            rem = rem + other.shift(qk - z).mul_int(-qc)
+        return _pol(syms, out)
 
     # -- evaluation / substitution ----------------------------------------
 
     def eval_float(self, assignment):
+        names = self.syms.names
         total = 0.0
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
             v = float(c)
-            for i, ex in enumerate(e):
+            for i, ex in enumerate(self.syms.unpack(k)):
                 if ex:
-                    name = self.syms.names[i]
+                    name = names[i]
                     if name not in assignment:
                         raise MissingSymbol(name)
                     v *= float(assignment[name]) ** ex
@@ -280,12 +395,12 @@ class Pol:
         return total
 
     def subst(self, mapping):
-        """Substitute symbols by (Pol, Pol-den-free) values given as Pol.
+        """Substitute symbols by Pol values over the same SymbolSet.
 
-        ``mapping`` maps symbol names to Pol over the same SymbolSet.
         Unmapped symbols stay themselves.  Exponents of mapped symbols
         must be nonnegative.
         """
+        syms = self.syms
         cache = {}
 
         def power(name, n):
@@ -294,18 +409,19 @@ class Pol:
                 cache[key] = mapping[name] ** n
             return cache[key]
 
-        out = Pol.const(self.syms, 0)
-        for e, c in self.terms.items():
+        out = Pol.const(syms, 0)
+        for k, c in self.terms.items():
+            e = syms.unpack(k)
             rest = list(e)
-            term = Pol.const(self.syms, c)
+            term = Pol.const(syms, c)
             for i, ex in enumerate(e):
-                name = self.syms.names[i]
+                name = syms.names[i]
                 if ex and name in mapping:
                     if ex < 0:
                         raise ValueError("negative exponent under substitution")
                     rest[i] = 0
                     term = term * power(name, ex)
-            out = out + term.mul_term(tuple(rest), 1)
+            out = out + term.shift(syms.offset(rest))
         return out
 
     # -- printing ----------------------------------------------------------
@@ -313,11 +429,11 @@ class Pol:
     def __str__(self):
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=_gl_key, reverse=True)
-        out = [term_str(self.syms, keys[0], self.terms[keys[0]])]
-        for e in keys[1:]:
-            out.append(term_str(self.syms, e, self.terms[e], with_sign=True))
-        return " ".join(out)
+        syms = self.syms
+        return " ".join(term_str(syms, syms.unpack(k), self.terms[k],
+                                 with_sign=i > 0)
+                        for i, k in enumerate(sorted(self.terms,
+                                                     reverse=True)))
 
     def __repr__(self):
         return f"Pol({self})"
@@ -344,6 +460,8 @@ def term_str(syms, exps, c, with_sign=False):
 
 
 # -- gcd ------------------------------------------------------------------
+#
+# The gcd routines take polynomials: every exponent is nonnegative.
 
 
 def _int_primitive(p):
@@ -399,24 +517,23 @@ def _monomial_gcd(f, g):
     """gcd of two nonzero polynomials one of which is a single term: the
     per-variable minimum exponent times the integer gcd of all
     coefficients."""
-    exps = tuple(map(min, *f.terms, *g.terms))
-    return Pol(f.syms, {exps: math.gcd(*f.terms.values(), *g.terms.values())})
+    low = tuple(map(min, f.lowest(), g.lowest()))
+    c = math.gcd(*f.terms.values(), *g.terms.values())
+    return _pol(f.syms, {f.syms.pack(low): c})
 
 
 def _shift_div(p, h):
     """p / h for a single-term h that divides every term of p."""
-    (he, hc), = h.terms.items()
-    if not any(he):
-        return p if hc == 1 else \
-            Pol(p.syms, {e: c // hc for e, c in p.terms.items()})
-    return Pol(p.syms, {tuple(map(sub, e, he)): c // hc
-                        for e, c in p.terms.items()})
+    (hk, hc), = h.terms.items()
+    p = p.shift(p.syms.zero - hk)
+    return p if hc == 1 else \
+        _pol(p.syms, {k: c // hc for k, c in p.terms.items()})
 
 
 def _quotient(f, g):
     """f / g when g divides f exactly, else None; f and g have at least
     two terms each."""
-    if not all(map(le, map(max, *g.terms), map(max, *f.terms))):
+    if any(g.degree_in(i) > f.degree_in(i) for i in range(len(f.syms))):
         return None     # g has a higher degree in some variable
     try:
         return f.divexact(g)
@@ -425,7 +542,8 @@ def _quotient(f, g):
 
 
 def cofactors(f, g):
-    """``(h, f/h, g/h)`` with ``h = poly_gcd(f, g)``; f and g nonzero.
+    """``(h, f/h, g/h)`` with ``h = poly_gcd(f, g)``; f and g nonzero
+    polynomials.
 
     The route depends on the operands' shape, and each lands on the
     gcd that :func:`poly_gcd` returns (primitive part with positive

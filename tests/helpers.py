@@ -172,10 +172,14 @@ def naive_ratfunc(num, den):
 
 
 def naive_ratfunc_mul(a, b):
-    """Reference RatFunc product: reduces the full product."""
-    return naive_ratfunc(a.num * b.num, a.den * b.den)
+    """Reference RatFunc product: reduces the full product of the
+    cleared polynomial pairs."""
+    (an, ad), (bn, bd) = a.cleared(), b.cleared()
+    return naive_ratfunc(an * bn, ad * bd)
 
 
 def naive_ratfunc_add(a, b):
-    """Reference RatFunc sum over the full product of the denominators."""
-    return naive_ratfunc(a.num * b.den + b.num * a.den, a.den * b.den)
+    """Reference RatFunc sum over the full product of the cleared
+    denominators."""
+    (an, ad), (bn, bd) = a.cleared(), b.cleared()
+    return naive_ratfunc(an * bd + bn * ad, ad * bd)

@@ -46,6 +46,26 @@ class TestNormalizeCommand:
         assert main(["normalize", "a^100000000"]) == 2
         assert "exceeds the bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr, printed", [
+        ("(((((p^64)^64)^64)^64)^64)^64*a", "p^68719476736*a"),
+        ("(((((p^-64)^64)^64)^64)^64)^64*q*a", "p^-68719476736*q*a"),
+    ])
+    def test_nested_powers_keep_exact_exponents(self, capsys, expr, printed):
+        # 64^6 = 2^36 fits a packed exponent field
+        assert main(["normalize", "--ctx", "tside", expr]) == 0
+        assert capsys.readouterr().out.strip() == printed
+
+    @pytest.mark.parametrize("ctx, expr", [
+        ("tside", "((((((p^64)^64)^64)^64)^64)^64)^64*a"),
+        ("tside", "((((((p^-64)^64)^64)^64)^64)^64)^64*q*a"),
+        ("mside", "((((((phi^64)^64)^64)^64)^64)^64)^64*(x - y)^-1*mu"),
+    ])
+    def test_exponent_beyond_the_field_is_a_usage_error(self, capsys, ctx,
+                                                        expr):
+        # 64^7 = 2^42 would carry into the next field: a typed error
+        assert main(["normalize", "--ctx", ctx, expr]) == 2
+        assert "exponents must lie in [-2^38, 2^38)" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_scalar(self, capsys):

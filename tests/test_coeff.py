@@ -95,7 +95,9 @@ class TestRatFunc:
 # down sharply as degrees grow in four variables: one product with the
 # denominator 72*p^4*s*phi^4*(s + phi)^2 took more than 2 s.  The
 # operands are therefore kept small, and the examples are derandomized
-# so that every run checks the same set in bounded time.
+# so that every run checks the same set in bounded time.  Negative
+# exponents stop at -1: the reference works on the cleared polynomial
+# pair, and with -2 in all four variables a single PRS took minutes.
 
 PQSF = SymbolSet(["p", "q", "s", "phi"])
 _P, _Q, _S, _PHI = (Pol.symbol(PQSF, n) for n in PQSF.names)
@@ -108,16 +110,17 @@ _FACTORS = (_P * _Q - _ONE, _P - _Q, _S + _PHI, _S + _PHI - _TWO,
 
 
 @st.composite
-def sparse_pols(draw):
-    """Up to three random terms; may be zero."""
-    exps = st.tuples(*[st.integers(0, 2)] * len(PQSF))
+def sparse_pols(draw, min_exp=0):
+    """Up to three random terms; may be zero.  With ``min_exp < 0`` a
+    Laurent polynomial."""
+    exps = st.tuples(*[st.integers(min_exp, 2)] * len(PQSF))
     return Pol(PQSF, draw(st.dictionaries(exps, st.integers(-3, 3),
                                           min_size=1, max_size=3)))
 
 
 @st.composite
-def monomials(draw, max_exp=2):
-    exps = tuple(draw(st.integers(0, max_exp)) for _ in PQSF.names)
+def monomials(draw, max_exp=2, min_exp=0):
+    exps = tuple(draw(st.integers(min_exp, max_exp)) for _ in PQSF.names)
     return Pol(PQSF, {exps: draw(st.sampled_from((1, 2, 3, 6, -1, -4)))})
 
 
@@ -134,21 +137,26 @@ def factored(draw, min_factors=0, max_factors=2):
 @st.composite
 def num_den(draw):
     """A numerator and denominator pair, not reduced, by denominator shape:
-    none, one term (Laurent monomials, often with integer content), a
-    product of factors, or one that divides the numerator."""
-    num = draw(st.one_of(sparse_pols(), factored(), monomials()))
-    kind = draw(st.sampled_from(("polynomial", "laurent", "general",
-                                 "divides")))
+    none, an integer, one term (Laurent monomials, often with integer
+    content), a product of factors, or one that divides the numerator.
+    Numerators and single-term denominators may carry negative
+    exponents."""
+    num = draw(st.one_of(sparse_pols(), sparse_pols(min_exp=-1), factored(),
+                         monomials(), monomials(min_exp=-1)))
+    kind = draw(st.sampled_from(("polynomial", "constant", "laurent",
+                                 "general", "divides")))
     if kind == "polynomial":
         den = _ONE
+    elif kind == "constant":
+        den = Pol.const(PQSF, draw(st.sampled_from((2, 3, 6, -4, -1))))
     elif kind == "laurent":
-        den = draw(monomials())
+        den = draw(st.one_of(monomials(), monomials(min_exp=-1)))
     elif kind == "general":
         den = draw(factored(min_factors=1, max_factors=1)) * \
-            draw(monomials(max_exp=1))
+            draw(monomials(max_exp=1, min_exp=draw(st.sampled_from((0, -1)))))
     else:
         den = draw(factored(min_factors=1))
-        num = den * draw(st.one_of(factored(), monomials()))
+        num = den * draw(st.one_of(factored(), monomials(min_exp=-1)))
     return num, den
 
 
@@ -164,7 +172,7 @@ def ratfunc_pairs(draw):
     elif how == "inverse" and not a.is_zero():
         b = a.inv()
     elif how == "same_den":
-        b = RatFunc(draw(sparse_pols()), a.den)
+        b = RatFunc(draw(sparse_pols(min_exp=-1)), a.den)
     else:
         b = RatFunc(*draw(num_den()))
     return a, b
@@ -174,17 +182,39 @@ def _dump(r):
     return r.num, r.den, hash(r)
 
 
+def _cleared(num, den):
+    """num and den times the monomial that makes both polynomials."""
+    low = den.lowest()
+    if not num.is_zero():
+        low = map(min, low, num.lowest())
+    m = Pol(PQSF, {tuple(max(0, -e) for e in low): 1})
+    return num * m, den * m
+
+
+def _canonical(r):
+    """The canonical-form invariants of the module docstring."""
+    assert r.den.lowest() == (0,) * len(PQSF)
+    assert r.den.leading()[1] > 0
+    if r.is_zero():
+        assert r.den.is_one()
+
+
 @given(num_den())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_reduction_matches_reference(pair):
     num, den = pair
-    assert _dump(RatFunc(num, den)) == _dump(naive_ratfunc(num, den))
+    r = RatFunc(num, den)
+    _canonical(r)
+    assert _dump(r) == _dump(naive_ratfunc(*_cleared(num, den)))
+    assert _dump(RatFunc(*r.cleared())) == _dump(r)
 
 
 @given(ratfunc_pairs())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_arithmetic_matches_reference(pair):
     a, b = pair
+    for got in (a * b, a + b, a - b):
+        _canonical(got)
     assert _dump(a * b) == _dump(naive_ratfunc_mul(a, b))
     assert _dump(a + b) == _dump(naive_ratfunc_add(a, b))
     assert _dump(a - b) == _dump(naive_ratfunc_add(a, -b))
@@ -223,6 +253,18 @@ class TestScalarContracts:
         assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
         assert len({one, 1, Fraction(1), r_sym("p") / r_sym("p")}) == 1
         assert half != Fraction(1, 3) and r_sym("p") != Fraction(1, 2)
+        # a monomial in the denominator moves into the numerator
+        three_halves = RatFunc(Pol(PQ, {(1, 0): 6}), Pol(PQ, {(1, 0): 4}))
+        assert three_halves == Fraction(3, 2)
+        assert hash(three_halves) == hash(Fraction(3, 2))
+
+    def test_monomial_denominator_is_a_laurent_numerator(self):
+        p, pq = Pol.symbol(PQ, "p"), Pol(PQ, {(1, 1): 1})
+        q_inv = RatFunc.symbol(PQ, "q", -1)
+        for r in (RatFunc(p, pq), RatFunc(p, pq, reduce=False),
+                  r_sym("q").inv(), r_sym("p") / (r_sym("p") * r_sym("q"))):
+            assert r == q_inv and hash(r) == hash(q_inv)
+            assert r.den.is_one() and str(r) == "q^-1"
 
     def test_trunc_laurent_is_unhashable(self):
         a = TruncLaurent.const(1, 12) + TruncLaurent.t_power(5, 12)

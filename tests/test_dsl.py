@@ -158,6 +158,11 @@ GOLDEN = [
     ("mside", "[x,mu]*(x - y + phi)^-1 + (x - y - psi)^-1*nu",
      "((phi + x - y - 2)^-1)*nu + (phi*(phi + x - y)^-1)*mu"),
     ("mside", "(x^2 - 1)*(2*x - 2)^-1*E1^-1", "((1/2*x + 1/2)*E1^-1)"),
+    # a monomial factor next to a denominator with several terms: the
+    # printer multiplies it back into the denominator
+    ("tside", "q^-1*(p - q)^-1*a", "((p*q - q^2)^-1)*a"),
+    ("mside", "phi^-1*(x - y)^-1*mu", "((phi*x - phi*y)^-1)*mu"),
+    ("mside", "(x - y + phi)^-1*p^-1*x*nu", "(x*(p*phi + p*x - p*y)^-1)*nu"),
 ]
 
 

@@ -67,6 +67,14 @@ class TestTau:
         for e in elems:
             assert ctx.tau_elt(ctx.tau_elt(e)) == e
 
+    def test_tau_of_a_laurent_scalar(self):
+        # phi^-1 is stored as a Laurent numerator over 1; tau substitutes
+        # psi = 2 - phi into the cleared pair 1/phi
+        ctx = mside()
+        assert ctx.tau_rf(ctx.phi ** -1) == ctx.psi.inv()
+        assert str(ctx.tau_rf(ctx.phi ** -1)) == "-(phi - 2)^-1"
+        assert ctx.tau_rf(ctx.p ** -2 * ctx.x_rf) == ctx.q ** -2 * ctx.y_rf
+
     def test_tau_swaps_blocks(self):
         ctx = mside()
         m2 = ctx.m_power(2)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glpq.poly import Pol, SymbolSet, poly_gcd
+from glpq.errors import ExponentOutOfRange
+from glpq.poly import EXPONENT_BOUND, Pol, SymbolSet, poly_gcd
 
 PQ = SymbolSet(["p", "q"])
 
@@ -32,7 +33,7 @@ def test_pow_and_leading():
     f = (p - q) ** 3
     assert f.total_degree() == 3
     e, c = f.leading()
-    assert c == 1 and e == (3, 0)
+    assert c == 1 and PQ.unpack(e) == (3, 0)
 
 
 def test_divexact_raises_on_inexact():
@@ -104,5 +105,81 @@ def test_subst_shift():
 def test_eval_matches_structure(a, b, i, j):
     f = Pol(PQ, {(i, j): a, (0, 1): b}) if (i, j) != (0, 1) else Pol(PQ, {(i, j): a + b})
     val = f.eval_float({"p": 2.0, "q": 3.0})
-    expect = sum(c * 2.0 ** e[0] * 3.0 ** e[1] for e, c in f.terms.items())
+    expect = sum(c * 2.0 ** e[0] * 3.0 ** e[1]
+                 for e, c in ((PQ.unpack(k), c) for k, c in f.terms.items()))
     assert abs(val - expect) < 1e-9
+
+
+# -- packed exponent keys ------------------------------------------------------
+
+PQSF = SymbolSet(["p", "q", "s", "phi"])
+exponents = st.integers(-EXPONENT_BOUND, EXPONENT_BOUND - 1)
+small_exponents = st.integers(-3, 3)
+
+
+def _graded_lex(e):
+    return (sum(e), e)
+
+
+@given(st.lists(exponents, min_size=4, max_size=4))
+@settings(max_examples=200)
+def test_pack_unpack_round_trip(exps):
+    exps = tuple(exps)
+    key = PQSF.pack(exps)
+    assert PQSF.unpack(key) == exps
+    assert Pol(PQSF, {exps: 3}).terms == {key: 3}
+
+
+@given(st.lists(st.tuples(*[st.one_of(small_exponents, exponents)] * 4),
+                min_size=1, max_size=8))
+@settings(max_examples=200)
+def test_integer_order_is_graded_lex(vectors):
+    keys = {PQSF.pack(e): e for e in vectors}
+    assert keys[max(keys)] == max(vectors, key=_graded_lex)
+    assert [keys[k] for k in sorted(keys)] == sorted(set(vectors),
+                                                     key=_graded_lex)
+
+
+@given(st.dictionaries(st.tuples(*[small_exponents] * 4), st.integers(-3, 3),
+                       max_size=4),
+       st.dictionaries(st.tuples(*[small_exponents] * 4), st.integers(-3, 3),
+                       max_size=4))
+@settings(max_examples=150)
+def test_laurent_product_matches_tuple_convolution(a, b):
+    want = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            want[e] = want.get(e, 0) + c1 * c2
+    assert Pol(PQSF, a) * Pol(PQSF, b) == Pol(PQSF, want)
+
+
+def test_exponents_outside_the_bound_are_rejected():
+    edge = EXPONENT_BOUND - 1
+    p_edge = Pol(PQ, {(edge, 0): 1})
+    p_low = Pol(PQ, {(0, -EXPONENT_BOUND): 1})
+    for exps in ((EXPONENT_BOUND, 0), (0, -EXPONENT_BOUND - 1)):
+        with pytest.raises(ExponentOutOfRange):
+            Pol(PQ, {exps: 1})
+    with pytest.raises(ExponentOutOfRange):
+        sym("p", EXPONENT_BOUND)
+    # a product that would carry out of a field is refused, by the
+    # single-term shift, by the convolution and by a power
+    for f, g in ((p_edge, sym("p")), (p_edge + const(1), sym("p") + sym("q")),
+                 (p_low, sym("q", -1) - const(2))):
+        with pytest.raises(ExponentOutOfRange):
+            f * g
+    with pytest.raises(ExponentOutOfRange):
+        sym("q", 1 << 20) ** (1 << 18)
+    # right at the edge, nothing carries
+    assert PQ.unpack(max((p_edge * sym("q", -1)).terms)) == (edge, -1)
+    assert PQ.unpack(max((p_low * sym("p", edge)).terms)) == \
+        (edge, -EXPONENT_BOUND)
+
+
+def test_laurent_leading_term():
+    p, q = sym("p"), sym("q")
+    k, c = (p ** 2 - sym("q", -3)).leading()
+    assert PQ.unpack(k) == (2, 0) and c == 1
+    k, c = (sym("p", -1) - q * sym("p", -2)).leading()
+    assert PQ.unpack(k) == (-1, 0) and c == 1
