@@ -429,7 +429,22 @@ class TruncLaurent:
                 if i + j >= width:
                     break
                 nums[i + j] += a * b
-        return TruncLaurent(lead, nums, self.den * other.den, cap)
+        # built in place of __init__: the window ends at the cap, the
+        # leading slot a0*b0 is nonzero, and den > 0
+        while not nums[-1]:
+            nums.pop()
+        den = self.den * other.den
+        if den > 1:
+            g = math.gcd(den, *nums)
+            if g > 1:
+                den //= g
+                nums = [n // g for n in nums]
+        r = _new(TruncLaurent)
+        r.lead = lead
+        r.nums = tuple(nums)
+        r.den = den
+        r.cap = cap
+        return r
 
     def inv(self):
         if self.is_zero():

@@ -24,7 +24,9 @@ tests.
 
 from __future__ import annotations
 
+import copy
 from math import comb
+from operator import add
 
 from .errors import (NonInvertibleNegativePower, NotAUnit,
                      PresentationMismatch, UnknownGenerator)
@@ -94,8 +96,26 @@ class Presentation:
                     and words[0][1] == ((gi(g), 1),) and sg == 1):
                 self.linear_runs[key] = (lam, words[0][0])
         self.shifts = {gi(g): fns for g, fns in (shifts or {}).items()}
+        self.top = None
         self._word_cache = {}
         self._step_cache = {}
+        self._views = {}
+
+    def capped(self, top):
+        """View of this presentation that keeps each coefficient of its
+        word products at a monomial of degree g only through t^(top - g).
+
+        For truncated-series scalars (they carry a ``cap``); the view
+        shares the rules and has word caches of its own, one view per
+        ``top``.  ``glpq.series`` states why the cap loses nothing.
+        """
+        view = self._views.get(top)
+        if view is None:
+            view = copy.copy(self)
+            view.top = top
+            view._word_cache, view._step_cache, view._views = {}, {}, {}
+            self._views[top] = view
+        return view
 
     def _check_odd_counts(self, key, words):
         """Reject a correction that lowers some odd generator's count.
@@ -296,9 +316,25 @@ class Presentation:
             out = {}
             self._reduce(self.monomial_letters(mono) + [letter],
                          self.ring.one, out)
+            if self.top is not None:
+                out = self._cap_terms(out)
             hit = tuple(out.items())
             self._step_cache[key] = hit
         return hit
+
+    def _cap_terms(self, terms):
+        """Terms with each coefficient cut to cap ``top - degree``; ``one``
+        is kept as it is, so the ``is one`` shortcuts still fire."""
+        one = self.ring.one
+        out = {}
+        for mono, lam in terms.items():
+            cap = self.top - sum(mono)
+            if lam is not one and lam.cap > cap:
+                lam = lam.with_cap(cap)
+                if lam.is_zero():
+                    continue
+            out[mono] = lam
+        return out
 
     def _append(self, acc, letters):
         """Canonical terms of (sum of acc) times the letters, one letter
@@ -323,13 +359,25 @@ class Presentation:
         """Canonical terms of the concatenation of two canonical monomials.
 
         Computed by appending the right factor letter by letter, which
-        shares the expensive reordering work across all pairs.
+        shares the expensive reordering work across all pairs.  When the
+        last generator of ``m1`` comes before the first generator of
+        ``m2``, or both are the same even generator, the concatenation
+        is already canonical up to cancelling inverse letters, which has
+        coefficient 1: the product is the exponent sum, with no rewriting.
         """
         key = (m1, m2)
         hit = self._word_cache.get(key)
         if hit is None:
-            hit = tuple(self._append({m1: self.ring.one},
-                                     self.monomial_letters(m2)).items())
+            last = max((g for g, e in enumerate(m1) if e), default=-1)
+            first = next((g for g, e in enumerate(m2) if e), self.n_gens)
+            if last < first or (last == first and not self.parity[last]):
+                hit = ((tuple(map(add, m1, m2)), self.ring.one),)
+            else:
+                out = self._append({m1: self.ring.one},
+                                   self.monomial_letters(m2))
+                if self.top is not None:
+                    out = self._cap_terms(out)
+                hit = tuple(out.items())
             self._word_cache[key] = hit
         return hit
 
@@ -439,16 +487,19 @@ class Element:
         return "Element(" + " + ".join(bits) + ")"
 
 
-def mul_pairs(pres, pairs):
+def mul_pairs(pres, pairs, words=None):
     """Sum of the products (c1*m1).(c2*m2) over the given term pairs.
 
     ``pairs`` yields ((m1, c1), (m2, c2)); the full product of two
     elements passes every pair, a truncated product only those that can
     land inside its window.  A pair whose monomials share an odd
     generator is zero (see the module docstring) and is skipped first.
+    Word products come from ``words``, a capped view of ``pres``, when
+    given; the result is an element of ``pres`` either way.
     """
     one = pres.ring.one
     odd = range(pres.n_even, pres.n_gens)
+    words = pres if words is None else words
     out = {}
     for (m1, c1), (m2, c2) in pairs:
         if any(m1[g] and m2[g] for g in odd):
@@ -457,7 +508,7 @@ def mul_pairs(pres, pairs):
         c = c2s if c1 is one else (c1 if c2s is one else c1 * c2s)
         if c.is_zero():
             continue
-        for mono, lam in pres.word_product(m1, m2):
+        for mono, lam in words.word_product(m1, m2):
             nc = c if lam is one else (lam if c is one else c * lam)
             prev = out.get(mono)
             acc = nc if prev is None else prev + nc

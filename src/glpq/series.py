@@ -37,6 +37,38 @@ coefficient unchanged, and it cannot lower the element bound ``prec``
 or any coefficient ``cap``, which _trim takes as minima over exactly
 these quantities.  tests/test_series.py compares the pruned product
 with the naive one datum for datum.
+
+Weight cap: the trim keeps a result monomial of degree g only through
+t^(W - g), and that coefficient is a sum of c*lam, with c = c1*c2 from
+the operands and lam from ``word_product``.  With ``slack`` =
+max(0, -(v1 + v2)), where v1 and v2 are the lowest coefficient
+valuations of the two operands, val(c) >= -slack, so slots of lam past
+t^(top - g), top = W + slack, only reach slots of c*lam past t^(W - g).
+TruncElement.__mul__ therefore reads word products from
+``pres.capped(top)``, a view whose ``_word_step`` outputs and
+``word_product`` results are cut to cap top - g:
+
+* the intermediates of ``_append`` lose nothing the final cut keeps:
+  every rule scalar has valuation >= 0 and no rule lowers weight, so
+  one more letter takes a term of degree g' to terms of degree g'' with
+  g'' + val(lam) >= g' + 1.  A scalar known through t^(top - g') times
+  a step scalar cut at t^(top - g'') is then known through
+  t^(top - g''), the cap of the next cut;
+* the cap of c*lam is min(c.cap + val(lam), lam.cap + val(c)).  After
+  the cut the second term is at least W - g, at or past the trim's cap;
+  the first changes only where lam's slots through t^(top - g) all
+  vanish, and then it also lies past W - g for a term pair inside the
+  window.  Where the uncut cap binds below W - g, the cut one is equal.
+  So the trim sees the same caps and the same slots, and the element
+  bound ``prec`` is unchanged;
+* ``ring.one`` is never cut.  ``_append`` and ``mul_pairs`` skip a
+  multiplication when a factor *is* ``one``, and a cut copy would be a
+  different object, so those shortcuts would stop firing.  An uncut
+  ``one`` is exact, so it needs no cap.
+
+tests/test_series.py builds every identity of rays (1,1) and (1,2) at
+the default N, K and weight with and without the view and compares
+them datum for datum.
 """
 
 from __future__ import annotations
@@ -126,8 +158,10 @@ class TruncElement:
         left, right = _by_weight(self), _by_weight(other)
         prec = min(self.prec + (right[0][0] if right else INF),
                    other.prec + (left[0][0] if left else INF), INF)
+        slack = max(0, -(_min_valuation(left) + _min_valuation(right)))
         product = mul_pairs(self.pres, _window_pairs(
-            left, right, min(prec, self.ctx.W)))
+            left, right, min(prec, self.ctx.W)),
+            self.pres.capped(self.ctx.W + slack))
         return TruncElement(self.ctx, product, prec)
 
     def smul(self, s):
@@ -153,6 +187,11 @@ def _by_weight(te):
     """(weight, term) of every term of ``te``, lightest first."""
     return sorted(((sum(m) + c.valuation(), (m, c))
                    for m, c in te.element.terms.items()), key=itemgetter(0))
+
+
+def _min_valuation(terms):
+    """Lowest coefficient valuation of ``_by_weight`` output, 0 if empty."""
+    return min((c.valuation() for _, (_, c) in terms), default=0)
 
 
 def _window_pairs(left, right, cap):

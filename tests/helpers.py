@@ -1,7 +1,7 @@
 """Shared randomized generators and naive references for the engine
 property tests."""
 
-from glpq.coeff import RatFunc
+from glpq.coeff import RatFunc, TruncLaurent
 from glpq.nc import Element
 from glpq.poly import poly_gcd
 from glpq.series import INF, TruncElement
@@ -155,11 +155,29 @@ def naive_power(te, n):
     return out
 
 
+def naive_laurent_mul(a, b):
+    """Reference TruncLaurent product: the whole convolution, handed to
+    the normalizing constructor (which drops the slots past the cap,
+    strips zeros and divides out the content)."""
+    cap = min(a.cap + b.valuation(), b.cap + a.valuation())
+    if a.is_zero() or b.is_zero():
+        return TruncLaurent.zero(cap)
+    nums = [0] * (len(a.nums) + len(b.nums) - 1)
+    for i, x in enumerate(a.nums):
+        for j, y in enumerate(b.nums):
+            nums[i + j] += x * y
+    return TruncLaurent(a.lead + b.lead, nums, a.den * b.den, cap)
+
+
+def laurent_dump(s):
+    """Every stored datum of a truncated Laurent series."""
+    return s.lead, s.nums, s.den, s.cap
+
+
 def trunc_dump(te):
     """Every stored datum of a truncated element: its window and, per
     monomial, the coefficient's numerators, denominator and cap."""
-    return te.prec, {m: (c.lead, c.nums, c.den, c.cap)
-                     for m, c in te.element.terms.items()}
+    return te.prec, {m: laurent_dump(c) for m, c in te.element.terms.items()}
 
 
 def naive_ratfunc(num, den):

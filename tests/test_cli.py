@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import glpq
 from glpq import series, tside
 from glpq.cli import main
 from glpq.dsl import Context, get_context, parse
@@ -45,6 +49,50 @@ class TestNormalizeCommand:
         monkeypatch.setattr(Context, "eval", no_eval)
         assert main(["normalize", "a^100000000"]) == 2
         assert "exceeds the bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr, printed", [
+        ("(((a^64)^64)^64)", "a^262144"),
+        ("((((((a^64)^64)^64)^64)^64)^64)", "a^68719476736"),
+    ])
+    def test_nested_generator_powers_finish(self, expr, printed):
+        # square-and-multiply meets only canonical concatenations here, so
+        # no word of 64^k letters is ever rewritten; a child process keeps
+        # a regression from hanging the run
+        src = os.path.dirname(os.path.dirname(glpq.__file__))
+        code = ("import sys; from glpq.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "normalize", "--ctx", "tside", expr],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == printed
+
+    def test_series_negative_valuations(self, capsys):
+        # operand valuations -3 and -1 widen the word-product cap by 4;
+        # without that slack the printed coefficients change
+        expr = "(t^-3*D + beta)*(t^-1*A + gamma)*(A+D)"
+        assert main(["normalize", "--ctx", "series", expr]) == 0
+        assert capsys.readouterr().out.strip() == (
+            "t^-4*A^2*D"
+            " + t^-4*A*D^2"
+            " + (t^-1 - 2 + 2*t - 4/3*t^2 + 2/3*t^3)*A^2*beta"
+            " + (t^-3 - t^-2 + 1/2*t^-1 - 1/6 + 1/24*t - 1/120*t^2"
+            " + 1/720*t^3)*A*D*gamma"
+            " + (t^-1 - 2 + 2*t - 4/3*t^2 + 2/3*t^3)*A*D*beta"
+            " - (3 - 9/2*t + 7/2*t^2 - 15/8*t^3 + 31/40*t^4)*A*beta"
+            " + (t^-3 - t^-2 + 1/2*t^-1 - 1/6 + 1/24*t - 1/120*t^2"
+            " + 1/720*t^3)*D^2*gamma"
+            " - (2*t^-2 - t^-1 + 1/3 - 1/12*t + 1/60*t^2 - 1/360*t^3"
+            " + 1/2520*t^4)*D*gamma"
+            " - (1 - 3/2*t + 7/6*t^2 - 5/8*t^3 + 31/120*t^4)*D*beta"
+            " + (2*t - 2*t^2 + 7/6*t^3 - 1/2*t^4 + 31/180*t^5)*beta"
+            " + (4*t^-3 - 4*t^-2 + 14/3*t^-1 - 7/3 + 1/30*t + 89/90*t^2"
+            " - 1133/1260*t^3)*A*beta*gamma"
+            " + (2*t^-3 - 4*t^-2 + 13/3*t^-1 - 7/3 + 1/60*t + 89/90*t^2"
+            " - 2267/2520*t^3)*D*beta*gamma"
+            " - (8*t^-2 - 8*t^-1 + 20/3 - 89/45*t^2 + 9/5*t^3"
+            " - 127/126*t^4)*beta*gamma")
 
     @pytest.mark.parametrize("expr, printed", [
         ("(((((p^64)^64)^64)^64)^64)^64*a", "p^68719476736*a"),

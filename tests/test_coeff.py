@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glpq import poly
@@ -11,7 +11,8 @@ from glpq.errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
                          TruncationUnderflow)
 from glpq.poly import Pol, SymbolSet, cofactors, poly_gcd
 
-from helpers import naive_ratfunc, naive_ratfunc_add, naive_ratfunc_mul
+from helpers import (laurent_dump, naive_laurent_mul, naive_ratfunc,
+                     naive_ratfunc_add, naive_ratfunc_mul)
 
 PQ = SymbolSet(["p", "q"])
 
@@ -322,3 +323,22 @@ class TestTruncLaurent:
         assert s.coefficient(-1) == Fraction(1, 2)
         assert s.coefficient(1) == Fraction(-3, 2)
         assert "t^-1" in str(s)
+
+
+# zero windows, negative leads, signed denominators above 1 (the
+# constructor moves the sign into the numerators) and unequal caps
+_laurents = st.builds(
+    TruncLaurent,
+    st.integers(-4, 6),
+    st.lists(st.integers(-6, 6), max_size=6),
+    st.sampled_from((1, 1, 2, 3, 6, 12, -1, -4)),
+    st.integers(-3, 12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_laurents, _laurents)
+# the cap cuts the convolution where it cancels: (1 + t)(1 - t) = 1 + 0*t
+@example(TruncLaurent(0, (1, 1), 1, 1), TruncLaurent(0, (1, -1), 1, 3))
+@example(TruncLaurent(-1, (2, 2, 1), 3, 4), TruncLaurent(1, (1, -1), 2, 2))
+def test_laurent_product_matches_constructor(a, b):
+    assert laurent_dump(a * b) == laurent_dump(naive_laurent_mul(a, b))

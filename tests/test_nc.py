@@ -295,18 +295,36 @@ def test_element_product_matches_naive(name, data):
 def test_dead_pairs_never_reach_word_product(name, monkeypatch):
     pres, _, _ = CASES[name]()
     seen = []
-    orig = pres.word_product
+    orig = Presentation.word_product
 
-    def counting(m1, m2):
-        seen.append((m1, m2))
-        return orig(m1, m2)
+    # patched on the class: undoing an instance patch would leave a bound
+    # method in the shared presentation, and its capped views copy it
+    def counting(self, m1, m2):
+        if self is pres:
+            seen.append((m1, m2))
+        return orig(self, m1, m2)
 
-    monkeypatch.setattr(pres, "word_product", counting)
+    monkeypatch.setattr(Presentation, "word_product", counting)
     odd = (0,) * pres.n_even + (1,) * (pres.n_gens - pres.n_even)
     full = Element(pres, {(0,) * pres.n_gens: pres.ring.one,
                           odd: pres.ring.one})
     assert full * full == naive_element_product(full, full)
     assert seen and not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
+
+
+@pytest.mark.parametrize("m1, m2, want", [
+    ((2, 0, 0, 0), (-5, 1, 0, 0), (-3, 1, 0, 0)),      # a^2 . a^-5 d
+    ((1, -2, 0, 0), (0, 0, 1, 1), (1, -2, 1, 1)),      # a d^-2 . beta gamma
+    ((0, 0, 0, 0), (0, 3, 0, 1), (0, 3, 0, 1)),
+])
+def test_canonical_concatenation_is_not_rewritten(m1, m2, want, monkeypatch):
+    pres = TSide().pres                # fresh caches
+
+    def no_rewrite(*args):
+        raise AssertionError("a canonical concatenation was rewritten")
+
+    monkeypatch.setattr(pres, "_append", no_rewrite)
+    assert pres.word_product(m1, m2) == ((want, pres.ring.one),)
 
 
 class TestOddCountGuard:

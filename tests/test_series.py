@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from glpq.coeff import TruncLaurent
 from glpq.errors import InvalidRay
-from glpq.nc import Element
+from glpq.nc import Element, Presentation
 from glpq.printing import print_element
 from glpq.report import Identity
 from glpq.series import (DEFAULT_RAYS, SeriesConfig, TruncElement,
@@ -237,3 +237,50 @@ def test_identities_match_naive_product_and_power(ray, monkeypatch):
     monkeypatch.setattr(TruncElement, "__mul__", naive_product)
     monkeypatch.setattr(TruncElement, "__pow__", naive_power)
     assert fast == dump()
+
+
+# -- the weight-capped word products against uncapped ones ------------------
+
+
+@pytest.mark.parametrize("ray", DEFAULT_RAYS[:2], ids=lambda r: f"{r[0]},{r[1]}")
+def test_weight_cap_leaves_identities_unchanged(ray, monkeypatch):
+    # at the default N, K and weight, every identity operand built from
+    # capped word products equals its build from the full ones
+    cfg = SeriesConfig(*ray)
+
+    def dump():
+        return [(i.id, trunc_dump(i.lhs), trunc_dump(i.rhs))
+                for i in series_identities(cfg)]
+
+    tops = set()
+    word_product = Presentation.word_product
+
+    def recording(pres, m1, m2):
+        tops.add(pres.top)
+        return word_product(pres, m1, m2)
+
+    with monkeypatch.context() as m:
+        m.setattr(Presentation, "word_product", recording)
+        capped = dump()
+    # every series product read its words from a capped view
+    assert tops and None not in tops
+    monkeypatch.setattr(Presentation, "capped", lambda pres, top: pres)
+    assert capped == dump()
+
+
+def test_capped_view_shares_rules_not_caches():
+    pres = PRUNE_CTX.pres
+    view = pres.capped(PRUNE_CTX.W + 1)
+    assert pres.capped(PRUNE_CTX.W + 1) is view and view is not pres
+    assert view.corrections is pres.corrections
+    assert view._word_cache is not pres._word_cache
+    one = pres.ring.one
+    # beta.A^3 rewrites into four terms; their scalars keep t^(top - deg)
+    for mono, lam in view.word_product((0, 0, 1, 0), (3, 0, 0, 0)):
+        assert lam is one or lam.cap <= view.top - sum(mono)
+    full = dict(pres.word_product((0, 0, 1, 0), (3, 0, 0, 0)))
+    for mono, lam in view.word_product((0, 0, 1, 0), (3, 0, 0, 0)):
+        assert (lam - full[mono]).is_zero()
+    # a canonical concatenation keeps the uncapped unit
+    assert view.word_product((1, 0, 0, 0), (0, 1, 0, 0)) == (
+        ((1, 1, 0, 0), one),)
