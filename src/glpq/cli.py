@@ -26,6 +26,16 @@ def _parse_ray(text):
         raise argparse.ArgumentTypeError(f"bad ray {text!r}: {exc}")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="glpq",
@@ -48,12 +58,12 @@ def build_parser():
     st = sub.add_parser("suite", help="run a verification suite")
     st.add_argument("name", choices=("section2", "section3", "appendix",
                                      "series", "mside", "all"))
-    st.add_argument("--n-bound", type=int, default=6,
+    st.add_argument("--n-bound", type=_positive_int, default=6,
                     help="symmetric exponent range of the power identities")
-    st.add_argument("--m-bound", type=int, default=4,
+    st.add_argument("--m-bound", type=_positive_int, default=4,
                     help="symmetric range of the two-exponent reordering")
-    st.add_argument("--n-max", type=int, default=8)
-    st.add_argument("--k-max", type=int, default=6)
+    st.add_argument("--n-max", type=_positive_int, default=8)
+    st.add_argument("--k-max", type=_positive_int, default=6)
     st.add_argument("--N", type=int, default=6)
     st.add_argument("--K", type=int, default=12)
     st.add_argument("--weight", type=int, default=8)
@@ -65,7 +75,7 @@ def build_parser():
     sp = sub.add_parser("spotcheck", help="numeric cross-validation")
     sp.add_argument("name", choices=("section2", "section3", "appendix",
                                      "series", "mside", "all"))
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", dest="json_path", default=None)
     sp.add_argument("--verbose", action="store_true")

@@ -217,6 +217,12 @@ class RatFunc:
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero rational function")
+        if len(self.num.terms) == 1:
+            # (c x^a)^-1 * den = sign(c) x^-a den / |c|, which is coprime
+            # since den shares no integer factor with c
+            (k, c), = self.num.terms.items()
+            num = self.den.shift(self.num.syms.zero - k)
+            return _rf(num if c > 0 else -num, Pol.const(self.syms, abs(c)))
         return RatFunc(self.den, self.num, reduce=False)
 
     def __pow__(self, n):
@@ -388,20 +394,53 @@ class TruncLaurent:
         if type(other) is not TruncLaurent:
             other = TruncLaurent.const(other, self.cap)
         cap = min(self.cap, other.cap)
-        if self.is_zero():
-            return other.with_cap(cap)
-        if other.is_zero():
-            return self.with_cap(cap)
-        lead = min(self.lead, other.lead)
-        hi = max(self.lead + len(self.nums), other.lead + len(other.nums))
-        den = self.den * other.den // math.gcd(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        nums = [0] * (hi - lead)
-        for i, n in enumerate(self.nums):
-            nums[self.lead - lead + i] += n * fa
-        for i, n in enumerate(other.nums):
-            nums[other.lead - lead + i] += n * fb
-        return TruncLaurent(lead, nums, den, cap)
+        a, b = self.nums, other.nums
+        if not a:
+            return other if other.cap == cap else other.with_cap(cap)
+        if not b:
+            return self if self.cap == cap else self.with_cap(cap)
+        la, lb = self.lead, other.lead
+        da, db = self.den, other.den
+        den = da
+        if da != db:
+            g = math.gcd(da, db)
+            den = da // g * db
+            if db != g:
+                a = [n * (db // g) for n in a]
+            if da != g:
+                b = [n * (da // g) for n in b]
+        if la > lb:
+            la, lb, a, b = lb, la, b, a
+        # built in place of __init__: b is laid over a, which starts
+        # first, at or below the cap; cancellation may clear either end
+        nums = list(a)
+        short = lb - la + len(b) - len(nums)
+        if short > 0:
+            nums += [0] * short
+        for i, n in enumerate(b, lb - la):
+            nums[i] += n
+        del nums[cap - la + 1:]
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return TruncLaurent.zero(cap)
+        if not nums[0]:
+            skip = 1
+            while not nums[skip]:
+                skip += 1
+            del nums[:skip]
+            la += skip
+        if den > 1:
+            g = math.gcd(den, *nums)
+            if g > 1:
+                den //= g
+                nums = [n // g for n in nums]
+        r = _new(TruncLaurent)
+        r.lead = la
+        r.nums = tuple(nums)
+        r.den = den
+        r.cap = cap
+        return r
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -9,7 +9,8 @@ Grammar (binding tightest last):
 
 Identifiers are resolved against the active context (the defining
 algebra, the exponent algebra, or the truncated-series sector); the
-bracket atom is the commutator.  Rational literals are INT or INT/INT.
+bracket atom is the commutator.  Rational literals are INT or INT/INT,
+with INT a run of ASCII digits 0-9.
 An exponent whose absolute value exceeds :data:`MAX_EXPONENT` is a
 syntax error: a power of a generator expands into one letter per unit
 of exponent, so an unbounded exponent would mean unbounded work.
@@ -29,6 +30,7 @@ MAX_EXPONENT = 64
 # -- tokens ------------------------------------------------------------------
 
 _SYMBOLS = "+-*^()[],"
+_DIGITS = "0123456789"      # str.isdigit also accepts digits int() rejects
 
 
 def tokenize(text):
@@ -39,13 +41,13 @@ def tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j + 1 < n and text[j] == "/" and text[j + 1] in _DIGITS:
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k] in _DIGITS:
                     k += 1
                 den = int(text[j + 1:k])
                 if den == 0:

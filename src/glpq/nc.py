@@ -15,17 +15,65 @@ generator is zero.  ``_reduce`` drops such words unread, and
 ``mul_pairs`` skips such term pairs before it touches their
 coefficients or calls ``word_product``.
 
-Two word builders: ``word_elt`` appends the letters of a word one at a
-time through the cached single-letter step that ``word_product`` also
-uses, and ``normalize`` rewrites the whole word directly with no cache,
-under a choice of strategy; it is the reference for the confluence
-tests.
+Two word builders: ``word_elt`` and ``word_product`` append letters one
+at a time through the cached single-letter step ``_word_step``, and
+``normalize`` rewrites the whole word directly with ``_reduce``, with no
+cache, under a choice of strategy; it is the reference for the
+confluence tests.
+
+Letter steps.  Let mono = m'.y be canonical with last letter y after
+the appended letter x, and let y.x -> lam x.y + sum c w be the rule of
+the pair (lam = 1 and no w for a plain twist).  Then
+
+    mono.x = lam (m'.x).y + sum c (m'.w),
+
+so a step is built from the step of a shorter prefix, whose terms are
+then stepped by y (mostly a plain append), and from the correction
+words appended to m' letter by letter.  Rule scalars multiply at the
+left, as in ``_reduce``; shifts stay in ``mul_pairs`` and
+``cross_left``.  Normal forms are unique (Bergman's diamond lemma), so
+this order of rewriting gives the same terms as any other.  ``_chain``
+walks down the prefixes in a loop to the longest one whose step is
+known (a plain append, a memo entry or a cache entry) and builds the
+longer ones upward.  A sub-step it cannot read runs as another frame on
+the explicit stack of ``_steps``, so no Python recursion grows with the
+word.  The sub-steps of one miss live in a memo that is dropped
+afterwards: ``_step_cache`` holds only the requested (mono, letter)
+entries.
+
+Odd mask: every sub-step carries the set M of odd generators that its
+caller still appends.  By the dead-pair argument, a term holding one of
+them is zero once that letter arrives, and so is every term rewritten
+from it.  A step therefore drops each correction branch whose word
+meets M or the odd letters of m', and the step of m'.x runs under
+M + {y} when y is odd.  Only corrections insert letters, so a masked
+step equals the full step with the terms that meet M removed; a cached
+full step is read under a mask that way.
+
+Termination: ``Presentation.__init__`` also requires every correction
+word to add an odd generator or to have fewer than two letters.  Give a
+masked step of the word u = mono.x the measure (k, len u, inv u), where
+k counts the odd generators in neither u nor M, and inv u the pairs of
+u out of canonical order.  Each odd generator occurs at most once in u
+and M together, so k >= 0.  Every sub-step is smaller in lexicographic
+order:
+
+* m'.x moves y into the mask and is one letter shorter;
+* a term n of m'.x was rewritten either through a correction that added
+  an odd generator (k falls), or by rules that never lengthen a word,
+  so n.y is shorter than u or a sorted permutation of it (inv falls
+  to 0);
+* a step of m'.w either added an odd generator with w (k falls) or has
+  at most len m' + 1 letters.
+
+So the recurrence ends.  Without the mask it need not: for
+a^-6.d^-2.a^-1, the d^-1.a^-1 correction re-inserts d^-2.beta.gamma
+forever.
 """
 
 from __future__ import annotations
 
 import copy
-from math import comb
 from operator import add
 
 from .errors import (NonInvertibleNegativePower, NotAUnit,
@@ -83,19 +131,16 @@ class Presentation:
             self._twist_pos[key] = lam
             self._twist_neg[key] = lam.inv()
         self.corrections = {}
-        self.linear_runs = {}
         for (g, h, sg, sh), (lam, terms) in (corrections or {}).items():
             words = tuple((c, self._resolve_word(w)) for c, w in terms)
             key = (gi(g), gi(h), sg, sh)
-            self._check_odd_counts(key, words)
+            self._check_corrections(key, words)
             self.corrections[key] = (lam, words)
-            # crossings of the form g.h -> (lam h + c).g admit a closed
-            # binomial expansion over whole runs of h, which avoids the
-            # exponential branch cascade of unit-by-unit peeling
-            if (not shifts and len(words) == 1
-                    and words[0][1] == ((gi(g), 1),) and sg == 1):
-                self.linear_runs[key] = (lam, words[0][0])
         self.shifts = {gi(g): fns for g, fns in (shifts or {}).items()}
+        self._odd_bit = tuple(p << g for g, p in enumerate(self.parity))
+        self._swaps = {(g, sg, h, sh): self._swap_rule((g, h, sg, sh))
+                       for g in range(self.n_gens) for h in range(g)
+                       for sg in (1, -1) for sh in (1, -1)}
         self.top = None
         self._word_cache = {}
         self._step_cache = {}
@@ -117,21 +162,51 @@ class Presentation:
             self._views[top] = view
         return view
 
-    def _check_odd_counts(self, key, words):
-        """Reject a correction that lowers some odd generator's count.
+    def _check_corrections(self, key, words):
+        """Reject a correction that lowers some odd generator's count, or
+        that keeps every count and does not shorten the word.
 
-        The dead-word and dead-pair shortcuts rely on every rule keeping
-        at least as many copies of each odd generator as it consumes.
+        The dead-word and dead-pair shortcuts rely on the first rule, and
+        the termination argument of the module docstring on both.
         """
         g, h = key[0], key[1]
         for _, word in words:
+            raised = False
             for o in range(self.n_even, self.n_gens):
                 have = sum(e for i, e in word if i == o)
-                if have < (g == o) + (h == o):
+                need = (g == o) + (h == o)
+                if have < need:
                     raise ValueError(
                         f"correction for {self.gen_names[g]},"
                         f"{self.gen_names[h]} has fewer copies of odd "
                         f"generator {self.gen_names[o]} than its left side")
+                raised = raised or have > need
+            if not raised and sum(abs(e) for _, e in word) > 1:
+                raise ValueError(
+                    f"correction for {self.gen_names[g]},"
+                    f"{self.gen_names[h]} neither adds an odd generator "
+                    "nor shortens the word")
+
+    def _swap_rule(self, key):
+        """(lam, branches) for the crossing g.h of ``key``: lam is the
+        scalar of h.g, None for 1; each live correction branch is
+        (scalar, letters, odd bits, odd bits of the letters after each
+        one).  A correction word holding an odd generator twice is
+        zero and is left out."""
+        rule = self.corrections.get(key)
+        if rule is None:
+            return self._twist(key[0], key[1], key[2] * key[3]), ()
+        lam, words = rule
+        branches = []
+        for c, word in words:
+            letters = self._letters(word)
+            bits = [self._odd_bit[z] for z, _ in letters]
+            odd = [b for b in bits if b]
+            if len(set(odd)) < len(odd):
+                continue
+            tails = [sum(bits[i + 1:]) for i in range(len(bits))]
+            branches.append((c, tuple(letters), sum(bits), tuple(tails)))
+        return (None if lam is self.ring.one else lam), tuple(branches)
 
     def _resolve_word(self, word):
         out = []
@@ -271,10 +346,6 @@ class Presentation:
                         c = c * lam
                     w = w[:i] + [w[i + 1], w[i]] + w[i + 2:]
                     continue
-                run = self.linear_runs.get(key)
-                if run is not None:
-                    self._expand_run(c, w, i, key, run, stack)
-                    break
                 lam, corr = rule
                 for cs, cw in corr:
                     nw = w[:i] + self._letters(cw) + w[i + 2:]
@@ -284,43 +355,117 @@ class Presentation:
                 c = c * lam
                 w = w[:i] + [w[i + 1], w[i]] + w[i + 2:]
 
-    def _expand_run(self, c, w, i, key, run, stack):
-        """Binomially cross one letter over a whole run: g.h^k ->
-        sum_j C(k,j) lam^j c^(k-j) h^j g."""
-        g, h, sg, sh = key
-        lam, cc = run
-        k = 1
-        n = len(w)
-        while i + 1 + k < n and w[i + 1 + k] == (h, sh):
-            k += 1
-        prefix, suffix = w[:i], w[i + 1 + k:]
-        lam_pows = [self.ring.one]
-        cc_pows = [self.ring.one]
-        for _ in range(k):
-            lam_pows.append(lam_pows[-1] * lam)
-            cc_pows.append(cc_pows[-1] * cc)
-        for j in range(k + 1):
-            coeff = c * lam_pows[j] * cc_pows[k - j]
-            cb = comb(k, j)
-            if cb != 1:
-                coeff = coeff * cb
-            if coeff.is_zero():
-                continue
-            stack.append((coeff, prefix + [(h, sh)] * j + [(g, sg)] + suffix))
-
     def _word_step(self, mono, letter):
         """Cached canonical terms of (canonical monomial).(single letter)."""
         key = (mono, letter)
         hit = self._step_cache.get(key)
         if hit is None:
-            out = {}
-            self._reduce(self.monomial_letters(mono) + [letter],
-                         self.ring.one, out)
-            if self.top is not None:
-                out = self._cap_terms(out)
-            hit = tuple(out.items())
+            hit = self._plain_step(mono, letter)
+            if hit is None:
+                hit = self._steps(mono, letter)
             self._step_cache[key] = hit
         return hit
+
+    def _plain_step(self, mono, letter):
+        """Terms of mono.letter when no rule applies: a dead pair, or an
+        append up to cancelling an inverse letter; None otherwise."""
+        g, s = letter
+        if mono[g] and self.parity[g]:
+            return ()
+        last = self.n_gens - 1
+        while last > g and not mono[last]:
+            last -= 1
+        if last > g:
+            return None
+        return ((mono[:g] + (mono[g] + s,) + mono[g + 1:], self.ring.one),)
+
+    def _known_step(self, mono, letter, mask, memo):
+        """Terms of mono.letter without the generators in ``mask``, if a
+        plain step, the memo or the cache has them; None otherwise."""
+        hit = self._plain_step(mono, letter)
+        if hit is None:
+            hit = memo.get((mono, letter, mask))
+            if hit is None:
+                hit = self._step_cache.get((mono, letter))
+                if hit is not None and mask:
+                    hit = tuple(t for t in hit
+                                if not self._odd_bits(t[0]) & mask)
+        return hit
+
+    def _odd_bits(self, mono):
+        bits = 0
+        for o in range(self.n_even, self.n_gens):
+            if mono[o]:
+                bits |= 1 << o
+        return bits
+
+    def _steps(self, mono, letter):
+        """Terms of mono.letter by the prefix recurrence of the module
+        docstring.  Each ``_chain`` frame yields the sub-steps it cannot
+        read; they run as frames on an explicit stack, so no Python
+        recursion grows with the word.  The memo lives for this call."""
+        memo = {}
+        stack = [self._chain(mono, letter, 0, memo)]
+        terms = None
+        while True:
+            try:
+                request = stack[-1].send(terms)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                terms = done.value
+            else:
+                stack.append(self._chain(*request, memo))
+                terms = None
+
+    def _chain(self, mono, x, mask, memo):
+        """Frame of ``_steps`` for mono.x under ``mask``: walks down the
+        prefixes to the longest one whose step is known, then builds the
+        step of each longer prefix from the one below it."""
+        one = self.ring.one
+        levels = []
+        m = mask
+        terms = self._known_step(mono, x, m, memo)
+        while terms is None:
+            h = self.n_gens - 1
+            while not mono[h]:
+                h -= 1
+            sh = 1 if mono[h] > 0 else -1
+            prefix = mono[:h] + (mono[h] - sh,) + mono[h + 1:]
+            levels.append((mono, prefix, (h, sh), m))
+            mono = prefix
+            m |= self._odd_bit[h]
+            terms = self._known_step(mono, x, m, memo)
+        for mono, prefix, y, m in reversed(levels):
+            lam, branches = self._swaps[y + x]
+            out = {}
+            for n, mu in terms:
+                sub = self._known_step(n, y, m, memo)
+                if sub is None:
+                    sub = yield n, y, m
+                _accumulate(out, mu, sub, one)
+            if lam is not None:
+                scaled = ((n, c * lam) for n, c in out.items())
+                out = {n: c for n, c in scaled if not c.is_zero()}
+            for cs, word, bits, tails in branches:
+                if bits & (m | self._odd_bits(prefix)):
+                    continue
+                acc = ((prefix, cs),)
+                for z, tail in zip(word, tails):
+                    new = {}
+                    for n, c in acc:
+                        sub = self._known_step(n, z, m | tail, memo)
+                        if sub is None:
+                            sub = yield n, z, m | tail
+                        _accumulate(new, c, sub, one)
+                    acc = new.items()
+                _accumulate(out, one, acc, one)
+            if self.top is not None:
+                out = self._cap_terms(out)
+            terms = tuple(out.items())
+            memo[(mono, x, m)] = terms
+        return terms
 
     def _cap_terms(self, terms):
         """Terms with each coefficient cut to cap ``top - degree``; ``one``
@@ -343,15 +488,7 @@ class Presentation:
         for letter in letters:
             new = {}
             for mono, sc in acc.items():
-                for mono2, lam in self._word_step(mono, letter):
-                    nc = sc if lam is one else (
-                        lam if sc is one else sc * lam)
-                    prev = new.get(mono2)
-                    nc = nc if prev is None else prev + nc
-                    if nc.is_zero():
-                        new.pop(mono2, None)
-                    else:
-                        new[mono2] = nc
+                _accumulate(new, sc, self._word_step(mono, letter), one)
             acc = new
         return acc
 
@@ -487,6 +624,18 @@ class Element:
         return "Element(" + " + ".join(bits) + ")"
 
 
+def _accumulate(out, c, terms, one):
+    """Add c times each (mono, lam) of ``terms`` into the dict ``out``."""
+    for mono, lam in terms:
+        nc = c if lam is one else (lam if c is one else c * lam)
+        prev = out.get(mono)
+        nc = nc if prev is None else prev + nc
+        if nc.is_zero():
+            out.pop(mono, None)
+        else:
+            out[mono] = nc
+
+
 def mul_pairs(pres, pairs, words=None):
     """Sum of the products (c1*m1).(c2*m2) over the given term pairs.
 
@@ -508,14 +657,7 @@ def mul_pairs(pres, pairs, words=None):
         c = c2s if c1 is one else (c1 if c2s is one else c1 * c2s)
         if c.is_zero():
             continue
-        for mono, lam in words.word_product(m1, m2):
-            nc = c if lam is one else (lam if c is one else c * lam)
-            prev = out.get(mono)
-            acc = nc if prev is None else prev + nc
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
+        _accumulate(out, c, words.word_product(m1, m2), one)
     return Element(pres, out)
 
 
@@ -565,6 +707,8 @@ def invert_even_unit(u):
         v0 = pres.word_elt(rev, c0_inv)
     except NonInvertibleNegativePower as exc:
         raise NotAUnit(str(exc)) from exc
+    if len(u.terms) == 1:
+        return v0                # u * v0 = 1: no correction series
     r = u * v0 - pres.one_elt()
     acc = pres.one_elt()
     term = pres.one_elt()

@@ -25,9 +25,7 @@ w1 + w2.  Rule by rule:
 * D.A -> A.D + eps beta.gamma keeps the degree, and eps = q - p^-1
   also vanishes at t = 0 (its valuation is exactly 1 because
   alpha + beta_ray != 0, which SeriesConfig enforces);
-* odd squares vanish, and the binomial run expansion that crosses a
-  letter over a run h^k multiplies by the correction scalar to the
-  power k - j when it removes k - j letters, so it inherits the bound.
+* odd squares vanish.
 
 TruncElement.__mul__ therefore skips every term pair whose weights sum
 past the result window min(prec, W).  Such a pair contributes to a monomial of degree g only a
@@ -45,15 +43,18 @@ max(0, -(v1 + v2)), where v1 and v2 are the lowest coefficient
 valuations of the two operands, val(c) >= -slack, so slots of lam past
 t^(top - g), top = W + slack, only reach slots of c*lam past t^(W - g).
 TruncElement.__mul__ therefore reads word products from
-``pres.capped(top)``, a view whose ``_word_step`` outputs and
-``word_product`` results are cut to cap top - g:
+``pres.capped(top)``, a view whose ``word_product`` results, letter
+steps and the sub-steps that build a letter step (the memo entries of
+``nc.Presentation._chain``) are all cut to cap top - g:
 
-* the intermediates of ``_append`` lose nothing the final cut keeps:
-  every rule scalar has valuation >= 0 and no rule lowers weight, so
-  one more letter takes a term of degree g' to terms of degree g'' with
-  g'' + val(lam) >= g' + 1.  A scalar known through t^(top - g') times
-  a step scalar cut at t^(top - g'') is then known through
-  t^(top - g''), the cap of the next cut;
+* the intermediates of ``_append`` and of the letter-step recurrence
+  lose nothing the final cut keeps.  Every rule scalar has valuation
+  >= 0 and no rule lowers weight, so a term of degree g' reaches a
+  final term of degree g only through further scalars (rule scalars,
+  steps and sub-steps) of total valuation v with g + v >= g'.  A slot
+  of its coefficient past t^(top - g') reaches only slots past
+  t^(top - g), and a cap of at least top - g' becomes one of at least
+  top - g, which the final cut sets;
 * the cap of c*lam is min(c.cap + val(lam), lam.cap + val(c)).  After
   the cut the second term is at least W - g, at or past the trim's cap;
   the first changes only where lam's slots through t^(top - g) all

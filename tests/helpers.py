@@ -71,7 +71,7 @@ def naive_normal_form(pres, letters, coeff):
     Rewrites one rule at a time at the rightmost reducible pair: an odd
     square dies, an even letter next to its inverse cancels, and a pair
     out of canonical order is swapped with its twist or its correction
-    terms.  No cache, no dead-word shortcut, no binomial run expansion.
+    terms.  No cache, no dead-word shortcut, no odd mask.
     Rightmost first sorts the odd letters that a correction inserts
     before it crosses more even letters, so a word with a repeated odd
     generator reaches its odd square quickly; leftmost first keeps
@@ -167,6 +167,18 @@ def naive_laurent_mul(a, b):
         for j, y in enumerate(b.nums):
             nums[i + j] += x * y
     return TruncLaurent(a.lead + b.lead, nums, a.den * b.den, cap)
+
+
+def naive_laurent_add(a, b):
+    """Reference TruncLaurent sum: both windows merged over the product
+    of the denominators and handed to the normalizing constructor."""
+    lead = min(a.lead, b.lead)
+    den = a.den * b.den
+    nums = [0] * (max(a.lead + len(a.nums), b.lead + len(b.nums)) - lead)
+    for s in (a, b):
+        for i, n in enumerate(s.nums, s.lead - lead):
+            nums[i] += n * (den // s.den)
+    return TruncLaurent(lead, nums, den, min(a.cap, b.cap))
 
 
 def laurent_dump(s):

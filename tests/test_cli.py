@@ -56,17 +56,33 @@ class TestNormalizeCommand:
     ])
     def test_nested_generator_powers_finish(self, expr, printed):
         # square-and-multiply meets only canonical concatenations here, so
-        # no word of 64^k letters is ever rewritten; a child process keeps
-        # a regression from hanging the run
-        src = os.path.dirname(os.path.dirname(glpq.__file__))
-        code = ("import sys; from glpq.cli import main; "
-                "sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "normalize", "--ctx", "tside", expr],
-            capture_output=True, text=True, timeout=10,
-            env=dict(os.environ, PYTHONPATH=src))
+        # no word of 64^k letters is ever rewritten
+        proc = _normalize_in_child(expr)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == printed
+
+    @pytest.mark.parametrize("expr, printed", [
+        ("(d^64)^4*a", "a*d^256 + (q - p^-256*q^-255)*d^255*beta*gamma"),
+        ("(d^64)^16*a", None),
+        ("(d^-64)^16*a^-1", None),
+        ("a^-6*d^-2*a^-1",
+         "a^-7*d^-2 + (p^3*q^4 - p*q^2)*a^-8*d^-3*beta*gamma"),
+    ])
+    def test_deep_letter_steps_finish(self, expr, printed):
+        # one letter crosses 256 or 1,024 copies of d: the prefix chain
+        # of that step is walked in a loop, not by recursion; the last
+        # word ends only because the odd mask drops dead branches
+        proc = _normalize_in_child(expr)
+        assert proc.returncode == 0, proc.stderr
+        assert "RecursionError" not in proc.stderr
+        if printed is not None:
+            assert proc.stdout.strip() == printed
+
+    @pytest.mark.parametrize("expr", ["a^\u00b2", "\u0663*a", "1/\u0663"])
+    def test_non_ascii_digits_are_syntax_errors(self, expr, capsys):
+        # str.isdigit accepts these, int() does not
+        assert main(["normalize", "--ctx", "tside", expr]) == 2
+        assert "error: unexpected character" in capsys.readouterr().err
 
     def test_series_negative_valuations(self, capsys):
         # operand valuations -3 and -1 widen the word-product cap by 4;
@@ -113,6 +129,18 @@ class TestNormalizeCommand:
         # 64^7 = 2^42 would carry into the next field: a typed error
         assert main(["normalize", "--ctx", ctx, expr]) == 2
         assert "exponents must lie in [-2^38, 2^38)" in capsys.readouterr().err
+
+
+def _normalize_in_child(expr):
+    """``glpq normalize --ctx tside expr`` in a child process, so that a
+    regression fails on the timeout instead of hanging the run."""
+    src = os.path.dirname(os.path.dirname(glpq.__file__))
+    code = ("import sys; from glpq.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    return subprocess.run(
+        [sys.executable, "-c", code, "normalize", "--ctx", "tside", expr],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestEvalCommand:
@@ -181,6 +209,29 @@ class TestSuiteCommand:
         monkeypatch.setattr(series, "verify_series", no_suite)
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "appendix", "--k-max", "-2"],
+        ["suite", "section3", "--n-max", "-1"],
+        ["suite", "mside", "--n-max", "0"],
+        ["suite", "section2", "--n-bound", "0"],
+        ["suite", "section2", "--m-bound", "-3"],
+        ["suite", "all", "--k-max", "0"],
+        ["spotcheck", "all", "--trials", "-1"],
+        ["spotcheck", "section2", "--trials", "0"],
+    ])
+    def test_sizes_below_one_are_usage_errors(self, argv, capsys,
+                                              monkeypatch):
+        # a size below 1 used to pass with no checks at all
+        def no_suite(*args):
+            raise AssertionError("a suite ran with a size below 1")
+        for name in ("verify_section2", "verify_section3", "verify_appendix"):
+            monkeypatch.setattr(tside, name, no_suite)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestSpotcheckCommand:

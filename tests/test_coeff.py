@@ -11,8 +11,8 @@ from glpq.errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
                          TruncationUnderflow)
 from glpq.poly import Pol, SymbolSet, cofactors, poly_gcd
 
-from helpers import (laurent_dump, naive_laurent_mul, naive_ratfunc,
-                     naive_ratfunc_add, naive_ratfunc_mul)
+from helpers import (laurent_dump, naive_laurent_add, naive_laurent_mul,
+                     naive_ratfunc, naive_ratfunc_add, naive_ratfunc_mul)
 
 PQ = SymbolSet(["p", "q"])
 
@@ -210,6 +210,18 @@ def test_reduction_matches_reference(pair):
     assert _dump(RatFunc(*r.cleared())) == _dump(r)
 
 
+@given(num_den())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_inverse_matches_constructor(pair):
+    # monomial numerators take a shortcut around the constructor
+    r = RatFunc(*pair)
+    if r.is_zero():
+        return
+    got = r.inv()
+    _canonical(got)
+    assert _dump(got) == _dump(RatFunc(r.den, r.num, reduce=False))
+
+
 @given(ratfunc_pairs())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_arithmetic_matches_reference(pair):
@@ -342,3 +354,18 @@ _laurents = st.builds(
 @example(TruncLaurent(-1, (2, 2, 1), 3, 4), TruncLaurent(1, (1, -1), 2, 2))
 def test_laurent_product_matches_constructor(a, b):
     assert laurent_dump(a * b) == laurent_dump(naive_laurent_mul(a, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_laurents, _laurents)
+@example(TruncLaurent.zero(3), TruncLaurent(0, (1, 2), 1, 8))
+@example(TruncLaurent(0, (1, 2), 1, 8), TruncLaurent.zero(3))
+@example(TruncLaurent(0, (1, 1), 1, 8), TruncLaurent(0, (-1, 1), 1, 5))
+@example(TruncLaurent(0, (1, 1), 2, 8), TruncLaurent(0, (1, -1), 2, 8))
+@example(TruncLaurent(4, (1, 2, 3, 4), 1, 12), TruncLaurent(0, (1,), 3, 2))
+@example(TruncLaurent(0, (1, 1), 1, 4), TruncLaurent(0, (-1, -1), 1, 4))
+def test_laurent_sum_matches_constructor(a, b):
+    # the examples: zero operands, cancellation at the leading slot, a
+    # den > 1 sum whose content cancels (1/2 + 1/2), an operand that
+    # starts above the smaller cap, and a sum that cancels to zero
+    assert laurent_dump(a + b) == laurent_dump(naive_laurent_add(a, b))

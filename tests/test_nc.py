@@ -255,13 +255,23 @@ def _shares_odd(pres, m1, m2):
     return any(m1[g] and m2[g] for g in range(pres.n_even, pres.n_gens))
 
 
+# even exponents up to 5 in size, both signs where the generator is
+# invertible: long prefix chains, and with odd letters on both sides the
+# correction branches that meet the odd mask.  Left and right factors
+# differ for the affine case only: the naive rewriter branches in two at
+# every beta.D or gamma.D crossing, so D^5.A^5 would take it minutes.
+LONG_RANGES = {"tside": (((-5, 5), (-5, 5)),) * 2, "mside": ((), ()),
+               "affine": (((0, 5), (0, 2)), ((0, 2), (0, 5)))}
+
+
 @pytest.mark.parametrize("name", CASES)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_word_product_matches_naive(name, data):
-    case = CASES[name]()
-    pres, _, _ = case
-    m1, m2 = data.draw(_monomials(case)), data.draw(_monomials(case))
+    pres, _, scalars = CASES[name]()
+    left, right = LONG_RANGES[name]
+    m1 = data.draw(_monomials((pres, left, scalars)))
+    m2 = data.draw(_monomials((pres, right, scalars)))
     want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
                              pres.ring.one)
     assert dict(pres.word_product(m1, m2)) == want
@@ -289,6 +299,37 @@ def test_element_product_matches_naive(name, data):
     case = CASES[name]()
     x, y = data.draw(_elements(case)), data.draw(_elements(case))
     assert x * y == naive_element_product(x, y)
+
+
+@pytest.mark.parametrize("word", [
+    [("a", -6), ("d", -2), ("a", -1)],       # needs the odd mask to end
+    [("d", 5), ("a", 3)],
+    [("a", 2), ("d", -4), ("beta", 1), ("a", -3), ("gamma", 1), ("d", 2)],
+])
+def test_word_steps_never_call_reduce(word, monkeypatch):
+    # _reduce is the uncached reference behind normalize, off the hot path
+    pres = TSide().pres                # fresh caches
+    want = naive_normal_form(pres, _word_units(pres, word), pres.ring.one)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a letter step ran _reduce")
+
+    monkeypatch.setattr(Presentation, "_reduce", refuse)
+    assert pres.word_elt(word).terms == want
+    m1 = pres.word_elt(word[:1]).terms.popitem()[0]
+    m2 = pres.word_elt(word[1:2]).terms.popitem()[0]
+    assert dict(pres.word_product(m1, m2)) == naive_normal_form(
+        pres, mono_units(m1) + mono_units(m2), pres.ring.one)
+
+
+def test_step_cache_keeps_only_requested_steps():
+    # d^3.a is built from d^2.a, d.a and their correction branches, but
+    # those sub-steps live only for the one miss
+    pres = TSide().pres
+    before = set(pres._step_cache)
+    d3, a = (0, 3, 0, 0), (1, 0, 0, 0)
+    pres.word_product(d3, a)
+    assert set(pres._step_cache) - before == {(d3, (0, 1))}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -328,7 +369,8 @@ def test_canonical_concatenation_is_not_rewritten(m1, m2, want, monkeypatch):
 
 
 class TestOddCountGuard:
-    """Every correction must keep each odd generator's count."""
+    """Every correction must keep each odd generator's count, and add
+    an odd generator or shorten the word."""
 
     def _pres(self, word):
         syms = SymbolSet(("p",))
@@ -345,6 +387,12 @@ class TestOddCountGuard:
     def test_keeping_correction_accepted(self):
         self._pres((("b", 1),))
         self._pres((("x", 1), ("b", 1), ("c", 1)))
+
+    def test_correction_that_neither_adds_nor_shortens_rejected(self):
+        # b.x -> x.x.b would let b meet ever more x: no termination
+        for word in ((("x", 1), ("b", 1)), (("x", 2), ("b", 1))):
+            with pytest.raises(ValueError, match="nor shortens"):
+                self._pres(word)
 
     def test_shipped_presentations_pass(self):
         # fresh builds, so the check runs past the factories' caches
