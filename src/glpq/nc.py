@@ -69,6 +69,33 @@ order:
 So the recurrence ends.  Without the mask it need not: for
 a^-6.d^-2.a^-1, the d^-1.a^-1 correction re-inserts d^-2.beta.gamma
 forever.
+
+Closed-form word products.  Let m1 and m2 be canonical and share no odd
+generator.  Appending m2 letter by letter, a letter x of m2 on generator
+h moves left past exactly the letters of m1 on generators g > h: the
+letters of m2 before it lie on generators <= h, and the letters of m1 on
+generators <= h stay to its left.  A cancellation only meets a letter of
+x's own generator, after x has crossed everything it crosses, so it
+removes no letter that another letter still has to cross.  Each letter
+of m1[g] therefore crosses each letter of m2[h] exactly once, and
+nothing else crosses.  When every correction branch of every such
+crossing is dead, the product is the single monomial m1 + m2 with scalar
+
+    prod over g > h of lam(g, sg, h, sh) ^ (|m1[g]| |m2[h]|),
+
+the twists of the crossings (sg, sh the signs of m1[g], m2[h]).  A
+branch inserted at the crossing y.x is dead when its word holds an odd
+generator that the word still holds elsewhere, since no rule lowers an
+odd count (the dead-pair argument).  The other letters of the word are
+those of m1 and m2 except y and x, and an odd generator occurs at most
+once among all of them, so the test is: the branch's odd bits meet
+odd(m1) | odd(m2) with the bits of y and x removed.  The bits of y and x
+must leave the mask because the branch replaces those two letters: the
+affine beta.A -> q^-1 A.beta + (q^-1 - 1) beta keeps a live branch whose
+only odd letter is the crossing beta.  Normal forms are unique, so this
+monomial is the one the letter-by-letter build reaches.
+``word_product`` uses it whenever it applies and appends letters
+otherwise.
 """
 
 from __future__ import annotations
@@ -144,6 +171,9 @@ class Presentation:
         self.top = None
         self._word_cache = {}
         self._step_cache = {}
+        # twist powers of the closed-form word products, keyed by the id
+        # of a scalar held in _swaps and the exponent
+        self._powers = {}
         self._views = {}
 
     def capped(self, top):
@@ -158,7 +188,8 @@ class Presentation:
         if view is None:
             view = copy.copy(self)
             view.top = top
-            view._word_cache, view._step_cache, view._views = {}, {}, {}
+            view._word_cache, view._step_cache = {}, {}
+            view._powers, view._views = {}, {}
             self._views[top] = view
         return view
 
@@ -495,8 +526,10 @@ class Presentation:
     def word_product(self, m1, m2):
         """Canonical terms of the concatenation of two canonical monomials.
 
-        Computed by appending the right factor letter by letter, which
-        shares the expensive reordering work across all pairs.  When the
+        Written down in closed form when every crossing of the two can
+        only twist (see the module docstring); otherwise computed by
+        appending the right factor letter by letter, which shares the
+        expensive reordering work across all pairs.  When the
         last generator of ``m1`` comes before the first generator of
         ``m2``, or both are the same even generator, the concatenation
         is already canonical up to cancelling inverse letters, which has
@@ -510,13 +543,54 @@ class Presentation:
             if last < first or (last == first and not self.parity[last]):
                 hit = ((tuple(map(add, m1, m2)), self.ring.one),)
             else:
-                out = self._append({m1: self.ring.one},
-                                   self.monomial_letters(m2))
+                out = self._twist_product(m1, m2)
+                if out is None:
+                    out = self._append({m1: self.ring.one},
+                                       self.monomial_letters(m2))
                 if self.top is not None:
                     out = self._cap_terms(out)
                 hit = tuple(out.items())
             self._word_cache[key] = hit
         return hit
+
+    def _twist_product(self, m1, m2):
+        """Terms of m1.m2 by the closed form of the module docstring, or
+        None when the monomials share an odd generator or a correction
+        of some crossing may survive."""
+        odd = self._odd_bits(m1)
+        odd2 = self._odd_bits(m2)
+        if odd & odd2:
+            return None
+        odd |= odd2
+        bit = self._odd_bit
+        n = self.n_gens
+        counts = {}
+        for h in range(n - 1):
+            eh = m2[h]
+            if not eh:
+                continue
+            sh = 1 if eh > 0 else -1
+            for g in range(h + 1, n):
+                eg = m1[g]
+                if not eg:
+                    continue
+                lam, branches = self._swaps[(g, 1 if eg > 0 else -1, h, sh)]
+                mask = odd & ~(bit[g] | bit[h])
+                for branch in branches:
+                    if not branch[2] & mask:
+                        return None
+                if lam is not None:
+                    # crossings that share a scalar object share one power
+                    k = counts.get(id(lam), (lam, 0))[1] + abs(eg * eh)
+                    counts[id(lam)] = (lam, k)
+        one = self.ring.one
+        c = one
+        for key, (lam, k) in counts.items():
+            lamk = self._powers.get((key, k))
+            if lamk is None:
+                lamk = self._powers[(key, k)] = power(None, lam, k)
+            c = lamk if c is one else c * lamk
+        return {tuple(map(add, m1, m2)): c}
 
     def cross_left(self, mono, scalar):
         """Move a coefficient left across the odd letters of ``mono``."""
@@ -662,11 +736,16 @@ def mul_pairs(pres, pairs, words=None):
 
 
 def power(one, base, n):
-    """base**n for n >= 0 by square-and-multiply, starting from ``one``."""
+    """base**n for n >= 0 by square-and-multiply, starting from ``one``.
+
+    With ``one`` None the first factor is ``base`` itself (n >= 1), so no
+    product with a unit is made; this serves scalar types that have no
+    ``__pow__``.
+    """
     r = one
     while n:
         if n & 1:
-            r = r * base
+            r = base if r is None else r * base
         n >>= 1
         if n:
             base = base * base

@@ -1,8 +1,10 @@
 """Floating spot checks of exact identities at random assignments.
 
 Never a source of truth: both sides of each identity are evaluated
-coefficient-wise at random pole-guarded points and compared, which
-cross-validates the exact canonicalization pipeline.
+coefficient-wise at random pole-guarded points and compared.  Both sides
+are the canonical forms the exact rewriter already produced, so the spot
+check re-evaluates those same forms; it is not independent evidence
+that the rewriter's normal forms are right.
 """
 
 from __future__ import annotations

@@ -398,31 +398,37 @@ class Pol:
         """Substitute symbols by Pol values over the same SymbolSet.
 
         Unmapped symbols stay themselves.  Exponents of mapped symbols
-        must be nonnegative.
+        must be nonnegative.  Each term becomes its integer coefficient
+        times the product of cached powers, shifted by the unmapped part
+        of its key, and is merged into a single dict.
         """
         syms = self.syms
+        names = syms.names
         cache = {}
-
-        def power(name, n):
-            key = (name, n)
-            if key not in cache:
-                cache[key] = mapping[name] ** n
-            return cache[key]
-
-        out = Pol.const(syms, 0)
+        out = {}
         for k, c in self.terms.items():
             e = syms.unpack(k)
             rest = list(e)
-            term = Pol.const(syms, c)
+            term = None
             for i, ex in enumerate(e):
-                name = syms.names[i]
-                if ex and name in mapping:
+                if ex and names[i] in mapping:
                     if ex < 0:
                         raise ValueError("negative exponent under substitution")
                     rest[i] = 0
-                    term = term * power(name, ex)
-            out = out + term.shift(syms.offset(rest))
-        return out
+                    pw = cache.get((i, ex))
+                    if pw is None:
+                        pw = cache[(i, ex)] = mapping[names[i]] ** ex
+                    term = pw if term is None else term * pw
+            if term is None:
+                out[k] = out.get(k, 0) + c
+                continue
+            delta = syms.offset(rest)
+            for kt, ct in term.terms.items():
+                kt += delta
+                out[kt] = out.get(kt, 0) + c * ct
+        # every shifted key is checked, also those whose sum cancels
+        syms.check(out)
+        return _pol(syms, {k: c for k, c in out.items() if c})
 
     # -- printing ----------------------------------------------------------
 

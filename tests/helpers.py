@@ -3,7 +3,7 @@ property tests."""
 
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.nc import Element
-from glpq.poly import poly_gcd
+from glpq.poly import Pol, poly_gcd
 from glpq.series import INF, TruncElement
 from glpq.tside import tside
 
@@ -213,3 +213,21 @@ def naive_ratfunc_add(a, b):
     denominators."""
     (an, ad), (bn, bd) = a.cleared(), b.cleared()
     return naive_ratfunc(an * bd + bn * ad, ad * bd)
+
+
+def naive_subst(f, mapping):
+    """Reference substitution: one Pol per term, the constant times the
+    powers of the mapped symbols, shifted and added to the running sum."""
+    syms = f.syms
+    out = Pol.const(syms, 0)
+    for k, c in f.terms.items():
+        e = syms.unpack(k)
+        rest = list(e)
+        term = Pol.const(syms, c)
+        for i, ex in enumerate(e):
+            name = syms.names[i]
+            if ex and name in mapping:
+                rest[i] = 0
+                term = term * mapping[name] ** ex
+        out = out + term.shift(syms.offset(rest))
+    return out

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glpq.coeff import RatFunc
+from glpq.coeff import RatFunc, TruncLaurent
 from glpq.errors import NonInvertibleNegativePower, NotAUnit, PresentationMismatch
 from glpq.nc import (Element, Presentation, Ring, anticommutator, commutator,
                      invert_even_unit)
-from glpq.mside import MCoefficient, MSide, mside
+from glpq.mside import MCoefficient, MSide, mside, verify_mside
 from glpq.poly import SymbolSet
 from glpq.printing import print_element
 from glpq.series import (DEFAULT_RAYS, SeriesConfig, SeriesContext,
-                         series_context)
-from glpq.tside import TSide, tside
+                         series_context, series_identities)
+from glpq.tside import (TSide, tside, verify_appendix, verify_section2,
+                        verify_section3)
 
-from helpers import (mono_units, naive_element_product, naive_normal_form,
-                     random_element, random_word, renormalize,
-                     random_homogeneous)
+from helpers import (laurent_dump, mono_units, naive_element_product,
+                     naive_normal_form, random_element, random_word,
+                     renormalize, random_homogeneous)
 
 
 class TestNormalize:
@@ -277,6 +278,115 @@ def test_word_product_matches_naive(name, data):
     assert dict(pres.word_product(m1, m2)) == want
     if _shares_odd(pres, m1, m2):
         assert want == {}
+    # checked apart from the cache, which an earlier draw may have filled
+    closed = pres._twist_product(m1, m2)
+    assert closed is None or closed == want
+
+
+FRESH = {"tside": lambda: TSide().pres, "mside": lambda: MSide().pres,
+         "affine": lambda: SeriesContext(SeriesConfig(Fraction(1),
+                                                      Fraction(2))).pres}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_closed_form_fires_on_the_naive_draws(name, monkeypatch):
+    # the ranges of test_word_product_matches_naive reach both the closed
+    # form and the letter-by-letter build on every presentation
+    pres = FRESH[name]()
+    rng = random.Random(9)
+    left, right = LONG_RANGES[name]
+    results = []
+    closed = pres._twist_product
+
+    def counting(m1, m2):
+        out = closed(m1, m2)
+        results.append(out is not None)
+        return out
+
+    monkeypatch.setattr(pres, "_twist_product", counting)
+    odds = pres.n_gens - pres.n_even
+    for _ in range(60):
+        m1, m2 = (tuple(rng.randint(lo, hi) for lo, hi in ranges)
+                  + tuple(rng.randint(0, 1) for _ in range(odds))
+                  for ranges in (left, right))
+        want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
+                                 pres.ring.one)
+        assert dict(pres.word_product(m1, m2)) == want
+    assert True in results and False in results
+
+
+@pytest.mark.parametrize("name, m1, m2, n_terms", [
+    ("tside", (0, 1, 1, 0), (2, 0, 0, 0), 1),     # d.beta . a^2: q^-2
+    ("tside", (0, -2, 0, 1), (-1, 3, 1, 0), 1),   # d^-1.a^-1 branches die
+    ("mside", (0, 1), (1, 0), 1),                 # nu.mu = -mu.nu
+    ("affine", (2, 0, 0, 1), (0, 0, 1, 0), 1),    # gamma.beta twists only
+])
+def test_closed_form_fires(name, m1, m2, n_terms):
+    pres = FRESH[name]()
+    want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
+                             pres.ring.one)
+    assert pres._twist_product(m1, m2) == want and len(want) == n_terms
+    assert dict(pres.word_product(m1, m2)) == want
+
+
+@pytest.mark.parametrize("name, m1, m2, n_terms", [
+    # d.a keeps its live beta.gamma correction
+    ("tside", (0, 1, 0, 0), (1, 0, 0, 0), 2),
+    ("tside", (0, -1, 0, 0), (3, 0, 0, 0), 2),
+    # beta.A keeps (q^-1 - 1) beta: its only odd letter is the crossing
+    # beta itself, so it stays live although the word holds beta
+    ("affine", (0, 0, 1, 0), (1, 0, 0, 0), 2),
+    ("affine", (0, 0, 0, 1), (0, 1, 1, 0), 2),
+    # a shared odd generator: the product is zero
+    ("tside", (0, 1, 1, 0), (1, 0, 1, 0), 0),
+    ("mside", (1, 1), (0, 1), 0),
+])
+def test_closed_form_declines(name, m1, m2, n_terms):
+    pres = FRESH[name]()
+    want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
+                             pres.ring.one)
+    assert pres._twist_product(m1, m2) is None and len(want) == n_terms
+    assert dict(pres.word_product(m1, m2)) == want
+
+
+def _datum(terms, one):
+    """Every stored datum of word-product terms; ``one`` by identity."""
+    return {m: "one" if c is one else
+            laurent_dump(c) if isinstance(c, TruncLaurent) else c
+            for m, c in terms}
+
+
+def test_closed_form_matches_letter_by_letter_on_the_suites(monkeypatch):
+    # every word product of the four exact suites and of series rays
+    # (1,1) and (1,2) equals its letter-by-letter build datum for datum,
+    # in the capped series views too
+    made = {}
+    word_product = Presentation.word_product
+
+    def recording(pres, m1, m2):
+        out = word_product(pres, m1, m2)
+        made[(id(pres), m1, m2)] = pres, out
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(Presentation, "word_product", recording)
+        verify_section2(10, 6)
+        verify_section3(12)
+        verify_appendix(10)
+        verify_mside(10)
+        for ray in DEFAULT_RAYS[:2]:
+            list(series_identities(SeriesConfig(*ray)))
+    fired = set()
+    for (_, m1, m2), (pres, out) in made.items():
+        one = pres.ring.one
+        built = pres._append({m1: one}, pres.monomial_letters(m2))
+        if pres.top is not None:
+            built = pres._cap_terms(built)
+        assert _datum(out, one) == _datum(built.items(), one)
+        if pres._twist_product(m1, m2) is not None:
+            fired.add(pres.name + ("" if pres.top is None else "/capped"))
+    assert fired >= {"tside", "mside", "affine[1,1]/capped",
+                     "affine[1,2]/capped"}
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from glpq.errors import ExponentOutOfRange
 from glpq.poly import EXPONENT_BOUND, Pol, SymbolSet, poly_gcd
 
+from helpers import naive_subst
+
 PQ = SymbolSet(["p", "q"])
 
 
@@ -98,6 +100,30 @@ def test_subst_shift():
     f = x ** 2
     shifted = f.subst({"x": x + c})
     assert shifted == x ** 2 + (x * c).mul_int(2) + c ** 2
+
+
+XYC = SymbolSet(["x", "y", "c"])
+_laurent_terms = st.dictionaries(
+    st.tuples(*[st.integers(-2, 2)] * 3), st.integers(-3, 3), max_size=3)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                 st.integers(-3, 3)),
+                       st.integers(-4, 4), max_size=6),
+       st.dictionaries(st.sampled_from(["x", "y"]), _laurent_terms,
+                       max_size=2))
+@settings(max_examples=200)
+def test_subst_matches_term_by_term(f, mapping):
+    # the unmapped c keeps negative exponents; mapped values are Laurent
+    f = Pol(XYC, f)
+    mapping = {name: Pol(XYC, terms) for name, terms in mapping.items()}
+    assert f.subst(mapping) == naive_subst(f, mapping)
+
+
+def test_subst_rejects_negative_mapped_exponent():
+    x = Pol.symbol(XYC, "x")
+    with pytest.raises(ValueError, match="negative exponent"):
+        (Pol.symbol(XYC, "y") + Pol.symbol(XYC, "x", -1)).subst({"x": x})
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 3), st.integers(0, 3))
