@@ -358,7 +358,7 @@ class TruncLaurent:
 
     @staticmethod
     def zero(cap=DEFAULT_TRUNC_ORDER):
-        return TruncLaurent(cap + 1, (), 1, cap)
+        return _laurent(cap + 1, (), 1, cap)
 
     @staticmethod
     def exp_of(alpha, cap=DEFAULT_TRUNC_ORDER):
@@ -386,7 +386,14 @@ class TruncLaurent:
         return Fraction(self.nums[n - self.lead], self.den)
 
     def with_cap(self, cap):
-        return TruncLaurent(self.lead, self.nums, self.den, cap)
+        """The same series known through ``cap`` only, or further."""
+        nums = self.nums
+        keep = cap - self.lead + 1
+        if keep <= 0 or not nums:
+            return TruncLaurent.zero(cap)
+        if keep >= len(nums):
+            return _laurent(self.lead, nums, self.den, cap)
+        return _settle(self.lead, list(nums[:keep]), self.den, cap)
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -411,36 +418,14 @@ class TruncLaurent:
                 b = [n * (da // g) for n in b]
         if la > lb:
             la, lb, a, b = lb, la, b, a
-        # built in place of __init__: b is laid over a, which starts
-        # first, at or below the cap; cancellation may clear either end
+        # b is laid over a, which starts first, at or below the cap
         nums = list(a)
         short = lb - la + len(b) - len(nums)
         if short > 0:
             nums += [0] * short
         for i, n in enumerate(b, lb - la):
             nums[i] += n
-        del nums[cap - la + 1:]
-        while nums and not nums[-1]:
-            nums.pop()
-        if not nums:
-            return TruncLaurent.zero(cap)
-        if not nums[0]:
-            skip = 1
-            while not nums[skip]:
-                skip += 1
-            del nums[:skip]
-            la += skip
-        if den > 1:
-            g = math.gcd(den, *nums)
-            if g > 1:
-                den //= g
-                nums = [n // g for n in nums]
-        r = _new(TruncLaurent)
-        r.lead = la
-        r.nums = tuple(nums)
-        r.den = den
-        r.cap = cap
-        return r
+        return _settle(la, nums, den, cap)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -448,7 +433,7 @@ class TruncLaurent:
         return self + (-other)
 
     def __neg__(self):
-        return TruncLaurent(self.lead, tuple(-n for n in self.nums), self.den, self.cap)
+        return _laurent(self.lead, [-n for n in self.nums], self.den, self.cap)
 
     def __mul__(self, other):
         if type(other) is not TruncLaurent:
@@ -457,33 +442,10 @@ class TruncLaurent:
         if self.is_zero() or other.is_zero():
             return TruncLaurent.zero(cap)
         lead = self.lead + other.lead
-        width = min(len(self.nums) + len(other.nums) - 1, cap - lead + 1)
-        if width <= 0:
+        if cap < lead:
             return TruncLaurent.zero(cap)
-        nums = [0] * width
-        for i, a in enumerate(self.nums):
-            if i >= width:
-                break
-            for j, b in enumerate(other.nums):
-                if i + j >= width:
-                    break
-                nums[i + j] += a * b
-        # built in place of __init__: the window ends at the cap, the
-        # leading slot a0*b0 is nonzero, and den > 0
-        while not nums[-1]:
-            nums.pop()
-        den = self.den * other.den
-        if den > 1:
-            g = math.gcd(den, *nums)
-            if g > 1:
-                den //= g
-                nums = [n // g for n in nums]
-        r = _new(TruncLaurent)
-        r.lead = lead
-        r.nums = tuple(nums)
-        r.den = den
-        r.cap = cap
-        return r
+        return _settle(lead, _conv(self.nums, other.nums, cap - lead + 1),
+                       self.den * other.den, cap)
 
     def inv(self):
         if self.is_zero():
@@ -566,3 +528,144 @@ class TruncLaurent:
 
     def __repr__(self):
         return f"TruncLaurent({self} + O(t^{self.cap + 1}))"
+
+
+def _laurent(lead, nums, den, cap):
+    """Trusted constructor: a window already in canonical form."""
+    r = _new(TruncLaurent)
+    r.lead = lead
+    r.nums = tuple(nums)
+    r.den = den
+    r.cap = cap
+    return r
+
+
+def _settle(lead, nums, den, cap):
+    """Canonical series of the integer slots ``nums`` over ``den > 0``,
+    the first at exponent ``lead <= cap``: cuts the slots past the cap,
+    strips zeros at both ends and divides out the content.  Changes the
+    list ``nums``."""
+    del nums[cap - lead + 1:]
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return TruncLaurent.zero(cap)
+    if not nums[0]:
+        skip = 1
+        while not nums[skip]:
+            skip += 1
+        del nums[:skip]
+        lead += skip
+    if den > 1:
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = [n // g for n in nums]
+    return _laurent(lead, nums, den, cap)
+
+
+def _conv(a, b, width):
+    """The first ``width >= 1`` slots of the convolution of the integer
+    sequences ``a`` and ``b``, as a new list."""
+    if len(b) == 1:
+        y = b[0]
+        return [x * y for x in a[:width]]
+    if len(a) == 1:
+        x = a[0]
+        return [x * y for y in b[:width]]
+    nums = [0] * min(len(a) + len(b) - 1, width)
+    width = len(nums)
+    for i, x in enumerate(a[:width]):
+        for j, y in enumerate(b[:width - i], i):
+            nums[j] += x * y
+    return nums
+
+
+def add_laurent_products(windows, one, c1, c2, terms):
+    """Accumulator of ``nc.mul_pairs`` for a series product.
+
+    Adds c1*c2*lam, for each (monomial, lam) of ``terms``, into the dict
+    ``windows``, which keeps one raw window per monomial:
+    ``[lead, slots, den, cap, lone]``, integer slots from the lowest lead
+    of its contributions over one denominator, under the lowest of their
+    caps.  ``settle_laurent_sums`` normalizes each window once, where
+    ``*`` and ``+`` would normalize every product and every partial sum.
+
+    ``one`` is exact: no product is taken with it, and a contribution
+    that is a single coefficient (c2 times a ``one`` term, say) is that
+    object, kept as ``lone`` while the monomial has no other
+    contribution.  A contribution with a zero factor is left out, cap
+    and all; any other contribution is nonzero, since a nonzero series
+    starts at or below its cap and so does the product of two.  Cutting
+    each product at its own cap keeps the slots that ``*`` keeps, so a
+    window holds the exact sum through its cap.  ``glpq.series`` states
+    why the lowest cap of the nonzero contributions gives the trimmed
+    product that ``*`` and ``+`` give.  Stored slots are never changed in
+    place, so a window may share them.
+    """
+    if c1 is one:
+        c = c2
+    elif c2 is one:
+        c = c1
+    else:
+        c = None
+        if not (c1.nums and c2.nums):
+            return
+        lead = c1.lead + c2.lead
+        cap = min(c1.cap + c2.lead, c2.cap + c1.lead)
+        nums = _conv(c1.nums, c2.nums, cap - lead + 1)
+        den = c1.den * c2.den
+    if c is not None:
+        if not c.nums:
+            return
+        lead, nums, den, cap = c.lead, c.nums, c.den, c.cap
+    for mono, lam in terms:
+        if lam is one:
+            lone, l, p, d, k = c, lead, nums, den, cap
+        elif not lam.nums:
+            continue
+        elif c is one:
+            lone, l, p, d, k = lam, lam.lead, lam.nums, lam.den, lam.cap
+        else:
+            lone = None
+            l = lead + lam.lead
+            k = min(cap + lam.lead, lam.cap + lead)
+            p = _conv(nums, lam.nums, k - l + 1)
+            d = den * lam.den
+        w = windows.get(mono)
+        if w is None:
+            windows[mono] = [l, p, d, k, lone]
+            continue
+        L, N, D, C = w[0], w[1], w[2], w[3]
+        if d == D:
+            N = list(N)
+        else:
+            g = math.gcd(D, d)
+            s, t = d // g, D // g
+            N = [n * s for n in N] if s > 1 else list(N)
+            if t > 1:
+                p = [n * t for n in p]
+            D = t * d
+        if l < L:
+            N[:0] = [0] * (L - l)
+            L = l
+        off = l - L
+        short = off + len(p) - len(N)
+        if short > 0:
+            N += [0] * short
+        for i, n in enumerate(p, off):
+            N[i] += n
+        w[:] = L, N, D, min(C, k), None
+
+
+def settle_laurent_sums(windows):
+    """Dict monomial -> canonical coefficient of the windows that
+    ``add_laurent_products`` filled; zero sums are left out."""
+    out = {}
+    for mono, (lead, nums, den, cap, lone) in windows.items():
+        if lone is None:
+            lone = _settle(lead, list(nums), den, cap)
+            if not lone.nums:
+                continue
+        out[mono] = lone
+    return out

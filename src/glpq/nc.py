@@ -19,7 +19,9 @@ Two word builders: ``word_elt`` and ``word_product`` append letters one
 at a time through the cached single-letter step ``_word_step``, and
 ``normalize`` rewrites the whole word directly with ``_reduce``, with no
 cache, under a choice of strategy; it is the reference for the
-confluence tests.
+confluence tests.  ``_reduce`` merges equal pending words, so a word
+that branches at every crossing (beta.A^k in the affine presentation)
+costs polynomial, not exponential, work.
 
 Letter steps.  Let mono = m'.y be canonical with last letter y after
 the appended letter x, and let y.x -> lam x.y + sum c w be the rule of
@@ -101,6 +103,8 @@ otherwise.
 from __future__ import annotations
 
 import copy
+from heapq import heappop, heappush
+from itertools import compress
 from operator import add
 
 from .errors import (NonInvertibleNegativePower, NotAUnit,
@@ -315,14 +319,14 @@ class Presentation:
         return out
 
     def _find_event(self, w, strategy):
-        """Locate the next rewrite event: ('kill'|'cancel'|'swap', i)."""
+        """Locate the next rewrite event of a live word: ('cancel'|'swap',
+        i).  Odd letters are positive, so a letter next to its inverse is
+        even."""
         n = len(w)
         idx = range(n - 1) if strategy == "leftmost" else range(n - 2, -1, -1)
         for i in idx:
             (g, sg), (h, sh) = w[i], w[i + 1]
             if g == h:
-                if self.parity[g]:
-                    return "kill", i
                 if sg != sh:
                     return "cancel", i
             elif g > h:
@@ -342,49 +346,72 @@ class Presentation:
         return False
 
     def _reduce(self, letters, coeff, out, strategy="leftmost"):
-        if coeff.is_zero():
-            return
-        stack = [(coeff, letters)]
-        while stack:
-            c, w = stack.pop()
-            if self._dead(w):
+        """Add the canonical terms of ``coeff`` times the word into ``out``.
+
+        Rewrites one event at a time, at the leftmost or rightmost event
+        of the word.  Every event lowers the measure (k, length,
+        inversions) of the module docstring, with k counting the odd
+        generators not in the word: a twist lowers the inversions, a
+        cancellation the length, and a correction branch either adds an
+        odd generator or has at most one letter (a branch that repeats an
+        odd generator is dead).  So the pending word of largest measure
+        is taken first: no word turns up again once it is taken, and
+        equal words meet while pending and are rewritten once, with
+        their coefficients added.
+        """
+        pending, queue = {}, []
+        self._pend(pending, queue, tuple(letters), coeff)
+        while queue:
+            w = heappop(queue)[-1]
+            c = pending.pop(w)
+            if c.is_zero():
                 continue
-            while True:
-                kind, i = self._find_event(w, strategy)
-                if kind is None:
-                    mono = [0] * self.n_gens
-                    for g, s in w:
-                        mono[g] += s
-                    mono = tuple(mono)
-                    prev = out.get(mono)
-                    acc = c if prev is None else prev + c
-                    if acc.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = acc
-                    break
-                if kind == "kill":
-                    break
-                if kind == "cancel":
-                    w = w[:i] + w[i + 2:]
-                    continue
-                (g, sg), (h, sh) = w[i], w[i + 1]
-                key = (g, h, sg, sh)
-                rule = self.corrections.get(key)
-                if rule is None:
-                    lam = self._twist(g, h, sg * sh)
-                    if lam is not None:
-                        c = c * lam
-                    w = w[:i] + [w[i + 1], w[i]] + w[i + 2:]
-                    continue
-                lam, corr = rule
-                for cs, cw in corr:
-                    nw = w[:i] + self._letters(cw) + w[i + 2:]
-                    nc = c * cs
-                    if not nc.is_zero():
-                        stack.append((nc, nw))
-                c = c * lam
-                w = w[:i] + [w[i + 1], w[i]] + w[i + 2:]
+            kind, i = self._find_event(w, strategy)
+            if kind is None:
+                mono = [0] * self.n_gens
+                for g, s in w:
+                    mono[g] += s
+                mono = tuple(mono)
+                prev = out.get(mono)
+                acc = c if prev is None else prev + c
+                if acc.is_zero():
+                    out.pop(mono, None)
+                else:
+                    out[mono] = acc
+                continue
+            if kind == "cancel":
+                self._pend(pending, queue, w[:i] + w[i + 2:], c)
+                continue
+            (g, sg), (h, sh) = w[i], w[i + 1]
+            swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            rule = self.corrections.get((g, h, sg, sh))
+            if rule is None:
+                lam = self._twist(g, h, sg * sh)
+                self._pend(pending, queue, swapped,
+                           c if lam is None else c * lam)
+                continue
+            lam, corr = rule
+            for cs, cw in corr:
+                self._pend(pending, queue,
+                           w[:i] + tuple(self._letters(cw)) + w[i + 2:],
+                           c * cs)
+            self._pend(pending, queue, swapped, c * lam)
+
+    def _pend(self, pending, queue, w, c):
+        """Queue the word ``w`` with coefficient ``c``, or add ``c`` to it
+        if it is pending; a dead word is dropped unread.  The queue key
+        is (odd generators, -length, -inversions), so the word with the
+        largest measure comes first."""
+        if self._dead(w):
+            return
+        prev = pending.get(w)
+        if prev is not None:
+            pending[w] = prev + c
+            return
+        pending[w] = c
+        odd = sum(self.parity[g] for g, _ in w)
+        inv = sum(g > h for i, (g, _) in enumerate(w) for h, _ in w[i + 1:])
+        heappush(queue, (odd, -len(w), -inv, w))
 
     def _word_step(self, mono, letter):
         """Cached canonical terms of (canonical monomial).(single letter)."""
@@ -424,11 +451,7 @@ class Presentation:
         return hit
 
     def _odd_bits(self, mono):
-        bits = 0
-        for o in range(self.n_even, self.n_gens):
-            if mono[o]:
-                bits |= 1 << o
-        return bits
+        return sum(compress(self._odd_bit, mono))
 
     def _steps(self, mono, letter):
         """Terms of mono.letter by the prefix recurrence of the module
@@ -475,7 +498,7 @@ class Presentation:
                 sub = self._known_step(n, y, m, memo)
                 if sub is None:
                     sub = yield n, y, m
-                _accumulate(out, mu, sub, one)
+                add_products(out, one, mu, one, sub)
             if lam is not None:
                 scaled = ((n, c * lam) for n, c in out.items())
                 out = {n: c for n, c in scaled if not c.is_zero()}
@@ -489,9 +512,9 @@ class Presentation:
                         sub = self._known_step(n, z, m | tail, memo)
                         if sub is None:
                             sub = yield n, z, m | tail
-                        _accumulate(new, c, sub, one)
+                        add_products(new, one, c, one, sub)
                     acc = new.items()
-                _accumulate(out, one, acc, one)
+                add_products(out, one, one, one, acc)
             if self.top is not None:
                 out = self._cap_terms(out)
             terms = tuple(out.items())
@@ -519,7 +542,8 @@ class Presentation:
         for letter in letters:
             new = {}
             for mono, sc in acc.items():
-                _accumulate(new, sc, self._word_step(mono, letter), one)
+                add_products(new, one, sc, one,
+                             self._word_step(mono, letter))
             acc = new
         return acc
 
@@ -668,8 +692,9 @@ class Element:
 
     def __mul__(self, other):
         self._check(other)
-        return mul_pairs(self.pres, ((t1, t2) for t1 in self.terms.items()
-                                     for t2 in other.terms.items()))
+        return Element(self.pres, mul_pairs(
+            self.pres, ((t1, t2) for t1 in self.terms.items()
+                        for t2 in other.terms.items())))
 
     def __pow__(self, n):
         if n < 0:
@@ -698,8 +723,13 @@ class Element:
         return "Element(" + " + ".join(bits) + ")"
 
 
-def _accumulate(out, c, terms, one):
-    """Add c times each (mono, lam) of ``terms`` into the dict ``out``."""
+def add_products(out, one, c1, c2, terms):
+    """Add c1*c2 times each (mono, lam) of ``terms`` into the dict ``out``
+    of canonical coefficients; no product is taken with ``one``.  The
+    accumulator of ``mul_pairs`` for any scalar ring."""
+    c = c2 if c1 is one else (c1 if c2 is one else c1 * c2)
+    if c.is_zero():
+        return
     for mono, lam in terms:
         nc = c if lam is one else (lam if c is one else c * lam)
         prev = out.get(mono)
@@ -710,29 +740,32 @@ def _accumulate(out, c, terms, one):
             out[mono] = nc
 
 
-def mul_pairs(pres, pairs, words=None):
-    """Sum of the products (c1*m1).(c2*m2) over the given term pairs.
+def mul_pairs(pres, pairs, words=None, add=add_products):
+    """Terms of the sum of the products (c1*m1).(c2*m2) over the given
+    term pairs.
 
     ``pairs`` yields ((m1, c1), (m2, c2)); the full product of two
     elements passes every pair, a truncated product only those that can
     land inside its window.  A pair whose monomials share an odd
     generator is zero (see the module docstring) and is skipped first.
     Word products come from ``words``, a capped view of ``pres``, when
-    given; the result is an element of ``pres`` either way.
+    given.  ``add(out, one, c1, c2, terms)`` adds each pair's coefficients
+    into the returned dict ``out``: c1, c2 moved left across m1, and the
+    terms of the word product.  ``add_products`` keeps canonical
+    coefficients there; ``coeff.add_laurent_products`` keeps raw windows
+    for ``coeff.settle_laurent_sums``.
     """
-    one = pres.ring.one
-    odd = range(pres.n_even, pres.n_gens)
     words = pres if words is None else words
+    one = pres.ring.one
+    odd_bit = pres._odd_bit
     out = {}
     for (m1, c1), (m2, c2) in pairs:
-        if any(m1[g] and m2[g] for g in odd):
+        # odd bits in C, with no Python frame; a per-product memo of them
+        # is no faster, and slower for products of one or two pairs
+        if sum(compress(odd_bit, m1)) & sum(compress(odd_bit, m2)):
             continue
-        c2s = pres.cross_left(m1, c2)
-        c = c2s if c1 is one else (c1 if c2s is one else c1 * c2s)
-        if c.is_zero():
-            continue
-        _accumulate(out, c, words.word_product(m1, m2), one)
-    return Element(pres, out)
+        add(out, one, c1, pres.cross_left(m1, c2), words.word_product(m1, m2))
+    return out
 
 
 def power(one, base, n):

@@ -139,10 +139,32 @@ def naive_element_product(x, y):
 
 
 def naive_product(a, b):
-    """Reference TruncElement product: normal-orders every term pair and
-    leaves it to the trim to discard what lies outside the window."""
+    """Reference TruncElement product: c1*c2*lam for every term pair and
+    every term of its uncapped word product, summed with plain
+    TruncLaurent ``*`` and ``+``; the trim discards what lies outside
+    the window."""
+    pres = a.pres
+    one = pres.ring.one
+    out = {}
+    for m1, c1 in a.element.terms.items():
+        for m2, c2 in b.element.terms.items():
+            c2 = pres.cross_left(m1, c2)
+            for mono, lam in pres.word_product(m1, m2):
+                c = naive_times(one, c1, c2, lam)
+                out[mono] = out[mono] + c if mono in out else c
+    terms = {m: c for m, c in out.items() if not c.is_zero()}
     prec = min(a.prec + b.min_weight(), b.prec + a.min_weight(), INF)
-    return TruncElement(a.ctx, a.element * b.element, prec)
+    return TruncElement(a.ctx, Element(pres, terms), prec)
+
+
+def naive_times(one, *factors):
+    """Product of the factors by plain ``*``, leaving out those that are
+    ``one``, which is exact; ``one`` when every factor is."""
+    out = one
+    for f in factors:
+        if f is not one:
+            out = f if out is one else out * f
+    return out
 
 
 def naive_power(te, n):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glpq import poly
-from glpq.coeff import RatFunc, TruncLaurent
+from glpq.coeff import (RatFunc, TruncLaurent, add_laurent_products,
+                         settle_laurent_sums)
 from glpq.errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
                          TruncationUnderflow)
 from glpq.poly import Pol, SymbolSet, cofactors, poly_gcd
@@ -369,3 +370,95 @@ def test_laurent_sum_matches_constructor(a, b):
     # den > 1 sum whose content cancels (1/2 + 1/2), an operand that
     # starts above the smaller cap, and a sum that cancels to zero
     assert laurent_dump(a + b) == laurent_dump(naive_laurent_add(a, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_laurents, st.integers(-6, 14))
+# the cut leaves a trailing zero; the cut drops the slot that kept the
+# content at 1; a cap below the lead; a zero series under a new cap
+@example(TruncLaurent(0, (1, 0, 2), 2, 8), 1)
+@example(TruncLaurent(0, (2, 1), 4, 8), 0)
+@example(TruncLaurent(3, (1, 1), 1, 8), 2)
+@example(TruncLaurent.zero(3), 9)
+def test_with_cap_matches_constructor(a, cap):
+    assert laurent_dump(a.with_cap(cap)) == laurent_dump(
+        TruncLaurent(a.lead, a.nums, a.den, cap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laurents)
+def test_negation_matches_constructor(a):
+    assert laurent_dump(-a) == laurent_dump(
+        TruncLaurent(a.lead, [-n for n in a.nums], a.den, a.cap))
+
+
+# -- the fused multiply-accumulate of series products ------------------------
+
+ONE = TruncLaurent.const(1, 12)
+_factors = st.one_of(st.just(ONE), _laurents)
+_pair_inputs = st.lists(
+    st.tuples(_factors, _factors,
+              st.lists(st.tuples(st.integers(0, 2), _factors), max_size=3,
+                       unique_by=lambda term: term[0])),
+    max_size=5)
+
+
+def naive_sums(pairs):
+    """Reference for the Laurent accumulator: each nonzero c1*c2*lam by
+    naive_laurent_mul, ``one`` factors left out, summed per monomial by
+    naive_laurent_add; sums that vanish are dropped."""
+    out = {}
+    for c1, c2, terms in pairs:
+        for mono, lam in terms:
+            factors = [f for f in (c1, c2, lam) if f is not ONE]
+            if any(f.is_zero() for f in factors):
+                continue
+            c = ONE
+            for f in factors:
+                c = f if c is ONE else naive_laurent_mul(c, f)
+            out[mono] = naive_laurent_add(out[mono], c) if mono in out else c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_inputs)
+# a lone `one`, a lone c2 times a `one` term, and a lone lam; a series
+# equal to 1 that is not `one` is multiplied like any other
+@example([(ONE, ONE, [(0, ONE)])])
+@example([(ONE, TruncLaurent(0, (1,), 1, 0),
+           [(0, TruncLaurent(0, (1,), 1, 0))])])
+@example([(ONE, TruncLaurent(-2, (3, 1), 2, 5), [(0, ONE)])])
+@example([(ONE, ONE, [(1, TruncLaurent(1, (1,), 1, 7))])])
+# zero operands leave their caps out
+@example([(TruncLaurent.zero(1), ONE, [(0, ONE)]),
+          (TruncLaurent(0, (1,), 1, 8), ONE, [(0, TruncLaurent.zero(2))]),
+          (TruncLaurent(0, (1,), 1, 8), ONE, [(0, ONE)])])
+# unequal denominators and caps, negative leads
+@example([(TruncLaurent(-1, (1, 2), 3, 6), TruncLaurent(0, (1, 1), 2, 9),
+           [(0, TruncLaurent(1, (1, -1), 4, 10))]),
+          (TruncLaurent(-2, (5,), 6, 4), ONE,
+           [(0, TruncLaurent(2, (1,), 1, 8))])])
+# a partial sum cancels to zero, then a later term arrives: its cap
+# still counts, and so does the cancelled pair's
+@example([(TruncLaurent(0, (1, 1), 1, 3), ONE, [(0, ONE)]),
+          (TruncLaurent(0, (-1, -1), 1, 5), ONE, [(0, ONE)]),
+          (TruncLaurent(0, (2,), 1, 9), ONE, [(0, ONE)])])
+# the leading slots cancel and the content is 1/2 of a den-4 window
+@example([(TruncLaurent(0, (1, 1, 1), 4, 6), ONE, [(0, ONE)]),
+          (TruncLaurent(0, (-1, 1), 4, 6), ONE, [(0, ONE)])])
+def test_laurent_sums_match_naive_sums(pairs):
+    windows = {}
+    for c1, c2, terms in pairs:
+        add_laurent_products(windows, ONE, c1, c2, terms)
+    got = settle_laurent_sums(windows)
+    want = naive_sums(pairs)
+    assert {m: laurent_dump(c) for m, c in got.items()} == {
+        m: laurent_dump(c) for m, c in want.items()}
+    # a monomial whose only contribution is one coefficient keeps it
+    for m, c in want.items():
+        contributions = [(c1, c2, lam) for c1, c2, terms in pairs
+                         for mono, lam in terms if mono == m]
+        if len(contributions) == 1:
+            c1, c2, lam = contributions[0]
+            if sum(f is ONE for f in (c1, c2, lam)) >= 2:
+                assert got[m] is c

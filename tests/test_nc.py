@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,20 @@ def test_word_steps_never_call_reduce(word, monkeypatch):
     m2 = pres.word_elt(word[1:2]).terms.popitem()[0]
     assert dict(pres.word_product(m1, m2)) == naive_normal_form(
         pres, mono_units(m1) + mono_units(m2), pres.ring.one)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_reduce_merges_equal_pending_words(strategy):
+    # every beta.A crossing of beta.A^14 branches in two; rewriting each
+    # branch on its own took about 1 s, merging equal words takes ms
+    pres = series_context(SeriesConfig(Fraction(1), Fraction(2))).pres
+    word = [("beta", 1), ("A", 14)]
+    t0 = time.perf_counter()
+    got = pres.normalize(word, pres.ring.one, strategy)
+    assert time.perf_counter() - t0 < 0.5
+    want = pres.word_elt(word).terms
+    assert {m: laurent_dump(c) for m, c in got.items()} == {
+        m: laurent_dump(c) for m, c in want.items()}
 
 
 def test_step_cache_keeps_only_requested_steps():
