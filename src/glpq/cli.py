@@ -1,12 +1,14 @@
 """Command-line front end: normalize expressions, run suites, spot-check.
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or
+Exit codes: 0 all checks pass, 1 at least one failure or an algebra
+error (such as a symbol ``eval`` needs and has no value for), 2 usage or
 syntax errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -158,10 +160,13 @@ def cmd_eval(args):
         for pair in args.assign.split(","):
             name, _, value = pair.partition("=")
             try:
-                assignment[name.strip()] = float(value)
+                number = float(value)
             except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
                 raise BadAssignment(f"bad --assign pair {pair!r}: "
-                                    "expected name=number") from None
+                                    "expected name=finite number")
+            assignment[name.strip()] = number
     element = dsl.evaluate(args.expr, args.ctx)
     from .numeric import eval_terms
     values = eval_terms(element, assignment)

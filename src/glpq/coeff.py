@@ -53,14 +53,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (DivisionByZero, NearPoleEvaluation, SymbolSetMismatch,
-                     TruncationUnderflow)
-from .poly import Pol, cofactors, term_str
+from .errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
+                     SymbolSetMismatch, TruncationUnderflow)
+from .poly import Pol, SymbolSet, cofactors, term_str
 
 DEFAULT_TRUNC_ORDER = 12
 POLE_EPS = 1e-6
 
 _new = object.__new__
+_T = SymbolSet(("t",))      # the printer's one symbol for TruncLaurent
 
 
 def _rf(num, den):
@@ -142,9 +143,6 @@ class RatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_one(self):
-        return self.num.is_one() and self.den.is_one()
 
     @property
     def syms(self):
@@ -301,6 +299,21 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def power_at(assignment, name, e):
+    """``assignment[name] ** e``, 1.0 for e = 0 without a value; raises
+    MissingSymbol for a name with no value and NearPoleEvaluation for a
+    negative power of a value within ``POLE_EPS`` of 0."""
+    if not e:
+        return 1.0
+    try:
+        v = assignment[name]
+    except KeyError:
+        raise MissingSymbol(name) from None
+    if e < 0 and abs(v) < POLE_EPS:
+        raise NearPoleEvaluation(f"|{name}| = {abs(v):.2e} under {name}^{e}")
+    return v ** e
 
 
 class TruncLaurent:
@@ -471,23 +484,6 @@ class TruncLaurent:
         nums = tuple(c.numerator * (den // c.denominator) for c in out)
         return TruncLaurent(-v, nums, den, cap)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncLaurent.const(other, self.cap)
-        return self * other.inv()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        r = TruncLaurent.const(1, self.cap)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def __eq__(self, other):
         """Equality of the stored windows up to the common cap."""
         if isinstance(other, (int, Fraction)):
@@ -500,31 +496,20 @@ class TruncLaurent:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def eval_float(self, t):
-        return sum((n / self.den) * t ** (self.lead + i)
-                   for i, n in enumerate(self.nums))
+    def eval_float(self, assignment):
+        """Value of the stored window at t = ``assignment["t"]``."""
+        return sum((n / self.den) * power_at(assignment, "t", e)
+                   for e, n in enumerate(self.nums, self.lead))
 
     # -- printing --------------------------------------------------------------------
 
     def __str__(self):
         if not self.nums:
             return "0"
-        parts = []
-        for i, n in enumerate(self.nums):
-            if n == 0:
-                continue
-            c = Fraction(n, self.den)
-            e = self.lead + i
-            if e == 0:
-                body = str(abs(c))
-            else:
-                tp = "t" if e == 1 else f"t^{e}"
-                body = tp if abs(c) == 1 else f"{abs(c)}*{tp}"
-            if parts:
-                parts.append(("- " if c < 0 else "+ ") + body)
-            else:
-                parts.append(("-" if c < 0 else "") + body)
-        return " ".join(parts)
+        terms = [(e, n) for e, n in enumerate(self.nums, self.lead) if n]
+        return " ".join(term_str(_T, (e,), Fraction(n, self.den),
+                                 with_sign=i > 0)
+                        for i, (e, n) in enumerate(terms))
 
     def __repr__(self):
         return f"TruncLaurent({self} + O(t^{self.cap + 1}))"

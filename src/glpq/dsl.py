@@ -209,14 +209,13 @@ def _child(node, min_prec):
 
 
 class Context:
-    """Named bindings plus the hooks evaluation needs."""
+    """Named bindings plus the constructor of numeric literals."""
 
-    def __init__(self, name, bindings, const, invert):
+    def __init__(self, name, bindings, const):
         self.name = name
         self.bindings = bindings
         self.names = frozenset(bindings)
         self.const = const
-        self.invert = invert
 
     def eval(self, node):
         kind = node[0]
@@ -239,16 +238,12 @@ class Context:
             a, b = self.eval(node[1]), self.eval(node[2])
             return a * b - b * a
         if kind == "pow":
-            base, n = self.eval(node[1]), node[2]
-            if n >= 0:
-                return base ** n
-            return self.invert(base) ** (-n)
+            return self.eval(node[1]) ** node[2]
         raise ValueError(f"unknown node {kind}")
 
 
 @lru_cache(maxsize=8)
 def _tside_context():
-    from .nc import invert_even_unit
     from .tside import tside
     ctx = tside()
     bindings = {
@@ -256,14 +251,12 @@ def _tside_context():
         "p": ctx.pres.scalar_elt(ctx.p), "q": ctx.pres.scalar_elt(ctx.q),
     }
     return Context("tside", bindings,
-                   lambda v: ctx.pres.scalar_elt(ctx.scalar(v)),
-                   invert_even_unit)
+                   lambda v: ctx.pres.scalar_elt(ctx.scalar(v)))
 
 
 @lru_cache(maxsize=8)
 def _mside_context():
     from .mside import MCoefficient, mside
-    from .nc import invert_even_unit
     ctx = mside()
     bindings = {
         "x": ctx.x, "y": ctx.y, "mu": ctx.mu, "nu": ctx.nu,
@@ -272,8 +265,7 @@ def _mside_context():
         "E1": ctx.scalar(ctx.E1), "E2": ctx.scalar(ctx.E2),
     }
     return Context("mside", bindings,
-                   lambda v: ctx.pres.scalar_elt(MCoefficient.const(v)),
-                   invert_even_unit)
+                   lambda v: ctx.pres.scalar_elt(MCoefficient.const(v)))
 
 
 def _series_dsl_context(cfg=None):
@@ -286,8 +278,7 @@ def _series_dsl_context(cfg=None):
         "p": ctx.scalar_te(ctx.p), "q": ctx.scalar_te(ctx.q),
         "t": ctx.scalar_te(TruncLaurent.t_power(1, ctx.K)),
     }
-    return Context("series", bindings, lambda v: ctx.scalar_te(ctx.tl(v)),
-                   ctx.invert_unit)
+    return Context("series", bindings, lambda v: ctx.scalar_te(ctx.tl(v)))
 
 
 def get_context(name, series_cfg=None):

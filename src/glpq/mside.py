@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import RatFunc
+from .coeff import RatFunc, power_at
 from .errors import NotAUnit
-from .nc import Element, Presentation, Ring, commutator
+from .nc import Element, Presentation, Ring, add_products, commutator
 from .poly import Pol, SymbolSet
 from .report import Identity, run_exact
-from .supermatrix import SuperMatrix, sdet
+from .supermatrix import SuperMatrix, matrix_power, sdet
 
 M_SYMS = SymbolSet(("p", "q", "phi", "x", "y"))
 
@@ -27,6 +27,9 @@ def _rf(name, exp=1):
 
 def _rconst(c):
     return RatFunc.const(M_SYMS, c)
+
+
+_ONE = _rconst(1)       # the exact unit that add_products multiplies past
 
 
 class MCoefficient:
@@ -50,17 +53,8 @@ class MCoefficient:
 
     def __add__(self, other):
         t = dict(self.terms)
-        for kl, r in other.terms.items():
-            acc = t.get(kl)
-            acc = r if acc is None else acc + r
-            if acc.is_zero():
-                t.pop(kl, None)
-            else:
-                t[kl] = acc
+        add_products(t, _ONE, _ONE, _ONE, other.terms.items())
         return MCoefficient(t)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return MCoefficient({kl: -r for kl, r in self.terms.items()})
@@ -70,15 +64,9 @@ class MCoefficient:
             other = MCoefficient.of(other)
         t = {}
         for (k1, l1), r1 in self.terms.items():
-            for (k2, l2), r2 in other.terms.items():
-                kl = (k1 + k2, l1 + l2)
-                r = r1 * r2
-                acc = t.get(kl)
-                acc = r if acc is None else acc + r
-                if acc.is_zero():
-                    t.pop(kl, None)
-                else:
-                    t[kl] = acc
+            add_products(t, _ONE, r1, _ONE,
+                         (((k1 + k2, l1 + l2), r2)
+                          for (k2, l2), r2 in other.terms.items()))
         return MCoefficient(t)
 
     def inv(self):
@@ -93,19 +81,20 @@ class MCoefficient:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def subst_shift(self, mapping, factor_base, power_sign=1):
-        """Apply x/y substitution plus the E-rescaling of one shift."""
+    def subst_shift(self, mapping, factor_base):
+        """Apply the x/y substitution and the E-rescaling of one inverse
+        shift: E1^k E2^l picks up factor_base^-(k + l)."""
         out = {}
         for (k, l), r in self.terms.items():
-            fac = factor_base ** (power_sign * (k + l))
+            fac = factor_base ** (-(k + l))
             out[(k, l)] = r.subst(mapping) * fac
         return MCoefficient(out)
 
     def eval_float(self, assignment):
         total = 0.0
         for (k, l), r in self.terms.items():
-            total += (r.eval_float(assignment)
-                      * assignment["E1"] ** k * assignment["E2"] ** l)
+            total += (r.eval_float(assignment) * power_at(assignment, "E1", k)
+                      * power_at(assignment, "E2", l))
         return total
 
     def __str__(self):
@@ -151,9 +140,7 @@ _X, _Y, _PHI = _pol("x"), _pol("y"), _pol("phi")
 _TWO = Pol.const(M_SYMS, 2)
 _PSI = _TWO - _PHI
 
-_SHIFT_MU = {"x": _X + _PHI, "y": _Y + _PHI}
 _SHIFT_MU_INV = {"x": _X - _PHI, "y": _Y - _PHI}
-_SHIFT_NU = {"x": _X + _PSI, "y": _Y + _PSI}
 _SHIFT_NU_INV = {"x": _X - _PSI, "y": _Y - _PSI}
 _TAU_MAP = {"x": _Y, "y": _X, "p": _pol("q"), "q": _pol("p"), "phi": _PSI}
 
@@ -167,24 +154,18 @@ class MSide:
         q = _rf("q")
         p = _rf("p")
 
-        def smu(c):
-            return c.subst_shift(_SHIFT_MU, q)
-
         def smu_inv(c):
-            return c.subst_shift(_SHIFT_MU_INV, q, -1)
-
-        def snu(c):
-            return c.subst_shift(_SHIFT_NU, p)
+            return c.subst_shift(_SHIFT_MU_INV, q)
 
         def snu_inv(c):
-            return c.subst_shift(_SHIFT_NU_INV, p, -1)
+            return c.subst_shift(_SHIFT_NU_INV, p)
 
         self.pres = Presentation(
             Ring(one, zero),
             evens=[],
             odds=["mu", "nu"],
             twists={("nu", "mu"): MCoefficient.const(-1)},
-            shifts={"mu": (smu, smu_inv), "nu": (snu, snu_inv)},
+            shifts={"mu": smu_inv, "nu": snu_inv},
             name="mside",
         )
         self.p, self.q = p, q
@@ -211,12 +192,7 @@ class MSide:
         return SuperMatrix(self.x, self.mu, self.nu, self.y)
 
     def m_power(self, n):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        out = self.M()
-        for _ in range(n - 1):
-            out = out * self.M()
-        return out
+        return matrix_power(self.M(), n)
 
     # -- closed forms ----------------------------------------------------
 

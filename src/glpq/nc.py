@@ -3,7 +3,9 @@
 Elements are finite scalar-weighted sums of canonical monomials over a
 :class:`Presentation`.  Multiplication rewrites words into canonical
 order using the presentation's scalar twists and correction rules; odd
-generators are nilpotent and may carry coefficient-shift automorphisms.
+generators are nilpotent and may carry a coefficient shift: the map that
+moves a coefficient from the right of that generator to its left
+(``Presentation.cross_left``).
 
 Dead pairs: odd generators square to zero, and no rule lowers the number
 of copies of any odd generator in a word (a twist swaps two letters, a
@@ -97,7 +99,10 @@ affine beta.A -> q^-1 A.beta + (q^-1 - 1) beta keeps a live branch whose
 only odd letter is the crossing beta.  Normal forms are unique, so this
 monomial is the one the letter-by-letter build reaches.
 ``word_product`` uses it whenever it applies and appends letters
-otherwise.
+otherwise.  A canonical concatenation (the last generator of m1 comes
+before the first of m2, or both are the same even generator) has no
+crossing g > h and shares no odd generator, so the closed form returns
+it as m1 + m2 with coefficient ``one``.
 """
 
 from __future__ import annotations
@@ -107,8 +112,9 @@ from heapq import heappop, heappush
 from itertools import compress
 from operator import add
 
-from .errors import (NonInvertibleNegativePower, NotAUnit,
+from .errors import (AlgebraError, NonInvertibleNegativePower, NotAUnit,
                      PresentationMismatch, UnknownGenerator)
+from .poly import power
 
 
 class Ring:
@@ -133,6 +139,8 @@ class Presentation:
     single-unit crossing g.h -> lambda.h.g with g later than h in the
     canonical order; pairs listed in ``corrections`` (keyed by the unit
     signs of the two letters) additionally emit correction terms.
+    ``shifts[g]`` maps a coefficient standing right of the odd generator
+    g to the one standing left of it.
     """
 
     def __init__(self, ring, evens, odds, twists=None, corrections=None,
@@ -167,7 +175,7 @@ class Presentation:
             key = (gi(g), gi(h), sg, sh)
             self._check_corrections(key, words)
             self.corrections[key] = (lam, words)
-        self.shifts = {gi(g): fns for g, fns in (shifts or {}).items()}
+        self.shifts = {gi(g): fn for g, fn in (shifts or {}).items()}
         self._odd_bit = tuple(p << g for g, p in enumerate(self.parity))
         self._swaps = {(g, sg, h, sh): self._swap_rule((g, h, sg, sh))
                        for g in range(self.n_gens) for h in range(g)
@@ -553,27 +561,18 @@ class Presentation:
         Written down in closed form when every crossing of the two can
         only twist (see the module docstring); otherwise computed by
         appending the right factor letter by letter, which shares the
-        expensive reordering work across all pairs.  When the
-        last generator of ``m1`` comes before the first generator of
-        ``m2``, or both are the same even generator, the concatenation
-        is already canonical up to cancelling inverse letters, which has
-        coefficient 1: the product is the exponent sum, with no rewriting.
+        expensive reordering work across all pairs.
         """
         key = (m1, m2)
         hit = self._word_cache.get(key)
         if hit is None:
-            last = max((g for g, e in enumerate(m1) if e), default=-1)
-            first = next((g for g, e in enumerate(m2) if e), self.n_gens)
-            if last < first or (last == first and not self.parity[last]):
-                hit = ((tuple(map(add, m1, m2)), self.ring.one),)
-            else:
-                out = self._twist_product(m1, m2)
-                if out is None:
-                    out = self._append({m1: self.ring.one},
-                                       self.monomial_letters(m2))
-                if self.top is not None:
-                    out = self._cap_terms(out)
-                hit = tuple(out.items())
+            out = self._twist_product(m1, m2)
+            if out is None:
+                out = self._append({m1: self.ring.one},
+                                   self.monomial_letters(m2))
+            if self.top is not None:
+                out = self._cap_terms(out)
+            hit = tuple(out.items())
             self._word_cache[key] = hit
         return hit
 
@@ -622,7 +621,7 @@ class Presentation:
             return scalar
         for g in range(self.n_gens - 1, self.n_even - 1, -1):
             if mono[g] and g in self.shifts:
-                scalar = self.shifts[g][1](scalar)
+                scalar = self.shifts[g](scalar)
         return scalar
 
     def mono_parity(self, mono):
@@ -662,13 +661,8 @@ class Element:
     def __add__(self, other):
         self._check(other)
         t = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = t.get(m)
-            acc = c if prev is None else prev + c
-            if acc.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = acc
+        one = self.pres.ring.one
+        add_products(t, one, one, one, other.terms.items())
         return Element(self.pres, t)
 
     def __sub__(self, other):
@@ -768,23 +762,6 @@ def mul_pairs(pres, pairs, words=None, add=add_products):
     return out
 
 
-def power(one, base, n):
-    """base**n for n >= 0 by square-and-multiply, starting from ``one``.
-
-    With ``one`` None the first factor is ``base`` itself (n >= 1), so no
-    product with a unit is made; this serves scalar types that have no
-    ``__pow__``.
-    """
-    r = one
-    while n:
-        if n & 1:
-            r = base if r is None else r * base
-        n >>= 1
-        if n:
-            base = base * base
-    return r
-
-
 def commutator(x, y):
     return x * y - y * x
 
@@ -811,7 +788,7 @@ def invert_even_unit(u):
     m0, c0 = min(even_terms, key=lambda mc: (sum(abs(e) for e in mc[0]), mc[0]))
     try:
         c0_inv = c0.inv()
-    except Exception as exc:
+    except AlgebraError as exc:
         raise NotAUnit(f"pivot coefficient not invertible: {exc}") from exc
     # exact inverse of the pivot word: reversed letters with flipped signs
     rev = [(g, -e) for g, e in reversed(list(enumerate(m0))) if e]

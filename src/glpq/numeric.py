@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 
-from .coeff import TruncLaurent
 from .errors import NearPoleEvaluation
 from .report import Check, Report
 
@@ -38,13 +37,7 @@ def sample_series(rng):
 
 def eval_terms(obj, assignment):
     elem = getattr(obj, "element", obj)
-    out = {}
-    for m, c in elem.terms.items():
-        if isinstance(c, TruncLaurent):
-            out[m] = c.eval_float(assignment["t"])
-        else:
-            out[m] = c.eval_float(assignment)
-    return out
+    return {m: c.eval_float(assignment) for m, c in elem.terms.items()}
 
 
 def side_deviation(lhs, rhs, assignment):

@@ -254,15 +254,7 @@ class Pol:
             (k, c), = self.terms.items()
             return _pol(syms, {syms.pack([n * e for e in syms.unpack(k)]):
                                c ** n})
-        r = None
-        b = self
-        while True:
-            if n & 1:
-                r = b if r is None else r * b
-            n >>= 1
-            if not n:
-                return r
-            b = b * b
+        return power(None, self, n)
 
     def __eq__(self, other):
         return isinstance(other, Pol) and self.syms == other.syms and self.terms == other.terms
@@ -443,6 +435,23 @@ class Pol:
 
     def __repr__(self):
         return f"Pol({self})"
+
+
+def power(one, base, n):
+    """base**n for n >= 0 by square-and-multiply, starting from ``one``.
+
+    With ``one`` None the first factor is ``base`` itself (n >= 1), so no
+    product with a unit is made; this serves scalar types that have no
+    ``__pow__``.
+    """
+    r = one
+    while n:
+        if n & 1:
+            r = base if r is None else r * base
+        n >>= 1
+        if n:
+            base = base * base
+    return r
 
 
 def term_str(syms, exps, c, with_sign=False):

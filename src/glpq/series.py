@@ -111,7 +111,8 @@ from operator import itemgetter
 
 from .coeff import TruncLaurent, add_laurent_products, settle_laurent_sums
 from .errors import InvalidRay, NotAUnit, TruncationUnderflow
-from .nc import Element, Presentation, Ring, mul_pairs, power
+from .nc import Element, Presentation, Ring, mul_pairs
+from .poly import power
 from .report import Identity, run_exact
 from .printing import print_element
 from .supermatrix import SuperMatrix

@@ -35,13 +35,6 @@ class SuperMatrix:
         return SuperMatrix(self.a11 + other.a11, self.a12 + other.a12,
                            self.a21 + other.a21, self.a22 + other.a22)
 
-    def __sub__(self, other):
-        return SuperMatrix(self.a11 - other.a11, self.a12 - other.a12,
-                           self.a21 - other.a21, self.a22 - other.a22)
-
-    def __neg__(self):
-        return SuperMatrix(-self.a11, -self.a12, -self.a21, -self.a22)
-
     def __mul__(self, other):
         return SuperMatrix(self.a11 * other.a11 + self.a12 * other.a21,
                            self.a11 * other.a12 + self.a12 * other.a22,

@@ -8,12 +8,11 @@ identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .coeff import RatFunc
 from .errors import UnsupportedNegativeN
-from .nc import Element, Presentation, Ring, commutator, invert_even_unit
+from .nc import Presentation, Ring, commutator, invert_even_unit
 from .poly import SymbolSet
 from .report import Identity, run_exact
 from .supermatrix import (SuperMatrix, crout, sdet, sdet_factorizations,
@@ -107,7 +106,7 @@ class TSide:
             dn = dn + self.word([("d", n - k - 2), ("a", k),
                                  ("gamma", 1), ("beta", 1)],
                                 coef * self.p_inv ** k)
-        return PowerBlocks(n, an, bn, cn, dn)
+        return SuperMatrix(an, bn, cn, dn)
 
     def schur_power_rhs(self, n):
         coef = (self.q ** n - self.p ** (-n)) / (self.q - self.p_inv)
@@ -124,18 +123,6 @@ class TSide:
         coef = self.p * (self.p ** (-n) - self.q ** n) / (self.p - self.q_inv)
         return self.word([("a", n), ("d", -n)]) - self.word(
             [("a", n - 1), ("gamma", 1), ("d", -n - 1), ("beta", 1)], coef)
-
-
-@dataclass
-class PowerBlocks:
-    n: int
-    An: Element
-    Bn: Element
-    Cn: Element
-    Dn: Element
-
-    def as_matrix(self):
-        return SuperMatrix(self.An, self.Bn, self.Cn, self.Dn)
 
 
 @lru_cache(maxsize=1)
@@ -256,11 +243,10 @@ def section3_identities(n_max=8):
         yield from _matrix_identities(
             f"blocks.n={n}",
             "T^n = (a^n + F_n*beta*gamma, G_n*beta; G_n~*gamma, d^n + F_n~*gamma*beta)",
-            powers[n], blocks.as_matrix())
+            powers[n], blocks)
         pn, qn = ctx.p ** n, ctx.q ** n
         yield from gl_relation_identities(
-            f"relations.n={n}", blocks.An, blocks.Bn, blocks.Cn, blocks.Dn,
-            pn, qn)
+            f"relations.n={n}", *blocks.entries(), pn, qn)
         sd_n = sdet(powers[n])
         yield Identity(f"sdet.closed.n={n}",
                        "sdet(T^n) = a^n*d^-n - p*(p^-n - q^n)/(p - q^-1)*...",

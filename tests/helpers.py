@@ -131,7 +131,7 @@ def naive_element_product(x, y):
         for m2, c2 in y.terms.items():
             for g in reversed(range(pres.n_gens)):
                 if m1[g] and g in pres.shifts:
-                    c2 = pres.shifts[g][1](c2)
+                    c2 = pres.shifts[g](c2)
             terms = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
                                       c1 * c2)
             out = out + Element(pres, terms)

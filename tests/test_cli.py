@@ -160,6 +160,42 @@ class TestEvalCommand:
         assert main(["eval", "a", "--assign", "p=x"]) == 2
         assert "error: bad --assign pair 'p=x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_assignment_is_a_usage_error(self, value, capsys):
+        assert main(["eval", "p", "--assign", f"p={value}"]) == 2
+        assert f"error: bad --assign pair 'p={value}'" in \
+            capsys.readouterr().err
+
+    def test_mside_term_without_exponentials(self, capsys):
+        # only the terms that carry E1 or E2 read them
+        assert main(["eval", "--ctx", "mside", "x", "--assign", "x=1"]) == 0
+        assert capsys.readouterr().out.strip() == "1: 1"
+
+    @pytest.mark.parametrize("ctx, expr, assign, missing", [
+        ("series", "t", "", "t"),
+        ("mside", "E1*x", "x=1", "E1"),
+        ("tside", "p*a", "q=1", "p"),
+    ])
+    def test_missing_symbol_exit_code(self, ctx, expr, assign, missing,
+                                      capsys):
+        assert main(["eval", "--ctx", ctx, expr, "--assign", assign]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {missing}"
+
+    @pytest.mark.parametrize("ctx, expr, assign", [
+        ("series", "t^-1", "t=0"),
+        ("mside", "E1^-1", "E1=0,E2=1,p=2,q=3,phi=1,x=1,y=2"),
+        ("mside", "E2^-2*mu", "E1=1,E2=0,p=2,q=3,phi=1,x=1,y=2"),
+    ])
+    def test_zero_under_a_negative_power_exit_code(self, ctx, expr, assign,
+                                                   capsys):
+        assert main(["eval", "--ctx", ctx, expr, "--assign", assign]) == 1
+        assert "under" in capsys.readouterr().err
+
+    def test_series_eval(self, capsys):
+        assert main(["eval", "--ctx", "series", "t^-1 + 2*A",
+                     "--assign", "t=0.5"]) == 0
+        assert capsys.readouterr().out.split("\n")[:2] == ["1: 2", "A: 2"]
+
 
 class TestSuiteCommand:
     def test_small_suite_json(self, tmp_path, capsys):

@@ -329,13 +329,25 @@ class TestTruncLaurent:
 
     def test_eval_float(self):
         s = TruncLaurent.exp_of(Fraction(1), cap=12)
-        assert abs(s.eval_float(0.1) - 2.718281828459045 ** 0.1) < 1e-12
+        assert abs(s.eval_float({"t": 0.1}) - 2.718281828459045 ** 0.1) < 1e-12
 
     def test_str_and_coefficient(self):
         s = TruncLaurent(-1, (1, 0, -3), 2, 6)
         assert s.coefficient(-1) == Fraction(1, 2)
         assert s.coefficient(1) == Fraction(-3, 2)
         assert "t^-1" in str(s)
+
+    @pytest.mark.parametrize("s, text", [
+        (TruncLaurent.zero(5), "0"),
+        (TruncLaurent.const(3, 5), "3"),
+        (TruncLaurent.t_power(1, 5), "t"),
+        (TruncLaurent.t_power(-2, 5), "t^-2"),
+        (TruncLaurent(0, (1, 0, 3), 2, 6), "1/2 + 3/2*t^2"),
+        (TruncLaurent(-1, (-1, 2, -4), 4, 6), "-1/4*t^-1 + 1/2 - t"),
+        (TruncLaurent(2, (-3, 1), 1, 6), "-3*t^2 + t^3"),
+    ])
+    def test_str_golden(self, s, text):
+        assert str(s) == text
 
 
 # zero windows, negative leads, signed denominators above 1 (the

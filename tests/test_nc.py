@@ -118,6 +118,15 @@ class TestInverses:
         with pytest.raises(NotAUnit):
             invert_even_unit(ctx.a + ctx.d)
 
+    def test_programming_error_in_pivot_inverse_propagates(self,
+                                                           monkeypatch):
+        # only the algebra's own errors mean "not a unit"
+        def broken(self):
+            raise TypeError("broken inverse")
+        monkeypatch.setattr(RatFunc, "inv", broken)
+        with pytest.raises(TypeError, match="broken inverse"):
+            invert_even_unit(tside().a)
+
 
 class TestBrackets:
     def test_ad_commutator(self):
@@ -478,19 +487,37 @@ def test_dead_pairs_never_reach_word_product(name, monkeypatch):
     assert seen and not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
 
 
+def _check_concatenation(pres, m1, m2, want, monkeypatch):
+    """m1.m2 is m1 + m2 times ``ring.one``, built without rewriting;
+    ``pres`` must have fresh caches."""
+    def no_rewrite(*args):
+        raise AssertionError("a canonical concatenation was rewritten")
+
+    monkeypatch.setattr(pres, "_append", no_rewrite)
+    (mono, c), = pres.word_product(m1, m2)
+    assert mono == want and c is pres.ring.one
+
+
 @pytest.mark.parametrize("m1, m2, want", [
     ((2, 0, 0, 0), (-5, 1, 0, 0), (-3, 1, 0, 0)),      # a^2 . a^-5 d
     ((1, -2, 0, 0), (0, 0, 1, 1), (1, -2, 1, 1)),      # a d^-2 . beta gamma
     ((0, 0, 0, 0), (0, 3, 0, 1), (0, 3, 0, 1)),
 ])
 def test_canonical_concatenation_is_not_rewritten(m1, m2, want, monkeypatch):
-    pres = TSide().pres                # fresh caches
+    _check_concatenation(TSide().pres, m1, m2, want, monkeypatch)
 
-    def no_rewrite(*args):
-        raise AssertionError("a canonical concatenation was rewritten")
 
-    monkeypatch.setattr(pres, "_append", no_rewrite)
-    assert pres.word_product(m1, m2) == ((want, pres.ring.one),)
+@pytest.mark.parametrize("make, m1, m2, want", [
+    (lambda: MSide().pres, (1, 0), (0, 1), (1, 1)),
+    (lambda: MSide().pres, (0, 0), (0, 1), (0, 1)),
+    (lambda: SeriesContext(SeriesConfig()).pres.capped(8),
+     (2, 0, 0, 0), (1, 1, 0, 0), (3, 1, 0, 0)),
+    (lambda: SeriesContext(SeriesConfig()).pres.capped(8),
+     (0, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 1)),
+], ids=["mside-mu.nu", "mside-1.nu", "capped-A^2.AD", "capped-D.beta.gamma"])
+def test_canonical_concatenation_is_not_rewritten_elsewhere(make, m1, m2,
+                                                            want, monkeypatch):
+    _check_concatenation(make(), m1, m2, want, monkeypatch)
 
 
 class TestOddCountGuard:

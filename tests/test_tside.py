@@ -82,10 +82,10 @@ class TestClosedBlocks:
     def test_blocks_two(self):
         ctx = tside()
         b = ctx.closed_power_blocks(2)
-        assert b.An == ctx.a * ctx.a + ctx.beta * ctx.gamma
+        assert b.a11 == ctx.a * ctx.a + ctx.beta * ctx.gamma
         want_d = (ctx.d * ctx.d
                   - (ctx.beta * ctx.gamma).smul(ctx.q * ctx.p_inv))
-        assert b.Dn == want_d
+        assert b.a22 == want_d
 
     def test_negative_n_unsupported(self):
         with pytest.raises(UnsupportedNegativeN):
