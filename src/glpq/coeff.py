@@ -54,7 +54,7 @@ import math
 from fractions import Fraction
 
 from .errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
-                     SymbolSetMismatch, TruncationUnderflow)
+                     NumericOverflow, SymbolSetMismatch, TruncationUnderflow)
 from .poly import Pol, SymbolSet, cofactors, term_str
 
 DEFAULT_TRUNC_ORDER = 12
@@ -267,6 +267,9 @@ class RatFunc:
         d = den.eval_float(assignment)
         if abs(d) < eps:
             raise NearPoleEvaluation(f"|denominator| = {abs(d):.2e}")
+        if not math.isfinite(d):
+            # num / inf would read as 0 whatever the true quotient is
+            raise NumericOverflow("denominator outside the float range")
         return num.eval_float(assignment) / d
 
     def subst(self, mapping):

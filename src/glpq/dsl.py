@@ -268,6 +268,7 @@ def _mside_context():
                    lambda v: ctx.pres.scalar_elt(MCoefficient.const(v)))
 
 
+@lru_cache(maxsize=8)
 def _series_dsl_context(cfg=None):
     from .coeff import TruncLaurent
     from .series import SeriesConfig, series_context

@@ -25,6 +25,10 @@ class NearPoleEvaluation(AlgebraError):
     """Numeric evaluation too close to a denominator zero."""
 
 
+class NumericOverflow(AlgebraError):
+    """Numeric evaluation left the float range (a non-finite value)."""
+
+
 class ExponentOutOfRange(AlgebraError):
     """Exponent outside the range that packed exponent keys can hold."""
 

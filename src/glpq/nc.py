@@ -693,7 +693,7 @@ class Element:
     def __pow__(self, n):
         if n < 0:
             return invert_even_unit(self) ** (-n)
-        return power(self.pres.one_elt(), self, n)
+        return power(None, self, n) if n else self.pres.one_elt()
 
     # -- comparisons ----------------------------------------------------------------
 

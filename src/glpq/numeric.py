@@ -9,9 +9,10 @@ that the rewriter's normal forms are right.
 
 from __future__ import annotations
 
+import math
 import time
 
-from .errors import NearPoleEvaluation
+from .errors import NearPoleEvaluation, NumericOverflow
 from .report import Check, Report
 
 TOLERANCE = 1e-9
@@ -37,7 +38,13 @@ def sample_series(rng):
 
 def eval_terms(obj, assignment):
     elem = getattr(obj, "element", obj)
-    return {m: c.eval_float(assignment) for m, c in elem.terms.items()}
+    try:
+        values = {m: c.eval_float(assignment) for m, c in elem.terms.items()}
+    except OverflowError:
+        values = None
+    if values is None or not all(map(math.isfinite, values.values())):
+        raise NumericOverflow("coefficient outside the float range")
+    return values
 
 
 def side_deviation(lhs, rhs, assignment):

@@ -2,37 +2,41 @@
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 
 from .printing import print_element
 
 
-@dataclass
 class Identity:
     """One claimed equality; lhs and rhs support '-' and is_zero()."""
 
-    id: str
-    anchor: str
-    lhs: object
-    rhs: object
+    __slots__ = ("id", "anchor", "lhs", "rhs")
+
+    def __init__(self, id, anchor, lhs, rhs):
+        self.id = id
+        self.anchor = anchor
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
 class Check:
-    id: str
-    anchor: str
-    status: str                 # "pass" | "fail"
-    witness: str | None = None
+    __slots__ = ("id", "anchor", "status", "witness")
+
+    def __init__(self, id, anchor, status, witness=None):
+        self.id = id
+        self.anchor = anchor
+        self.status = status        # "pass" | "fail"
+        self.witness = witness
 
 
-@dataclass
 class Report:
-    suite: str
-    params: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "params", "checks", "elapsed_ms")
+
+    def __init__(self, suite, params=None, checks=None, elapsed_ms=0):
+        self.suite = suite
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
+        self.elapsed_ms = elapsed_ms
 
     @property
     def ok(self):
@@ -52,6 +56,7 @@ class Report:
         }
 
     def to_json(self, indent=2):
+        import json     # only --json output needs it: a shorter CLI start
         return json.dumps(self.to_dict(), indent=indent)
 
     def summary_lines(self, verbose=False):

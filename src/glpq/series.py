@@ -105,7 +105,7 @@ them datum for datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
 
@@ -125,26 +125,35 @@ DEFAULT_RAYS = ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2)),
                 (Fraction(3), Fraction(-1)))
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    alpha: Fraction = Fraction(1)
-    beta_ray: Fraction = Fraction(1)
-    N: int = 6                     # reporting threshold for the adic order
-    K: int = 12                    # t-order of scalar expansions
-    weight: int = 8                # total-weight cap of element arithmetic
+class SeriesConfig(namedtuple("SeriesConfig", "alpha beta_ray N K weight")):
+    """One ray of the series sector; immutable and hashable by value.
 
-    def __post_init__(self):
-        if self.alpha == 0 or self.beta_ray == 0:
+    ``N`` is the reporting threshold for the adic order, ``K`` the
+    t-order of scalar expansions and ``weight`` the total-weight cap of
+    element arithmetic.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha=Fraction(1), beta_ray=Fraction(1), N=6, K=12,
+                weight=8):
+        if alpha == 0 or beta_ray == 0:
             raise InvalidRay("ray components must be nonzero")
-        if self.alpha + self.beta_ray == 0:
+        if alpha + beta_ray == 0:
             raise InvalidRay("alpha + beta_ray must be nonzero")
-        if self.K < self.N + 2:
+        if K < N + 2:
             raise InvalidRay("K must be at least N + 2")
-        if self.weight < self.N:
+        if weight < N:
             raise InvalidRay("weight cap below the adic reporting order")
-        if self.weight >= self.K:
+        if weight >= K:
             raise InvalidRay("weight cap must be below the scalar expansion "
                              "order K")
+        return super().__new__(cls, alpha, beta_ray, N, K, weight)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace through it) skips __new__
+        return cls(*iterable)
 
 
 class TruncElement:

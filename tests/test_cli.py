@@ -191,6 +191,24 @@ class TestEvalCommand:
         assert main(["eval", "--ctx", ctx, expr, "--assign", assign]) == 1
         assert "under" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ctx, expr, assign, err", [
+        ("tside", "p^2*a", "p=1e200,q=1", "coefficient"),
+        ("tside", "((10^64)^64)*a", "p=1,q=1", "coefficient"),
+        ("series", "t^-64*A", "t=1e-5", "coefficient"),
+        ("mside", "E1^3*mu", "p=1,q=1,phi=1,x=1,y=1,E1=1e200,E2=1",
+         "coefficient"),
+        ("tside", "p*q*a", "p=1e200,q=1e200", "coefficient"),
+        # the true value is 1/2; num / inf would print 0
+        ("tside", "p^2*(p^2 + q^2)^-1*a", "p=1.1e154,q=1.1e154",
+         "denominator"),
+    ])
+    def test_overflow_exit_code(self, ctx, expr, assign, err, capsys):
+        assert main(["eval", "--ctx", ctx, expr, "--assign", assign]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == \
+            f"error: {err} outside the float range"
+
     def test_series_eval(self, capsys):
         assert main(["eval", "--ctx", "series", "t^-1 + 2*A",
                      "--assign", "t=0.5"]) == 0

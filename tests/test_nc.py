@@ -78,6 +78,29 @@ class TestElementOps:
                   - ctx.word([("beta", 1), ("beta", 1)]))
         assert lhs == oracle
 
+    def test_power_makes_no_product_with_the_unit(self, monkeypatch):
+        ctx = tside()
+        one = ctx.pres.one_elt()
+        rng = random.Random(11)
+        for _ in range(10):
+            x = random_element(rng, n_terms=2, max_len=3)
+            ref = one
+            for n in range(5):
+                assert x ** n == ref
+                ref = ref * x
+        unit_products = []
+        plain_mul = Element.__mul__
+
+        def counting_mul(a, b):
+            if a == one or b == one:
+                unit_products.append((a, b))
+            return plain_mul(a, b)
+
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        for n in range(6):
+            (ctx.a + ctx.beta) ** n
+        assert unit_products == []
+
     def test_unit_law(self):
         ctx = tside()
         rng = random.Random(9)
