@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,21 @@ class TestScalarExpansions:
         ctx = series_context(cfg_for(1, 2))
         _, f, _ = scalar_expansions(ctx)
         assert f.slices[0][(0, 0)].valuation() >= 0
+
+    def test_prefactor_digest(self):
+        # every datum of the four closed-form entries h*x, h*mu, h*nu,
+        # h*y on the five default rays at two weights, frozen
+        data = []
+        for n, k, weight in ((6, 12, 8), (8, 14, 10)):
+            for ray in DEFAULT_RAYS:
+                ctx = series_context(SeriesConfig(*ray, N=n, K=k,
+                                                  weight=weight))
+                for te in m_entries_scaled(ctx):
+                    prec, terms = trunc_dump(te)
+                    data.append((prec, sorted(terms.items())))
+        digest = hashlib.sha256(repr(data).encode()).hexdigest()
+        assert digest == ("115220ffc1b10f0e7b76a23e539799c8"
+                          "2da2f7951924663b28d16399d1272c26")
 
     def test_min_valuation_bounded(self):
         for ray in ((1, 1), (1, -3)):
