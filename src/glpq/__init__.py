@@ -1,7 +1,7 @@
 """Exact symbolic kernel for the two-parameter quantum supergroup GL_pq(1|1)."""
 
 from .coeff import RatFunc, TruncLaurent
-from .nc import Element, Presentation, Ring, anticommutator, commutator, invert_even_unit
+from .nc import Element, Presentation, anticommutator, commutator, invert_even_unit
 from .poly import Pol, SymbolSet
 from .report import Check, Identity, Report
 from .supermatrix import SuperMatrix, crout, matrix_power, sdet, sinverse
@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Check", "Element", "Identity", "Pol", "Presentation", "RatFunc",
-    "Report", "Ring", "SuperMatrix", "SymbolSet", "TruncLaurent",
+    "Report", "SuperMatrix", "SymbolSet", "TruncLaurent",
     "anticommutator", "commutator", "crout", "invert_even_unit",
     "matrix_power", "sdet", "sinverse",
 ]

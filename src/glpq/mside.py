@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .coeff import RatFunc, power_at
 from .errors import NotAUnit
-from .nc import Element, Presentation, Ring, add_products, commutator
+from .nc import Element, Presentation, add_products, commutator
 from .poly import Pol, SymbolSet
 from .report import Identity, run_exact
 from .supermatrix import SuperMatrix, matrix_power, sdet
@@ -150,7 +150,6 @@ class MSide:
 
     def __init__(self):
         one = MCoefficient.const(1)
-        zero = MCoefficient.const(0)
         q = _rf("q")
         p = _rf("p")
 
@@ -161,7 +160,7 @@ class MSide:
             return c.subst_shift(_SHIFT_NU_INV, p)
 
         self.pres = Presentation(
-            Ring(one, zero),
+            one,
             evens=[],
             odds=["mu", "nu"],
             twists={("nu", "mu"): MCoefficient.const(-1)},
@@ -173,7 +172,7 @@ class MSide:
         self.psi = _rconst(2) - self.phi
         self.x_rf, self.y_rf = _rf("x"), _rf("y")
         self.s = self.x_rf - self.y_rf
-        self.one_c, self.zero_c = one, zero
+        self.one_c = one
         self.mu = self.pres.gen("mu")
         self.nu = self.pres.gen("nu")
         self.x = self.pres.scalar_elt(MCoefficient.of(self.x_rf))

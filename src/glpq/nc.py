@@ -117,20 +117,6 @@ from .errors import (AlgebraError, NonInvertibleNegativePower, NotAUnit,
 from .poly import power
 
 
-class Ring:
-    """Minimal coefficient-ring adapter: identity elements only.
-
-    Scalars themselves carry the arithmetic (operators plus ``is_zero``
-    and ``inv``); the engine never needs more than ``one`` and ``zero``.
-    """
-
-    __slots__ = ("one", "zero")
-
-    def __init__(self, one, zero):
-        self.one = one
-        self.zero = zero
-
-
 class Presentation:
     """Generators, canonical order and rewrite data for one algebra.
 
@@ -140,12 +126,14 @@ class Presentation:
     canonical order; pairs listed in ``corrections`` (keyed by the unit
     signs of the two letters) additionally emit correction terms.
     ``shifts[g]`` maps a coefficient standing right of the odd generator
-    g to the one standing left of it.
+    g to the one standing left of it.  ``one`` is the unit of the
+    coefficients, which carry their own arithmetic (operators plus
+    ``is_zero`` and ``inv``).
     """
 
-    def __init__(self, ring, evens, odds, twists=None, corrections=None,
+    def __init__(self, one, evens, odds, twists=None, corrections=None,
                  shifts=None, name=""):
-        self.ring = ring
+        self.one = one
         self.name = name
         self.gen_names = tuple(n for n, _ in evens) + tuple(odds)
         self.n_even = len(evens)
@@ -249,7 +237,7 @@ class Presentation:
                 continue
             tails = [sum(bits[i + 1:]) for i in range(len(bits))]
             branches.append((c, tuple(letters), sum(bits), tuple(tails)))
-        return (None if lam is self.ring.one else lam), tuple(branches)
+        return (None if lam is self.one else lam), tuple(branches)
 
     def _resolve_word(self, word):
         out = []
@@ -270,7 +258,7 @@ class Presentation:
         return Element(self, {})
 
     def one_elt(self):
-        return Element(self, {(0,) * self.n_gens: self.ring.one})
+        return Element(self, {(0,) * self.n_gens: self.one})
 
     def scalar_elt(self, s):
         if s.is_zero():
@@ -282,7 +270,7 @@ class Presentation:
 
     def word_elt(self, word, coeff=None):
         """Element ``coeff * word``, built through the cached letter step."""
-        coeff = self.ring.one if coeff is None else coeff
+        coeff = self.one if coeff is None else coeff
         letters = self._letters(self._resolve_word(word))
         if coeff.is_zero():
             return self.zero_elt()
@@ -443,7 +431,7 @@ class Presentation:
             last -= 1
         if last > g:
             return None
-        return ((mono[:g] + (mono[g] + s,) + mono[g + 1:], self.ring.one),)
+        return ((mono[:g] + (mono[g] + s,) + mono[g + 1:], self.one),)
 
     def _known_step(self, mono, letter, mask, memo):
         """Terms of mono.letter without the generators in ``mask``, if a
@@ -485,7 +473,7 @@ class Presentation:
         """Frame of ``_steps`` for mono.x under ``mask``: walks down the
         prefixes to the longest one whose step is known, then builds the
         step of each longer prefix from the one below it."""
-        one = self.ring.one
+        one = self.one
         levels = []
         m = mask
         terms = self._known_step(mono, x, m, memo)
@@ -532,7 +520,7 @@ class Presentation:
     def _cap_terms(self, terms):
         """Terms with each coefficient cut to cap ``top - degree``; ``one``
         is kept as it is, so the ``is one`` shortcuts still fire."""
-        one = self.ring.one
+        one = self.one
         out = {}
         for mono, lam in terms.items():
             cap = self.top - sum(mono)
@@ -546,7 +534,7 @@ class Presentation:
     def _append(self, acc, letters):
         """Canonical terms of (sum of acc) times the letters, one letter
         at a time through the cached ``_word_step``."""
-        one = self.ring.one
+        one = self.one
         for letter in letters:
             new = {}
             for mono, sc in acc.items():
@@ -568,7 +556,7 @@ class Presentation:
         if hit is None:
             out = self._twist_product(m1, m2)
             if out is None:
-                out = self._append({m1: self.ring.one},
+                out = self._append({m1: self.one},
                                    self.monomial_letters(m2))
             if self.top is not None:
                 out = self._cap_terms(out)
@@ -606,7 +594,7 @@ class Presentation:
                     # crossings that share a scalar object share one power
                     k = counts.get(id(lam), (lam, 0))[1] + abs(eg * eh)
                     counts[id(lam)] = (lam, k)
-        one = self.ring.one
+        one = self.one
         c = one
         for key, (lam, k) in counts.items():
             lamk = self._powers.get((key, k))
@@ -661,7 +649,7 @@ class Element:
     def __add__(self, other):
         self._check(other)
         t = dict(self.terms)
-        one = self.pres.ring.one
+        one = self.pres.one
         add_products(t, one, one, one, other.terms.items())
         return Element(self.pres, t)
 
@@ -750,7 +738,7 @@ def mul_pairs(pres, pairs, words=None, add=add_products):
     for ``coeff.settle_laurent_sums``.
     """
     words = pres if words is None else words
-    one = pres.ring.one
+    one = pres.one
     odd_bit = pres._odd_bit
     out = {}
     for (m1, c1), (m2, c2) in pairs:

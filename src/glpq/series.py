@@ -62,7 +62,7 @@ steps and the sub-steps that build a letter step (the memo entries of
   window.  Where the uncut cap binds below W - g, the cut one is equal.
   So the trim sees the same caps and the same slots, and the element
   bound ``prec`` is unchanged;
-* ``ring.one`` is never cut.  ``_append`` and ``mul_pairs`` skip a
+* ``pres.one`` is never cut.  ``_append`` and ``mul_pairs`` skip a
   multiplication when a factor *is* ``one``, and a cut copy would be a
   different object, so those shortcuts would stop firing.  An uncut
   ``one`` is exact, so it needs no cap.
@@ -111,7 +111,7 @@ from operator import itemgetter
 
 from .coeff import TruncLaurent, add_laurent_products, settle_laurent_sums
 from .errors import InvalidRay, NotAUnit, TruncationUnderflow
-from .nc import Element, Presentation, Ring, mul_pairs
+from .nc import Element, Presentation, commutator, mul_pairs
 from .poly import power
 from .report import Identity, run_exact
 from .printing import print_element
@@ -266,13 +266,11 @@ class SeriesContext:
     """Per-ray bundle: scalar constants, presentation and generators."""
 
     def __init__(self, cfg: SeriesConfig):
-        self.cfg = cfg
         K = cfg.K
         self.K = K
         self.W = cfg.weight
         tl = lambda v: TruncLaurent.const(v, K)
         self.one_tl = tl(1)
-        self.zero_tl = TruncLaurent.zero(K)
         self.q = TruncLaurent.exp_of(cfg.alpha, K)
         self.p = TruncLaurent.exp_of(cfg.beta_ray, K)
         self.q_inv = TruncLaurent.exp_of(-cfg.alpha, K)
@@ -291,7 +289,7 @@ class SeriesContext:
         bg = (("beta", 1), ("gamma", 1))
         one = self.one_tl
         self.pres = Presentation(
-            Ring(one, self.zero_tl),
+            one,
             evens=[("A", False), ("D", False)],
             odds=["beta", "gamma"],
             twists={("gamma", "beta"): -(self.q * self.p_inv)},
@@ -308,6 +306,8 @@ class SeriesContext:
             },
             name=f"affine[{cfg.alpha},{cfg.beta_ray}]",
         )
+        self.even = Presentation(one, evens=[("A", False), ("D", False)],
+                                 odds=[], name="even")
         self.A = self.gen("A")
         self.D = self.gen("D")
         self.beta = self.gen("beta")
@@ -370,143 +370,72 @@ def series_context(cfg: SeriesConfig) -> SeriesContext:
 # The scalar prefactors of the closed logarithm forms are functions of a
 # and d alone.  In any product against beta*gamma the reordering
 # corrections vanish by nilpotency (the "commuting quantities" remark,
-# itself engine-verified), so these prefactors are expanded in a
-# commutative bivariate series graded by generator degree.
+# itself engine-verified), so these prefactors are expanded as Elements
+# of ``SeriesContext.even``, a presentation on A and D with no rules,
+# whose product is the commutative one.  They are graded by generator
+# degree and cut at degree W + EXPAND_MARGIN, not by weight: the
+# denominator q(1 + A) - (1 + D) has a constant term of t-valuation 1,
+# so it is no unit of the weight-truncated algebra.
 
 
-class EvenSeries:
-    """Commutative series in (A, D) over TruncLaurent, sliced by degree."""
-
-    __slots__ = ("ctx", "slices", "gmax")
-
-    def __init__(self, ctx, slices, gmax):
-        self.ctx = ctx
-        self.slices = {g: s for g, s in slices.items()
-                       if g <= gmax and any(not c.is_zero() for c in s.values())}
-        self.gmax = gmax
-
-    @staticmethod
-    def const(ctx, tl_value, gmax):
-        return EvenSeries(ctx, {0: {(0, 0): tl_value}}, gmax)
-
-    @staticmethod
-    def gen(ctx, which, gmax):
-        key = (1, 0) if which == "A" else (0, 1)
-        return EvenSeries(ctx, {1: {key: ctx.one_tl}}, gmax)
-
-    def valuation_g(self):
-        return min(self.slices, default=self.gmax + 1)
-
-    def min_val_t(self):
-        v = INF
-        for s in self.slices.values():
-            for c in s.values():
-                v = min(v, c.valuation())
-        return v
-
-    def __add__(self, other):
-        gmax = min(self.gmax, other.gmax)
-        out = {g: dict(s) for g, s in self.slices.items() if g <= gmax}
-        for g, s in other.slices.items():
-            if g > gmax:
+def _even_div(num, den, gmax):
+    """Graded solve of z * den = num through generator degree ``gmax``;
+    ``den`` needs an invertible constant term."""
+    c0 = den.terms.get((0, 0))
+    if c0 is None or c0.is_zero():
+        raise TruncationUnderflow("denominator has no constant term")
+    c0_inv = c0.inv()
+    num_by, den_by = {}, {}
+    for by, e in ((num_by, num), (den_by, den)):
+        for m, c in e.terms.items():
+            by.setdefault(sum(m), {})[m] = c
+    out = {}
+    for g in range(gmax + 1):
+        acc = dict(num_by.get(g, {}))
+        for j in range(1, g + 1):
+            dj = den_by.get(j)
+            zg = out.get(g - j)
+            if not dj or not zg:
                 continue
-            tgt = out.setdefault(g, {})
-            for ik, c in s.items():
-                tgt[ik] = tgt[ik] + c if ik in tgt else c
-        return EvenSeries(self.ctx, out, gmax)
-
-    def __neg__(self):
-        return EvenSeries(self.ctx,
-                          {g: {ik: -c for ik, c in s.items()}
-                           for g, s in self.slices.items()}, self.gmax)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        gmax = min(self.gmax + other.valuation_g(),
-                   other.gmax + self.valuation_g(), INF)
-        out = {}
-        for g1, s1 in self.slices.items():
-            for g2, s2 in other.slices.items():
-                g = g1 + g2
-                if g > gmax:
-                    continue
-                tgt = out.setdefault(g, {})
-                for (i1, k1), c1 in s1.items():
-                    for (i2, k2), c2 in s2.items():
-                        ik = (i1 + i2, k1 + k2)
-                        c = c1 * c2
-                        tgt[ik] = tgt[ik] + c if ik in tgt else c
-        return EvenSeries(self.ctx, out, gmax)
-
-    def scal(self, tl_value):
-        return EvenSeries(self.ctx,
-                          {g: {ik: c * tl_value for ik, c in s.items()}
-                           for g, s in self.slices.items()}, self.gmax)
-
-    def __truediv__(self, den):
-        """Graded solve of z * den = self; den needs an invertible
-        constant slice."""
-        c0 = den.slices.get(0, {}).get((0, 0))
-        if c0 is None or c0.is_zero():
-            raise TruncationUnderflow("denominator has no constant slice")
-        c0_inv = c0.inv()
-        gmax = min(self.gmax, den.gmax)
-        out = {}
-        for g in range(gmax + 1):
-            acc = dict(self.slices.get(g, {}))
-            for j in range(1, g + 1):
-                dj = den.slices.get(j)
-                zg = out.get(g - j)
-                if not dj or not zg:
-                    continue
-                for (i1, k1), c1 in zg.items():
-                    for (i2, k2), c2 in dj.items():
-                        ik = (i1 + i2, k1 + k2)
-                        c = c1 * c2
-                        acc[ik] = acc[ik] - c if ik in acc else -c
-            slice_g = {ik: c * c0_inv for ik, c in acc.items()
-                       if not c.is_zero()}
-            if slice_g:
-                out[g] = slice_g
-        return EvenSeries(self.ctx, out, gmax)
-
-    def to_element(self, odd_bits=(0, 0), scalar=None):
-        """Attach an odd tail; the result is trusted on the full weight
-        window because gmax exceeds the cap by the expansion margin."""
-        ctx = self.ctx
-        if self.gmax < ctx.W + EXPAND_MARGIN:
-            raise TruncationUnderflow("even expansion shallower than the cap")
-        if self.min_val_t() < -(EXPAND_MARGIN - 1):
-            raise TruncationUnderflow("even expansion too singular to embed")
-        eb, gb = odd_bits
-        terms = {}
-        for g, s in self.slices.items():
-            for (i, k), c in s.items():
-                if scalar is not None:
-                    c = c * scalar
-                if not c.is_zero():
-                    terms[(i, k, eb, gb)] = c
-        return TruncElement(ctx, Element(ctx.pres, terms), ctx.W)
+            for (i1, k1), c1 in zg.items():
+                for (i2, k2), c2 in dj.items():
+                    ik = (i1 + i2, k1 + k2)
+                    c = c1 * c2
+                    acc[ik] = acc[ik] - c if ik in acc else -c
+        slice_g = {ik: c * c0_inv for ik, c in acc.items()
+                   if not c.is_zero()}
+        if slice_g:
+            out[g] = slice_g
+    return Element(num.pres, {m: c for s in out.values()
+                              for m, c in s.items()})
 
 
-def _ln_one_plus(ctx, which, gmax):
-    slices = {}
-    key = (1, 0) if which == "A" else (0, 1)
-    for n in range(1, gmax + 1):
-        coef = ctx.tl(Fraction((-1) ** (n + 1), n))
-        slices[n] = {(key[0] * n, key[1] * n): coef}
-    return EvenSeries(ctx, slices, gmax)
+def _embed(ctx, e, odd_bits=(0, 0), scalar=None):
+    """The even expansion ``e`` times the odd monomial ``odd_bits`` (and
+    ``scalar``) as a truncated element; trusted on the full weight window
+    because the expansion runs EXPAND_MARGIN degrees past the cap."""
+    if min((c.valuation() for c in e.terms.values()), default=INF) \
+            < -(EXPAND_MARGIN - 1):
+        raise TruncationUnderflow("even expansion too singular to embed")
+    eb, gb = odd_bits
+    terms = {}
+    for (i, k), c in e.terms.items():
+        if scalar is not None:
+            c = c * scalar
+        if not c.is_zero():
+            terms[(i, k, eb, gb)] = c
+    return TruncElement(ctx, Element(ctx.pres, terms), ctx.W)
 
 
 def scalar_expansions(ctx, swapped=False):
     """Even-sector prefactors of the matrix-logarithm closed forms.
 
-    Returns (ln_first, f_series, g_series).  ``swapped`` produces the
-    image under the parameter exchange (second diagonal entry).
+    Returns (ln_first, f_series, g_series), Elements of ``ctx.even``.
+    ``swapped`` produces the image under the parameter exchange (second
+    diagonal entry).
     """
     gmax = ctx.W + EXPAND_MARGIN
+    ev = ctx.even
     if not swapped:
         first, second = "A", "D"
         qq, qq_inv, pp_inv = ctx.q, ctx.q_inv, ctx.p_inv
@@ -515,22 +444,25 @@ def scalar_expansions(ctx, swapped=False):
         first, second = "D", "A"
         qq, qq_inv, pp_inv = ctx.p, ctx.p_inv, ctx.q_inv
         ln_qq, ln_pp = ctx.h2, ctx.h1
-    one = EvenSeries.const(ctx, ctx.one_tl, gmax)
-    g1 = one + EvenSeries.gen(ctx, first, gmax)
-    g2 = one + EvenSeries.gen(ctx, second, gmax)
-    ln_g1 = _ln_one_plus(ctx, first, gmax)
-    ln_g2 = _ln_one_plus(ctx, second, gmax)
-    ln_q_inv_g2 = ln_g2 + EvenSeries.const(ctx, -ln_qq, gmax)
-    ln_pq_inv_g1 = ln_g1 + EvenSeries.const(ctx, -(ln_qq + ln_pp), gmax)
-    den_q = g1.scal(qq) - g2
-    den_p = g1.scal(pp_inv) - g2
-    piece1 = ln_g1 / (g1 * den_q)
-    piece2 = ln_pq_inv_g1 / (g1 * den_p)
-    piece3 = ln_q_inv_g2 / (den_p * den_q)
+    g1 = ev.one_elt() + ev.gen(first)
+    g2 = ev.one_elt() + ev.gen(second)
+    # ln(1 + X) through degree gmax
+    ln_g1, ln_g2 = (
+        Element(ev, {(n, 0) if x == "A" else (0, n):
+                     ctx.tl(Fraction((-1) ** (n + 1), n))
+                     for n in range(1, gmax + 1)})
+        for x in (first, second))
+    ln_q_inv_g2 = ln_g2 + ev.scalar_elt(-ln_qq)
+    ln_pq_inv_g1 = ln_g1 + ev.scalar_elt(-(ln_qq + ln_pp))
+    den_q = g1.smul(qq) - g2
+    den_p = g1.smul(pp_inv) - g2
+    piece1 = _even_div(ln_g1, g1 * den_q, gmax)
+    piece2 = _even_div(ln_pq_inv_g1, g1 * den_p, gmax)
+    piece3 = _even_div(ln_q_inv_g2, den_p * den_q, gmax)
     q2 = qq * qq
-    f_series = (piece1 - piece2).scal(q2 * (qq - pp_inv).inv()) \
-        + piece3.scal(q2)
-    g_series = (ln_g1 - ln_q_inv_g2) / (g1 - g2.scal(qq_inv))
+    f_series = (piece1 - piece2).smul(q2 * (qq - pp_inv).inv()) \
+        + piece3.smul(q2)
+    g_series = _even_div(ln_g1 - ln_q_inv_g2, g1 - g2.smul(qq_inv), gmax)
     return ln_g1, f_series, g_series
 
 
@@ -578,10 +510,10 @@ def m_entries_scaled(ctx):
     ln_a, f_q, g_q = scalar_expansions(ctx, swapped=False)
     ln_d, f_p, g_p = scalar_expansions(ctx, swapped=True)
     gb_twist = -(ctx.q * ctx.p_inv)        # gamma*beta -> twist * beta*gamma
-    hx = ln_a.to_element() + f_q.to_element((1, 1))
-    hy = ln_d.to_element() + f_p.to_element((1, 1), scalar=gb_twist)
-    hmu = g_q.to_element((1, 0))
-    hnu = g_p.to_element((0, 1))
+    hx = _embed(ctx, ln_a) + _embed(ctx, f_q, (1, 1))
+    hy = _embed(ctx, ln_d) + _embed(ctx, f_p, (1, 1), gb_twist)
+    hmu = _embed(ctx, g_q, (1, 0))
+    hnu = _embed(ctx, g_p, (0, 1))
     return hx, hmu, hnu, hy
 
 
@@ -641,13 +573,13 @@ def series_identities(cfg):
     phi_h, psi_h = ctx.phi * ctx.h, ctx.psi * ctx.h
     zero = ctx.zero_te()
     brackets = [
-        ("x.mu", "[x, mu] = phi*mu", _comm(hx, hmu), hmu.smul(phi_h)),
-        ("y.mu", "[y, mu] = phi*mu", _comm(hy, hmu), hmu.smul(phi_h)),
+        ("x.mu", "[x, mu] = phi*mu", commutator(hx, hmu), hmu.smul(phi_h)),
+        ("y.mu", "[y, mu] = phi*mu", commutator(hy, hmu), hmu.smul(phi_h)),
         ("mu.sq", "mu^2 = 0", hmu * hmu, zero),
-        ("x.nu", "[x, nu] = psi*nu", _comm(hx, hnu), hnu.smul(psi_h)),
-        ("y.nu", "[y, nu] = psi*nu", _comm(hy, hnu), hnu.smul(psi_h)),
+        ("x.nu", "[x, nu] = psi*nu", commutator(hx, hnu), hnu.smul(psi_h)),
+        ("y.nu", "[y, nu] = psi*nu", commutator(hy, hnu), hnu.smul(psi_h)),
         ("nu.sq", "nu^2 = 0", hnu * hnu, zero),
-        ("x.y", "x*y - y*x = 0", _comm(hx, hy), zero),
+        ("x.y", "x*y - y*x = 0", commutator(hx, hy), zero),
         ("mu.nu", "mu*nu + nu*mu = 0", hmu * hnu + hnu * hmu, zero),
     ]
     for tag, anchor, lhs, rhs in brackets:
@@ -657,18 +589,18 @@ def series_identities(cfg):
     ln_a = hx - _odd_part(hx)
     ln_d = hy - _odd_part(hy)
     yield Identity("bracket.lna.beta", "[ln a, beta] = h1*beta",
-                   _comm(ln_a, ctx.beta), ctx.beta.smul(ctx.h1))
+                   commutator(ln_a, ctx.beta), ctx.beta.smul(ctx.h1))
     yield Identity("bracket.lnd.beta", "[ln d, beta] = h1*beta",
-                   _comm(ln_d, ctx.beta), ctx.beta.smul(ctx.h1))
+                   commutator(ln_d, ctx.beta), ctx.beta.smul(ctx.h1))
     yield Identity("bracket.lna.gamma", "[ln a, gamma] = h2*gamma",
-                   _comm(ln_a, ctx.gamma), ctx.gamma.smul(ctx.h2))
+                   commutator(ln_a, ctx.gamma), ctx.gamma.smul(ctx.h2))
     yield Identity("bracket.lnd.gamma", "[ln d, gamma] = h2*gamma",
-                   _comm(ln_d, ctx.gamma), ctx.gamma.smul(ctx.h2))
+                   commutator(ln_d, ctx.gamma), ctx.gamma.smul(ctx.h2))
 
     # the diagonal commutator split into its three displayed pieces
-    x_mix = _comm(ln_a, ln_d)
-    y_mix = _comm(ln_a, _odd_part(hy))
-    z_mix = _comm(ln_d, _odd_part(hx))
+    x_mix = commutator(ln_a, ln_d)
+    y_mix = commutator(ln_a, _odd_part(hy))
+    z_mix = commutator(ln_d, _odd_part(hx))
     witness_word = (ctx.gamma * ctx.invert_unit(ctx.one_te() + ctx.A)
                     * ctx.beta * ctx.invert_unit(ctx.one_te() + ctx.D))
     four_h2 = (ctx.h * ctx.h) * 4
@@ -687,7 +619,7 @@ def series_identities(cfg):
     st = hx - hy
     for tag, g in (("x", hx), ("y", hy), ("mu", hmu), ("nu", hnu)):
         yield Identity(f"supertrace.central.{tag}", f"[x - y, {tag}] = 0",
-                       _comm(st, g), zero)
+                       commutator(st, g), zero)
 
     hm = SuperMatrix(hx, hmu, hnu, hy)
     rebuilt = exp_matrix(ctx, hm)
@@ -700,11 +632,7 @@ def series_identities(cfg):
         yield Identity("specialize.phi", "phi = 1 on the equal-ray",
                        ctx.scalar_te(ctx.phi), ctx.one_te())
         yield Identity("specialize.bracket", "[x, mu] = mu when h1 = h2",
-                       _comm(hx, hmu), hmu.smul(ctx.h))
-
-
-def _comm(a, b):
-    return a * b - b * a
+                       commutator(hx, hmu), hmu.smul(ctx.h))
 
 
 def _odd_part(te):

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .coeff import RatFunc
 from .errors import UnsupportedNegativeN
-from .nc import Presentation, Ring, commutator, invert_even_unit
+from .nc import Presentation, commutator, invert_even_unit
 from .poly import SymbolSet
 from .report import Identity, run_exact
 from .supermatrix import (SuperMatrix, crout, sdet, sdet_factorizations,
@@ -25,7 +25,6 @@ class TSide:
     def __init__(self):
         syms = SymbolSet(("p", "q"))
         one = RatFunc.const(syms, 1)
-        zero = RatFunc.const(syms, 0)
         p = RatFunc.symbol(syms, "p")
         q = RatFunc.symbol(syms, "q")
         p_inv, q_inv = p.inv(), q.inv()
@@ -40,7 +39,7 @@ class TSide:
                                         (("a", -2), ("d", -2)) + bg)]),
         }
         self.pres = Presentation(
-            Ring(one, zero),
+            one,
             evens=[("a", True), ("d", True)],
             odds=["beta", "gamma"],
             twists={
@@ -54,7 +53,7 @@ class TSide:
             name="tside",
         )
         self.syms = syms
-        self.one, self.zero = one, zero
+        self.one = one
         self.p, self.q = p, q
         self.p_inv, self.q_inv = p_inv, q_inv
         self.pq = pq

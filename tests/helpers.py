@@ -144,7 +144,7 @@ def naive_product(a, b):
     TruncLaurent ``*`` and ``+``; the trim discards what lies outside
     the window."""
     pres = a.pres
-    one = pres.ring.one
+    one = pres.one
     out = {}
     for m1, c1 in a.element.terms.items():
         for m2, c2 in b.element.terms.items():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.errors import NonInvertibleNegativePower, NotAUnit, PresentationMismatch
-from glpq.nc import (Element, Presentation, Ring, anticommutator, commutator,
+from glpq.nc import (Element, Presentation, anticommutator, commutator,
                      invert_even_unit)
 from glpq.mside import MCoefficient, MSide, mside, verify_mside
 from glpq.poly import SymbolSet
@@ -307,7 +307,7 @@ def test_word_product_matches_naive(name, data):
     m1 = data.draw(_monomials((pres, left, scalars)))
     m2 = data.draw(_monomials((pres, right, scalars)))
     want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
-                             pres.ring.one)
+                             pres.one)
     assert dict(pres.word_product(m1, m2)) == want
     if _shares_odd(pres, m1, m2):
         assert want == {}
@@ -343,7 +343,7 @@ def test_closed_form_fires_on_the_naive_draws(name, monkeypatch):
                   + tuple(rng.randint(0, 1) for _ in range(odds))
                   for ranges in (left, right))
         want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
-                                 pres.ring.one)
+                                 pres.one)
         assert dict(pres.word_product(m1, m2)) == want
     assert True in results and False in results
 
@@ -357,7 +357,7 @@ def test_closed_form_fires_on_the_naive_draws(name, monkeypatch):
 def test_closed_form_fires(name, m1, m2, n_terms):
     pres = FRESH[name]()
     want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
-                             pres.ring.one)
+                             pres.one)
     assert pres._twist_product(m1, m2) == want and len(want) == n_terms
     assert dict(pres.word_product(m1, m2)) == want
 
@@ -377,7 +377,7 @@ def test_closed_form_fires(name, m1, m2, n_terms):
 def test_closed_form_declines(name, m1, m2, n_terms):
     pres = FRESH[name]()
     want = naive_normal_form(pres, mono_units(m1) + mono_units(m2),
-                             pres.ring.one)
+                             pres.one)
     assert pres._twist_product(m1, m2) is None and len(want) == n_terms
     assert dict(pres.word_product(m1, m2)) == want
 
@@ -411,7 +411,7 @@ def test_closed_form_matches_letter_by_letter_on_the_suites(monkeypatch):
             list(series_identities(SeriesConfig(*ray)))
     fired = set()
     for (_, m1, m2), (pres, out) in made.items():
-        one = pres.ring.one
+        one = pres.one
         built = pres._append({m1: one}, pres.monomial_letters(m2))
         if pres.top is not None:
             built = pres._cap_terms(built)
@@ -452,7 +452,7 @@ def test_element_product_matches_naive(name, data):
 def test_word_steps_never_call_reduce(word, monkeypatch):
     # _reduce is the uncached reference behind normalize, off the hot path
     pres = TSide().pres                # fresh caches
-    want = naive_normal_form(pres, _word_units(pres, word), pres.ring.one)
+    want = naive_normal_form(pres, _word_units(pres, word), pres.one)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a letter step ran _reduce")
@@ -462,7 +462,7 @@ def test_word_steps_never_call_reduce(word, monkeypatch):
     m1 = pres.word_elt(word[:1]).terms.popitem()[0]
     m2 = pres.word_elt(word[1:2]).terms.popitem()[0]
     assert dict(pres.word_product(m1, m2)) == naive_normal_form(
-        pres, mono_units(m1) + mono_units(m2), pres.ring.one)
+        pres, mono_units(m1) + mono_units(m2), pres.one)
 
 
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
@@ -472,7 +472,7 @@ def test_reduce_merges_equal_pending_words(strategy):
     pres = series_context(SeriesConfig(Fraction(1), Fraction(2))).pres
     word = [("beta", 1), ("A", 14)]
     t0 = time.perf_counter()
-    got = pres.normalize(word, pres.ring.one, strategy)
+    got = pres.normalize(word, pres.one, strategy)
     assert time.perf_counter() - t0 < 0.5
     want = pres.word_elt(word).terms
     assert {m: laurent_dump(c) for m, c in got.items()} == {
@@ -504,8 +504,8 @@ def test_dead_pairs_never_reach_word_product(name, monkeypatch):
 
     monkeypatch.setattr(Presentation, "word_product", counting)
     odd = (0,) * pres.n_even + (1,) * (pres.n_gens - pres.n_even)
-    full = Element(pres, {(0,) * pres.n_gens: pres.ring.one,
-                          odd: pres.ring.one})
+    full = Element(pres, {(0,) * pres.n_gens: pres.one,
+                          odd: pres.one})
     assert full * full == naive_element_product(full, full)
     assert seen and not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
 
@@ -518,7 +518,7 @@ def _check_concatenation(pres, m1, m2, want, monkeypatch):
 
     monkeypatch.setattr(pres, "_append", no_rewrite)
     (mono, c), = pres.word_product(m1, m2)
-    assert mono == want and c is pres.ring.one
+    assert mono == want and c is pres.one
 
 
 @pytest.mark.parametrize("m1, m2, want", [
@@ -550,7 +550,7 @@ class TestOddCountGuard:
     def _pres(self, word):
         syms = SymbolSet(("p",))
         one = RatFunc.const(syms, 1)
-        return Presentation(Ring(one, RatFunc.const(syms, 0)),
+        return Presentation(one,
                             evens=[("x", True)], odds=["b", "c"],
                             corrections={("b", "x", 1, 1): (one, [(one, word)])})
 

@@ -1,7 +1,10 @@
-"""Every public function and method of the package has a caller.
+"""Every public function and method of the package has a caller, and
+every attribute that a class of the package stores is read.
 
 A name counts as called when it appears, as a whole word, anywhere in
-src/, tests/ or perfbench/ outside its own ``def`` line.
+src/, tests/ or perfbench/ outside its own ``def`` line.  An attribute
+counts as read when some file there loads an attribute of that name, or
+holds a string constant equal to it (``getattr``, ``__slots__``).
 """
 
 import ast
@@ -27,6 +30,35 @@ def _public_defs():
                     yield f"{prefix}.{fn.name}", fn.name
 
 
+def _stored_attributes():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    yield f"{path.stem}.{cls.name}.{node.attr}", node.attr
+
+
+def _read_names():
+    names = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    names.add(node.value)
+    return names
+
+
 def _uses(name, corpus):
     pattern = re.compile(rf"\b{re.escape(name)}\b")
     own_def = re.compile(rf"^\s*(async\s+)?def\s+{re.escape(name)}\b")
@@ -41,3 +73,10 @@ def test_every_public_function_has_a_caller():
     uncalled = sorted(qual for qual, name in _public_defs()
                       if not _uses(name, corpus))
     assert uncalled == [], f"public functions nothing calls: {uncalled}"
+
+
+def test_every_stored_attribute_is_read():
+    read = _read_names()
+    unread = sorted({qual for qual, name in _stored_attributes()
+                     if name not in read})
+    assert unread == [], f"stored attributes nothing reads: {unread}"

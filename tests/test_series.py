@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glpq.coeff import TruncLaurent
-from glpq.errors import InvalidRay
+from glpq.errors import InvalidRay, TruncationUnderflow
 from glpq.nc import Element, Presentation
 from glpq.printing import print_element
 from glpq.report import Identity
-from glpq.series import (DEFAULT_RAYS, SeriesConfig, TruncElement,
-                         closed_tminus_powers, exp_matrix, log_partial_sums,
+from glpq.series import (DEFAULT_RAYS, EXPAND_MARGIN, SeriesConfig,
+                         TruncElement, _embed, _even_div, closed_tminus_powers, exp_matrix, log_partial_sums,
                          log_T, m_entries_scaled, m_from_T, scalar_expansions,
                          series_context, series_identities, verify_series)
 from glpq.supermatrix import SuperMatrix
@@ -54,13 +54,13 @@ class TestScalarExpansions:
         ctx = series_context(cfg_for(1, 2))
         _, _, g = scalar_expansions(ctx)
         oracle = ctx.h1 * (ctx.one_tl - ctx.q_inv).inv()
-        assert (g.slices[0][(0, 0)] - oracle).is_zero()
+        assert (g.terms[(0, 0)] - oracle).is_zero()
 
     def test_f_at_unit_arguments_is_finite(self):
         # the two simple-pole pieces cancel, leaving a t-regular value
         ctx = series_context(cfg_for(1, 2))
         _, f, _ = scalar_expansions(ctx)
-        assert f.slices[0][(0, 0)].valuation() >= 0
+        assert f.terms[(0, 0)].valuation() >= 0
 
     def test_prefactor_digest(self):
         # every datum of the four closed-form entries h*x, h*mu, h*nu,
@@ -82,8 +82,8 @@ class TestScalarExpansions:
             ctx = series_context(cfg_for(*ray))
             for swapped in (False, True):
                 _, f, g = scalar_expansions(ctx, swapped)
-                assert f.min_val_t() >= -2
-                assert g.min_val_t() >= -2
+                for e in (f, g):
+                    assert min(c.valuation() for c in e.terms.values()) >= -2
 
 
 class TestLogSeries:
@@ -239,6 +239,57 @@ def test_pruned_product_matches_naive(a, b):
     assert trunc_dump(a * b) == trunc_dump(naive_product(a, b))
 
 
+# -- the graded solve and the embedding of the even prefactors --------------
+
+EVEN = PRUNE_CTX.even
+_nonzero_coeffs = _coeffs.filter(lambda c: not c.is_zero())
+
+
+def _even_elements(min_degree):
+    return st.builds(
+        lambda terms: Element(EVEN, {m: c for m, c in terms.items()
+                                     if not c.is_zero()}),
+        st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                        .filter(lambda m: sum(m) >= min_degree),
+                        _coeffs, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_even_elements(0), _even_elements(1), _nonzero_coeffs,
+       st.integers(0, 6))
+def test_even_div_solves_through_its_degree(x, tail, c0, gmax):
+    # z * den - x vanishes through degree gmax; summed with plain series
+    # arithmetic, since an Element drops a zero coefficient and the cap
+    # that came with it
+    den = tail + EVEN.scalar_elt(c0)
+    z = _even_div(x, den, gmax)
+    assert all(sum(m) <= gmax for m in z.terms)
+    resid = {}
+    for m, c in x.terms.items():
+        resid[m] = -c
+    for (i1, k1), c1 in z.terms.items():
+        for (i2, k2), c2 in den.terms.items():
+            m, c = (i1 + i2, k1 + k2), c1 * c2
+            resid[m] = resid[m] + c if m in resid else c
+    assert all(c.is_zero() for m, c in resid.items() if sum(m) <= gmax)
+
+
+def test_even_div_needs_a_constant_term():
+    num = EVEN.one_elt() + EVEN.gen("D")
+    with pytest.raises(TruncationUnderflow, match="no constant term"):
+        _even_div(num, EVEN.gen("A") + EVEN.gen("D"), 4)
+
+
+def test_embed_rejects_a_too_singular_expansion():
+    ctx = PRUNE_CTX
+    lowest = ctx.even.scalar_elt(TruncLaurent.t_power(-(EXPAND_MARGIN - 1),
+                                                       ctx.K))
+    assert _embed(ctx, lowest, (1, 0)).element.terms == {
+        (0, 0, 1, 0): lowest.terms[(0, 0)]}
+    with pytest.raises(TruncationUnderflow, match="too singular"):
+        _embed(ctx, lowest.smul(ctx.h_inv))
+
+
 @pytest.mark.parametrize("ray", DEFAULT_RAYS, ids=lambda r: f"{r[0]},{r[1]}")
 def test_identities_match_naive_product_and_power(ray, monkeypatch):
     # every identity operand, built with the pruned product and
@@ -270,15 +321,19 @@ def test_weight_cap_leaves_identities_unchanged(ray, monkeypatch):
 
     tops = set()
     word_product = Presentation.word_product
+    affine = series_context(cfg).pres.corrections
 
     def recording(pres, m1, m2):
-        tops.add(pres.top)
+        # the even prefactors live in a presentation of their own, with
+        # no rules and no weight cap
+        if pres.corrections is affine:
+            tops.add(pres.top)
         return word_product(pres, m1, m2)
 
     with monkeypatch.context() as m:
         m.setattr(Presentation, "word_product", recording)
         capped = dump()
-    # every series product read its words from a capped view
+    # every product of the affine rules read its words from a capped view
     assert tops and None not in tops
     monkeypatch.setattr(Presentation, "capped", lambda pres, top: pres)
     assert capped == dump()
@@ -290,7 +345,7 @@ def test_capped_view_shares_rules_not_caches():
     assert pres.capped(PRUNE_CTX.W + 1) is view and view is not pres
     assert view.corrections is pres.corrections
     assert view._word_cache is not pres._word_cache
-    one = pres.ring.one
+    one = pres.one
     # beta.A^3 rewrites into four terms; their scalars keep t^(top - deg)
     for mono, lam in view.word_product((0, 0, 1, 0), (3, 0, 0, 0)):
         assert lam is one or lam.cap <= view.top - sum(mono)
