@@ -456,6 +456,7 @@ def scalar_expansions(ctx, swapped=False):
     ln_pq_inv_g1 = ln_g1 + ev.scalar_elt(-(ln_qq + ln_pp))
     den_q = g1.smul(qq) - g2
     den_p = g1.smul(pp_inv) - g2
+    # the denominators have degree 2 at most, so only the solve needs a cut
     piece1 = _even_div(ln_g1, g1 * den_q, gmax)
     piece2 = _even_div(ln_pq_inv_g1, g1 * den_p, gmax)
     piece3 = _even_div(ln_q_inv_g2, den_p * den_q, gmax)
