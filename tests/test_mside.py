@@ -1,8 +1,11 @@
+import hashlib
 import random
 
-from glpq.mside import (MCoefficient, mside, resolve_f_placement,
-                        verify_mside)
+from glpq.dsl import evaluate
+from glpq.mside import (MCoefficient, mside, mside_identities,
+                        resolve_f_placement, verify_mside)
 from glpq.nc import commutator
+from glpq.printing import print_element
 from glpq.supermatrix import sdet
 
 
@@ -111,3 +114,38 @@ def test_suite_small():
     rep = verify_mside(3)
     assert rep.ok
     assert rep.params["f_placement"] == "right"
+
+
+# Factors of the printed-form corpus: negative E powers, sums of several
+# E monomials, denominators with several terms, and both odd generators,
+# so that mu and nu cross every kind of coefficient.
+_CORPUS_FACTORS = ("E1", "E2", "E1^-1", "E2^-2", "(E1 + x*E2)",
+                   "(E1 - 2*E2)", "(x - y + phi)^-1", "(x + 1)^-1", "x", "y",
+                   "phi", "psi", "p", "q^-1", "(x - y)", "3/2", "mu", "nu")
+
+
+def _mside_corpus(seed=14, n=300):
+    """A seeded list of sums of up to three products of the factors."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        expr = ""
+        for i in range(rng.randint(1, 3)):
+            word = "*".join(rng.choice(_CORPUS_FACTORS)
+                            for _ in range(rng.randint(1, 4)))
+            expr += (rng.choice((" + ", " - ")) if i else "") + word
+        out.append(expr)
+    return out
+
+
+def test_printed_forms_digest():
+    # the canonical prints of both sides of every suite identity and of
+    # the corpus; any change to the mside scalars must keep them
+    lines = []
+    for ident in mside_identities(10):
+        lines += [print_element(ident.lhs), print_element(ident.rhs)]
+    lines += [print_element(evaluate(e, "mside")) for e in _mside_corpus()]
+    assert len(lines) == 446
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == \
+        "07ddf9d99dbacf372d687727033d9b6f09495abf34ffe650c2a6f3ea73f0585b"
