@@ -402,12 +402,10 @@ def _even_div(num, den, gmax):
                     ik = (i1 + i2, k1 + k2)
                     c = c1 * c2
                     acc[ik] = acc[ik] - c if ik in acc else -c
-        slice_g = {ik: c * c0_inv for ik, c in acc.items()
-                   if not c.is_zero()}
-        if slice_g:
-            out[g] = slice_g
+        # a zero keeps its cap: the later degrees read it
+        out[g] = {ik: c * c0_inv for ik, c in acc.items()}
     return Element(num.pres, {m: c for s in out.values()
-                              for m, c in s.items()})
+                              for m, c in s.items() if not c.is_zero()})
 
 
 def _embed(ctx, e, odd_bits=(0, 0), scalar=None):

@@ -274,6 +274,20 @@ def test_even_div_solves_through_its_degree(x, tail, c0, gmax):
     assert all(c.is_zero() for m, c in resid.items() if sum(m) <= gmax)
 
 
+def test_even_div_keeps_the_cap_of_a_cancelled_coefficient():
+    # the A*D slice cancels to zero, known only through t^3; the A*D^2
+    # coefficient that reads it is known through t^4, not t^6
+    ev = series_context(SeriesConfig(1, 2)).even
+    num = Element(ev, {(1, 0): TruncLaurent(-1, (-1,), 1, 6),
+                       (2, 0): TruncLaurent(-1, (1,), 1, 2),
+                       (1, 1): TruncLaurent(-1, (-2,), 1, 7)})
+    den = Element(ev, {(0, 0): TruncLaurent(0, (1,), 1, 10),
+                       (0, 1): TruncLaurent(0, (2,), 1, 5),
+                       (0, 2): TruncLaurent(2, (-1, 0, 1), 1, 7)})
+    c = _even_div(num, den, 3).terms[(1, 2)]
+    assert (c.lead, c.nums, c.den, c.cap) == (1, (-1, 0, 1), 1, 4)
+
+
 def test_even_div_needs_a_constant_term():
     num = EVEN.one_elt() + EVEN.gen("D")
     with pytest.raises(TruncationUnderflow, match="no constant term"):
