@@ -38,6 +38,12 @@ class TestNormalizeCommand:
     def test_unknown_identifier_exit_code(self):
         assert main(["normalize", "--ctx", "tside", "zz*a"]) == 2
 
+    @pytest.mark.parametrize("expr", ["(E1 + E2)^-1", "(x*E1 + E2)^-1*mu"])
+    def test_sum_of_exponentials_is_not_a_unit(self, expr, capsys):
+        assert main(["normalize", "--ctx", "mside", expr]) == 1
+        assert "only single exponential terms are invertible" in \
+            capsys.readouterr().err
+
     def test_zero_denominator_exit_code(self, capsys):
         assert main(["normalize", "1/0"]) == 2
         assert "error: zero denominator" in capsys.readouterr().err
