@@ -46,6 +46,15 @@ and ``den`` times the monomial that clears the negative exponents of
 ``num``.  That is the coprime polynomial pair with positive leading
 coefficient, since a monomial shift keeps both the graded-lex order and
 the sign of the leading coefficient.
+
+Laurent symbols (``SymbolSet(names, laurent=...)``, the exponentials E1,
+E2 of :mod:`glpq.mside`) never enter ``den``: sums and products cancel
+only factors of denominators, and :meth:`RatFunc.subst` must map each to
+a monomial.  ``inv`` then inverts only a numerator with one monomial in
+them (else :class:`~glpq.errors.NotAUnit`), and the printer and
+``eval_float`` go part by part: the numerator split by that monomial,
+in ascending order of its exponents, each part reduced over ``den`` by
+itself, as in ``(1/2*x + 1/2)*E1^-1 + x*E2``.
 """
 
 from __future__ import annotations
@@ -54,8 +63,9 @@ import math
 from fractions import Fraction
 
 from .errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
-                     NumericOverflow, SymbolSetMismatch, TruncationUnderflow)
-from .poly import Pol, SymbolSet, cofactors, term_str
+                     NotAUnit, NumericOverflow, SymbolSetMismatch,
+                     TruncationUnderflow)
+from .poly import _MASK, Pol, SymbolSet, _pol, cofactors, term_str
 
 DEFAULT_TRUNC_ORDER = 12
 POLE_EPS = 1e-6
@@ -96,6 +106,18 @@ def _cancel(n, d):
     return n.shift(delta), d
 
 
+def _laurent_groups(num):
+    """Dict: the Laurent symbols' fields of a key (``syms.laurent``) ->
+    the terms of ``num`` whose keys have those fields.  The fields hold
+    biased exponents, so the dict keys sort as the exponent tuples."""
+    shifts = num.syms.shifts
+    mask = sum(_MASK << shifts[i] for i in num.syms.laurent)
+    groups = {}
+    for k, c in num.terms.items():
+        groups.setdefault(k & mask, {})[k] = c
+    return groups
+
+
 class RatFunc:
     """Rational function in canonical form (see the module docstring).
 
@@ -108,7 +130,7 @@ class RatFunc:
     hashes like, its ``int`` or ``Fraction`` value.
     """
 
-    __slots__ = ("num", "den", "_hash", "_cleared")
+    __slots__ = ("num", "den", "_hash", "_cleared", "_parts")
 
     def __init__(self, num: Pol, den: Pol, reduce=True):
         if num.syms is not den.syms and num.syms != den.syms:
@@ -215,6 +237,9 @@ class RatFunc:
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero rational function")
+        if self.syms.laurent and len(_laurent_groups(self.num)) > 1:
+            # the denominator would hold a Laurent symbol
+            raise NotAUnit("only single exponential terms are invertible")
         if len(self.num.terms) == 1:
             # (c x^a)^-1 * den = sign(c) x^-a den / |c|, which is coprime
             # since den shares no integer factor with c
@@ -260,9 +285,44 @@ class RatFunc:
         self._cleared = num, den
         return self._cleared
 
+    def _laurent_parts(self):
+        """``((mono, r), ...)``: the parts of the numerator by their monomial
+        in the Laurent symbols, ``mono`` its nonzero ``(name, exponent)``
+        pairs, ``r`` the part over that monomial reduced over ``den``;
+        in ascending order of the exponents, and kept once computed."""
+        try:
+            return self._parts
+        except AttributeError:
+            pass
+        syms, den = self.syms, self.den
+        groups = _laurent_groups(self.num)
+        parts = []
+        for g in sorted(groups):
+            e = syms.unpack(next(iter(groups[g])))
+            delta = sum(e[i] * syms.units[i] for i in syms.laurent)
+            num = _pol(syms, {k - delta: c for k, c in groups[g].items()})
+            # one part is the whole numerator over a monomial: coprime
+            parts.append((tuple((syms.names[i], e[i]) for i in syms.laurent
+                                if e[i]),
+                          _rf(num, den) if len(groups) == 1
+                          else _rf(*_cancel(num, den))))
+        self._parts = tuple(parts)
+        return self._parts
+
     # -- evaluation / substitution ---------------------------------------------
 
     def eval_float(self, assignment, eps=POLE_EPS):
+        if not self.syms.laurent:
+            return self._eval_float(assignment, eps)
+        total = 0.0
+        for mono, r in self._laurent_parts():
+            v = r._eval_float(assignment, eps)
+            for name, e in mono:
+                v *= power_at(assignment, name, e)
+            total += v
+        return total
+
+    def _eval_float(self, assignment, eps):
         num, den = self.cleared()
         d = den.eval_float(assignment)
         if abs(d) < eps:
@@ -280,6 +340,24 @@ class RatFunc:
     # -- printing -----------------------------------------------------------------
 
     def __str__(self):
+        if not self.syms.laurent:
+            return self._plain_str()
+        out = []
+        for mono, r in self._laurent_parts():
+            rs = r._plain_str()
+            es = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
+            if not es:
+                body = rs
+            elif rs in ("1", "-1"):
+                body = rs[:-1] + es
+            else:
+                body = f"({rs})*{es}" if " " in rs else f"{rs}*{es}"
+            if out:
+                body = "- " + body[1:] if body[0] == "-" else "+ " + body
+            out.append(body)
+        return " ".join(out) or "0"
+
+    def _plain_str(self):
         num, den = self.num, self.den
         if len(den.terms) == 1:
             dc = den.const_value()

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DslSyntaxError, UnknownIdentifier
+from .nc import commutator
 from .printing import print_element
 
 # largest |n| accepted in ``factor ^ n``; the paper's powers stay far below
@@ -235,8 +236,7 @@ class Context:
         if kind == "mul":
             return self.eval(node[1]) * self.eval(node[2])
         if kind == "brk":
-            a, b = self.eval(node[1]), self.eval(node[2])
-            return a * b - b * a
+            return commutator(self.eval(node[1]), self.eval(node[2]))
         if kind == "pow":
             return self.eval(node[1]) ** node[2]
         raise ValueError(f"unknown node {kind}")
@@ -256,16 +256,17 @@ def _tside_context():
 
 @lru_cache(maxsize=8)
 def _mside_context():
-    from .mside import MCoefficient, mside
+    from .coeff import RatFunc
+    from .mside import M_SYMS, mside
     ctx = mside()
+    sc = ctx.pres.scalar_elt
     bindings = {
         "x": ctx.x, "y": ctx.y, "mu": ctx.mu, "nu": ctx.nu,
-        "p": ctx.scalar(ctx.p), "q": ctx.scalar(ctx.q),
-        "phi": ctx.scalar(ctx.phi), "psi": ctx.scalar(ctx.psi),
-        "E1": ctx.scalar(ctx.E1), "E2": ctx.scalar(ctx.E2),
+        "p": sc(ctx.p), "q": sc(ctx.q), "phi": sc(ctx.phi),
+        "psi": sc(ctx.psi), "E1": sc(ctx.E1), "E2": sc(ctx.E2),
     }
     return Context("mside", bindings,
-                   lambda v: ctx.pres.scalar_elt(MCoefficient.const(v)))
+                   lambda v: sc(RatFunc.const(M_SYMS, v)))
 
 
 @lru_cache(maxsize=8)

@@ -1,24 +1,28 @@
 """Exact model of the exponent algebra behind the group parametrization.
 
-Coefficients are rational functions in x, y over Q(p, q, phi) extended by
-central invertible symbols E1, E2 (standing for the exponentials of h.x
-and h.y); the odd generators mu, nu act on coefficients through shift
-automorphisms, so the bracket relations hold exactly without any series
-truncation.  psi is always materialized as 2 - phi.
+A coefficient is a :class:`~glpq.coeff.RatFunc` over p, q, phi, x, y and
+the central invertible E1, E2 (the exponentials of h.x and h.y), which
+are Laurent symbols: they stay out of denominators, and only a single
+monomial in them is invertible.  The odd generators mu, nu act on
+coefficients through shift automorphisms, one substitution each: moving
+a coefficient left across mu maps x, y -> x - phi, y - phi and E1, E2 ->
+q^-1 E1, q^-1 E2 (across nu: psi and p).  So the bracket relations hold
+exactly, without any series truncation.  psi is always materialized as
+2 - phi.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import RatFunc, power_at
-from .errors import NotAUnit
-from .nc import Element, Presentation, add_products, commutator
+from .coeff import RatFunc
+from .nc import Element, Presentation, commutator
 from .poly import Pol, SymbolSet
 from .report import Identity, run_exact
 from .supermatrix import SuperMatrix, matrix_power, sdet
 
-M_SYMS = SymbolSet(("p", "q", "phi", "x", "y"))
+M_SYMS = SymbolSet(("p", "q", "phi", "x", "y", "E1", "E2"),
+                   laurent=("E1", "E2"))
 
 
 def _rf(name, exp=1):
@@ -29,145 +33,50 @@ def _rconst(c):
     return RatFunc.const(M_SYMS, c)
 
 
-_ONE = _rconst(1)       # the exact unit that add_products multiplies past
+def _pol(name, exp=1):
+    return Pol.symbol(M_SYMS, name, exp)
 
 
-class MCoefficient:
-    """Finite sum r(x,y,p,q,phi) * E1^k * E2^l with exact RatFunc weights."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {kl: r for kl, r in terms.items() if not r.is_zero()}
-
-    @staticmethod
-    def const(c):
-        return MCoefficient({(0, 0): _rconst(c)})
-
-    @staticmethod
-    def of(r, k=0, l=0):
-        return MCoefficient({(k, l): r})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        add_products(t, _ONE, _ONE, _ONE, other.terms.items())
-        return MCoefficient(t)
-
-    def __neg__(self):
-        return MCoefficient({kl: -r for kl, r in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            other = MCoefficient.of(other)
-        t = {}
-        for (k1, l1), r1 in self.terms.items():
-            add_products(t, _ONE, r1, _ONE,
-                         (((k1 + k2, l1 + l2), r2)
-                          for (k2, l2), r2 in other.terms.items()))
-        return MCoefficient(t)
-
-    def inv(self):
-        if len(self.terms) != 1:
-            raise NotAUnit("only single exponential terms are invertible")
-        ((k, l), r), = self.terms.items()
-        return MCoefficient({(-k, -l): r.inv()})
-
-    def __eq__(self, other):
-        return isinstance(other, MCoefficient) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def subst_shift(self, mapping, factor_base):
-        """Apply the x/y substitution and the E-rescaling of one inverse
-        shift: E1^k E2^l picks up factor_base^-(k + l)."""
-        out = {}
-        for (k, l), r in self.terms.items():
-            fac = factor_base ** (-(k + l))
-            out[(k, l)] = r.subst(mapping) * fac
-        return MCoefficient(out)
-
-    def eval_float(self, assignment):
-        total = 0.0
-        for (k, l), r in self.terms.items():
-            total += (r.eval_float(assignment) * power_at(assignment, "E1", k)
-                      * power_at(assignment, "E2", l))
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (k, l) in sorted(self.terms):
-            r = self.terms[(k, l)]
-            rs = str(r)
-            es = []
-            if k:
-                es.append("E1" if k == 1 else f"E1^{k}")
-            if l:
-                es.append("E2" if l == 1 else f"E2^{l}")
-            if not es:
-                body = rs
-            elif rs == "1":
-                body = "*".join(es)
-            elif rs == "-1":
-                body = "-" + "*".join(es)
-            else:
-                if " " in rs:
-                    rs = f"({rs})"
-                body = "*".join([rs] + es)
-            if parts:
-                if body.startswith("-"):
-                    parts.append("- " + body[1:])
-                else:
-                    parts.append("+ " + body)
-            else:
-                parts.append(body)
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"MCoefficient({self})"
-
-
-def _pol(name):
-    return Pol.symbol(M_SYMS, name)
-
-
-_X, _Y, _PHI = _pol("x"), _pol("y"), _pol("phi")
+_X, _Y, _PHI, _E1, _E2 = map(_pol, ("x", "y", "phi", "E1", "E2"))
 _TWO = Pol.const(M_SYMS, 2)
 _PSI = _TWO - _PHI
 
-_SHIFT_MU_INV = {"x": _X - _PHI, "y": _Y - _PHI}
-_SHIFT_NU_INV = {"x": _X - _PSI, "y": _Y - _PSI}
-_TAU_MAP = {"x": _Y, "y": _X, "p": _pol("q"), "q": _pol("p"), "phi": _PSI}
+# a coefficient moved left across mu (nu): the inverse shift
+_SHIFT_MU_INV = {"x": _X - _PHI, "y": _Y - _PHI,
+                 "E1": _pol("q", -1) * _E1, "E2": _pol("q", -1) * _E2}
+_SHIFT_NU_INV = {"x": _X - _PSI, "y": _Y - _PSI,
+                 "E1": _pol("p", -1) * _E1, "E2": _pol("p", -1) * _E2}
+_TAU_MAP = {"x": _Y, "y": _X, "p": _pol("q"), "q": _pol("p"), "phi": _PSI,
+            "E1": _E2, "E2": _E1}
+
+
+def _shift_mu_inv_rf(r):
+    return r.subst(_SHIFT_MU_INV)
+
+
+def _shift_nu_inv_rf(r):
+    return r.subst(_SHIFT_NU_INV)
+
+
+def _shift_munu_inv_rf(r):
+    """Both inverse shifts at once, for a coefficient free of E1, E2."""
+    return r.subst({"x": _X - _TWO, "y": _Y - _TWO})
 
 
 class MSide:
     """Bundle: presentation, generators and the closed power forms."""
 
     def __init__(self):
-        one = MCoefficient.const(1)
-        q = _rf("q")
-        p = _rf("p")
-
-        def smu_inv(c):
-            return c.subst_shift(_SHIFT_MU_INV, q)
-
-        def snu_inv(c):
-            return c.subst_shift(_SHIFT_NU_INV, p)
-
+        one = _rconst(1)
         self.pres = Presentation(
             one,
             evens=[],
             odds=["mu", "nu"],
-            twists={("nu", "mu"): MCoefficient.const(-1)},
-            shifts={"mu": smu_inv, "nu": snu_inv},
+            twists={("nu", "mu"): _rconst(-1)},
+            shifts={"mu": _shift_mu_inv_rf, "nu": _shift_nu_inv_rf},
             name="mside",
         )
-        self.p, self.q = p, q
+        self.p, self.q = _rf("p"), _rf("q")
         self.phi = _rf("phi")
         self.psi = _rconst(2) - self.phi
         self.x_rf, self.y_rf = _rf("x"), _rf("y")
@@ -175,17 +84,11 @@ class MSide:
         self.one_c = one
         self.mu = self.pres.gen("mu")
         self.nu = self.pres.gen("nu")
-        self.x = self.pres.scalar_elt(MCoefficient.of(self.x_rf))
-        self.y = self.pres.scalar_elt(MCoefficient.of(self.y_rf))
-        self.E1 = MCoefficient.of(_rconst(1), 1, 0)
-        self.E2 = MCoefficient.of(_rconst(1), 0, 1)
+        self.x = self.pres.scalar_elt(self.x_rf)
+        self.y = self.pres.scalar_elt(self.y_rf)
+        self.E1, self.E2 = _rf("E1"), _rf("E2")
 
     # -- basic builders ------------------------------------------------
-
-    def scalar(self, r):
-        if isinstance(r, RatFunc):
-            r = MCoefficient.of(r)
-        return self.pres.scalar_elt(r)
 
     def M(self):
         return SuperMatrix(self.x, self.mu, self.nu, self.y)
@@ -210,14 +113,10 @@ class MSide:
     def tau_rf(self, r):
         return r.subst(_TAU_MAP)
 
-    def tau_coeff(self, c):
-        return MCoefficient({(l, k): self.tau_rf(r)
-                             for (k, l), r in c.terms.items()})
-
     def tau_elt(self, e):
         t = {}
         for (em, en), c in e.terms.items():
-            nc = self.tau_coeff(c)
+            nc = self.tau_rf(c)
             if em and en:
                 nc = -nc        # swapping both odd letters costs a sign
             t[(en, em)] = nc
@@ -227,45 +126,25 @@ class MSide:
 
     def build_T_from_M(self):
         s, phi, psi, p, q = self.s, self.phi, self.psi, self.p, self.q
+        E1, E2 = self.E1, self.E2
         pq = p * q
         half = _rconst(1) / _rconst(2)
         den = ((s + phi) * (s - psi)).inv()
-        w_a = self.scalar(MCoefficient({
-            (1, 0): (phi + pq * psi) * half - (pq - _rconst(1)) * half * s,
-            (0, 1): -p,
-        }))
-        w_d = self.scalar(MCoefficient({
-            (0, 1): (psi + pq * phi) * half + (pq - _rconst(1)) * half * s,
-            (1, 0): -q,
-        }))
-        mu_nu = self.mu * self.nu
-        nu_mu = self.nu * self.mu
-        a = self.scalar(self.E1) - (mu_nu * w_a).smul(MCoefficient.of(den))
-        d = self.scalar(self.E2) - (nu_mu * w_d).smul(MCoefficient.of(den))
-        b = (self.mu * self.scalar(MCoefficient({(1, 0): q,
-                                                 (0, 1): -_rconst(1)})))\
-            .smul(MCoefficient.of((s + phi).inv()))
-        c = (self.nu * self.scalar(MCoefficient({(0, 1): p,
-                                                 (1, 0): -_rconst(1)})))\
-            .smul(MCoefficient.of((psi - s).inv()))
+        sc = self.pres.scalar_elt
+        w_a = sc(((phi + pq * psi) * half - (pq - _rconst(1)) * half * s) * E1
+                 - p * E2)
+        w_d = sc(((psi + pq * phi) * half + (pq - _rconst(1)) * half * s) * E2
+                 - q * E1)
+        a = sc(E1) - (self.mu * self.nu * w_a).smul(den)
+        d = sc(E2) - (self.nu * self.mu * w_d).smul(den)
+        b = (self.mu * sc(q * E1 - E2)).smul((s + phi).inv())
+        c = (self.nu * sc(p * E2 - E1)).smul((psi - s).inv())
         return SuperMatrix(a, b, c, d)
 
 
 @lru_cache(maxsize=1)
 def mside():
     return MSide()
-
-
-def _shift_mu_inv_rf(r):
-    return r.subst(_SHIFT_MU_INV)
-
-
-def _shift_nu_inv_rf(r):
-    return r.subst(_SHIFT_NU_INV)
-
-
-def _shift_munu_inv_rf(r):
-    return r.subst({"x": _X - _TWO, "y": _Y - _TWO})
 
 
 def power_block_identities(n_max=8):
@@ -285,12 +164,12 @@ def power_block_identities(n_max=8):
         g = ctx.g_closed(n)
         f_tau = ctx.tau_rf(f)
         g_tau = ctx.tau_rf(g)
-        lhs_a = ctx.scalar(MCoefficient.of(ctx.x_rf ** n)) - \
-            (ctx.mu * ctx.nu).smul(MCoefficient.of(_shift_munu_inv_rf(f)))
-        lhs_d = ctx.scalar(MCoefficient.of(ctx.y_rf ** n)) - \
-            (ctx.nu * ctx.mu).smul(MCoefficient.of(_shift_munu_inv_rf(f_tau)))
-        lhs_b = ctx.mu.smul(MCoefficient.of(_shift_mu_inv_rf(g)))
-        lhs_c = ctx.nu.smul(MCoefficient.of(_shift_nu_inv_rf(g_tau)))
+        lhs_a = ctx.pres.scalar_elt(ctx.x_rf ** n) - \
+            (ctx.mu * ctx.nu).smul(_shift_munu_inv_rf(f))
+        lhs_d = ctx.pres.scalar_elt(ctx.y_rf ** n) - \
+            (ctx.nu * ctx.mu).smul(_shift_munu_inv_rf(f_tau))
+        lhs_b = ctx.mu.smul(_shift_mu_inv_rf(g))
+        lhs_c = ctx.nu.smul(_shift_nu_inv_rf(g_tau))
         yield Identity(f"power.A.n={n}", "M^n_11 = x^n - mu*nu*F_n",
                        m.a11, lhs_a)
         yield Identity(f"power.B.n={n}", "M^n_12 = mu*G_n", m.a12, lhs_b)
@@ -309,10 +188,9 @@ def resolve_f_placement(n_probe=4):
     ctx = mside()
     m = ctx.m_power(n_probe)
     f = ctx.f_closed(n_probe)
-    target = m.a11 - ctx.scalar(MCoefficient.of(ctx.x_rf ** n_probe))
-    right = (ctx.mu * ctx.nu).smul(
-        MCoefficient.of(_shift_munu_inv_rf(f))).__neg__()
-    left = (ctx.mu * ctx.nu).smul(MCoefficient.of(f)).__neg__()
+    target = m.a11 - ctx.pres.scalar_elt(ctx.x_rf ** n_probe)
+    right = -(ctx.mu * ctx.nu).smul(_shift_munu_inv_rf(f))
+    left = -(ctx.mu * ctx.nu).smul(f)
     right_ok = (target - right).is_zero()
     left_ok = (target - left).is_zero()
     if right_ok and not left_ok:
@@ -325,19 +203,17 @@ def resolve_f_placement(n_probe=4):
 def relation_identities():
     """The defining brackets of the exponent algebra, plus their tau images."""
     ctx = mside()
-    phi_c = MCoefficient.of(ctx.phi)
-    psi_c = MCoefficient.of(ctx.psi)
     zero = ctx.pres.zero_elt()
     rels = [
         ("x.mu", "[x, mu] = phi*mu", commutator(ctx.x, ctx.mu),
-         ctx.mu.smul(phi_c)),
+         ctx.mu.smul(ctx.phi)),
         ("y.mu", "[y, mu] = phi*mu", commutator(ctx.y, ctx.mu),
-         ctx.mu.smul(phi_c)),
+         ctx.mu.smul(ctx.phi)),
         ("mu.sq", "mu^2 = 0", ctx.mu * ctx.mu, zero),
         ("x.nu", "[x, nu] = psi*nu", commutator(ctx.x, ctx.nu),
-         ctx.nu.smul(psi_c)),
+         ctx.nu.smul(ctx.psi)),
         ("y.nu", "[y, nu] = psi*nu", commutator(ctx.y, ctx.nu),
-         ctx.nu.smul(psi_c)),
+         ctx.nu.smul(ctx.psi)),
         ("nu.sq", "nu^2 = 0", ctx.nu * ctx.nu, zero),
         ("x.y", "x*y - y*x = 0", commutator(ctx.x, ctx.y), zero),
         ("mu.nu", "mu*nu + nu*mu = 0",
@@ -365,27 +241,25 @@ def group_matrix_identities():
     ctx = mside()
     T = ctx.build_T_from_M()
     a, b, c, d = T.a11, T.a12, T.a21, T.a22
-    p_c = MCoefficient.of(ctx.p)
-    q_c = MCoefficient.of(ctx.q)
-    pq_inv = MCoefficient.of(ctx.p * ctx.q.inv())
+    pq_inv = ctx.p * ctx.q.inv()
     zero = ctx.pres.zero_elt()
     rels = [
-        ("a.beta", "a*beta = q*beta*a", a * b, (b * a).smul(q_c)),
-        ("d.beta", "d*beta = q*beta*d", d * b, (b * d).smul(q_c)),
-        ("a.gamma", "a*gamma = p*gamma*a", a * c, (c * a).smul(p_c)),
-        ("d.gamma", "d*gamma = p*gamma*d", d * c, (c * d).smul(p_c)),
+        ("a.beta", "a*beta = q*beta*a", a * b, (b * a).smul(ctx.q)),
+        ("d.beta", "d*beta = q*beta*d", d * b, (b * d).smul(ctx.q)),
+        ("a.gamma", "a*gamma = p*gamma*a", a * c, (c * a).smul(ctx.p)),
+        ("d.gamma", "d*gamma = p*gamma*d", d * c, (c * d).smul(ctx.p)),
         ("beta.gamma", "beta*gamma + p*q^-1*gamma*beta = 0",
          b * c + (c * b).smul(pq_inv), zero),
         ("beta.sq", "beta^2 = 0", b * b, zero),
         ("gamma.sq", "gamma^2 = 0", c * c, zero),
         ("ad.commutator", "a*d - d*a = (p - q^-1)*gamma*beta",
          commutator(a, d),
-         (c * b).smul(MCoefficient.of(ctx.p - ctx.q.inv()))),
+         (c * b).smul(ctx.p - ctx.q.inv())),
     ]
     for tag, anchor, lhs, rhs in rels:
         yield Identity(f"group.{tag}", anchor, lhs, rhs)
     yield Identity("group.sdet", "sdet(T) = E1*E2^-1",
-                   sdet(T), ctx.scalar(ctx.E1 * ctx.E2.inv()))
+                   sdet(T), ctx.pres.scalar_elt(ctx.E1 * ctx.E2.inv()))
     # the tau involution squares to the identity on the entries
     for name, e in (("a", a), ("beta", b), ("gamma", c), ("d", d)):
         yield Identity(f"tau.involution.{name}", "tau(tau(e)) = e",

@@ -49,18 +49,22 @@ EXPONENT_BOUND = 1 << (FIELD_BITS - 2)
 
 class SymbolSet:
     """Ordered set of commuting symbol names, with the packing constants
-    of its exponent keys (see the module docstring)."""
+    of its exponent keys (see the module docstring).  ``laurent`` names
+    the symbols kept out of every denominator (see :mod:`glpq.coeff`)."""
 
     __slots__ = ("names", "index", "zero", "shifts", "units", "top",
-                 "_offset")
+                 "_offset", "laurent")
 
-    def __init__(self, names):
+    def __init__(self, names, laurent=()):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
+        if not set(laurent) <= set(names):
+            raise ValueError("Laurent symbols must be among the names")
         n = len(names)
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
+        self.laurent = tuple(self.index[name] for name in laurent)
         self.shifts = tuple((n - 1 - i) * FIELD_BITS for i in range(n))
         self.top = n * FIELD_BITS         # position of the degree field
         # key step of one unit of exponent i: its field and the degree
@@ -96,13 +100,15 @@ class SymbolSet:
         return len(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, SymbolSet) and self.names == other.names
+        return (isinstance(other, SymbolSet) and self.names == other.names
+                and self.laurent == other.laurent)
 
     def __hash__(self):
-        return hash(self.names)
+        return hash((self.names, self.laurent))
 
     def __repr__(self):
-        return f"SymbolSet{self.names}"
+        lau = tuple(self.names[i] for i in self.laurent)
+        return f"SymbolSet{self.names}" + (f" laurent={lau}" if lau else "")
 
 
 def _bound_message(e):

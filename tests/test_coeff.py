@@ -9,7 +9,7 @@ from glpq import poly
 from glpq.coeff import (RatFunc, TruncLaurent, add_laurent_products,
                          settle_laurent_sums)
 from glpq.errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
-                         TruncationUnderflow)
+                         NotAUnit, TruncationUnderflow)
 from glpq.poly import Pol, SymbolSet, cofactors, poly_gcd
 
 from helpers import (laurent_dump, naive_laurent_add, naive_laurent_mul,
@@ -279,6 +279,31 @@ class TestScalarContracts:
                   r_sym("q").inv(), r_sym("p") / (r_sym("p") * r_sym("q"))):
             assert r == q_inv and hash(r) == hash(q_inv)
             assert r.den.is_one() and str(r) == "q^-1"
+
+    def test_laurent_declaration_is_part_of_the_symbol_set(self):
+        plain, lau = SymbolSet(["x", "E"]), SymbolSet(["x", "E"], ["E"])
+        assert plain != lau and hash(plain) != hash(lau)
+        assert lau == SymbolSet(("x", "E"), ("E",))
+        assert hash(lau) == hash(SymbolSet(("x", "E"), ("E",)))
+        with pytest.raises(ValueError):
+            SymbolSet(["x"], ["E"])
+
+    def test_only_one_laurent_monomial_is_invertible(self):
+        syms = SymbolSet(["x", "E"], ["E"])
+        x, e = RatFunc.symbol(syms, "x"), RatFunc.symbol(syms, "E")
+        assert ((x + 1) * e ** -2).inv() == e ** 2 / (x + 1)
+        assert ((x + 1) * e ** -2).inv().den == (x + 1).num
+        with pytest.raises(NotAUnit):
+            (x + e).inv()
+
+    def test_laurent_parts_print_and_evaluate_apart(self):
+        syms = SymbolSet(["x", "E"], ["E"])
+        x, e = RatFunc.symbol(syms, "x"), RatFunc.symbol(syms, "E")
+        r = (x * x - 1) / (x * 2 + 2) * e ** -1 + x * e + (x + 1).inv() * 3
+        assert str(r) == "(1/2*x - 1/2)*E^-1 + 3*(x + 1)^-1 + x*E"
+        assert r.eval_float({"x": 3.0, "E": 2.0}) == 0.5 + 0.75 + 6.0
+        with pytest.raises(NearPoleEvaluation, match="under E\\^-1"):
+            r.eval_float({"x": 3.0, "E": 0.0})
 
     def test_trunc_laurent_is_unhashable(self):
         a = TruncLaurent.const(1, 12) + TruncLaurent.t_power(5, 12)

@@ -1,8 +1,11 @@
 import hashlib
 import random
 
+import pytest
+
 from glpq.dsl import evaluate
-from glpq.mside import (MCoefficient, mside, mside_identities,
+from glpq.coeff import RatFunc
+from glpq.mside import (M_SYMS, mside, mside_identities,
                         resolve_f_placement, verify_mside)
 from glpq.nc import commutator
 from glpq.printing import print_element
@@ -19,10 +22,10 @@ class TestPowers:
     def test_square_entries(self):
         ctx = mside()
         m = ctx.m_power(2)
-        assert m.a11 == ctx.scalar(MCoefficient.of(ctx.x_rf ** 2)) + \
+        assert m.a11 == ctx.pres.scalar_elt(ctx.x_rf ** 2) + \
             ctx.mu * ctx.nu
         # x*mu + mu*y in canonical left-coefficient form
-        want = ctx.mu.smul(MCoefficient.of(ctx.x_rf + ctx.y_rf - ctx.phi))
+        want = ctx.mu.smul(ctx.x_rf + ctx.y_rf - ctx.phi)
         assert m.a12 == want
 
     def test_power_additivity(self):
@@ -35,7 +38,7 @@ class TestPowers:
     def test_f2_is_minus_one(self):
         ctx = mside()
         f2 = ctx.f_closed(2)
-        minus_one = MCoefficient.const(-1).terms[(0, 0)]
+        minus_one = RatFunc.const(M_SYMS, -1)
         assert f2 == minus_one
         assert ctx.tau_rf(f2) == minus_one
 
@@ -89,7 +92,7 @@ class TestGroupMatrix:
     def test_sdet_is_exponential_of_supertrace(self):
         ctx = mside()
         T = ctx.build_T_from_M()
-        assert sdet(T) == ctx.scalar(ctx.E1 * ctx.E2.inv())
+        assert sdet(T) == ctx.pres.scalar_elt(ctx.E1 * ctx.E2.inv())
 
     def test_zero_exponent_collapse(self):
         # with mu = nu = 0 and x = y = 0 the matrix reduces to the identity
@@ -114,6 +117,26 @@ def test_suite_small():
     rep = verify_mside(3)
     assert rep.ok
     assert rep.params["f_placement"] == "right"
+
+
+class TestScalarContract:
+    @pytest.mark.parametrize("left, right", [
+        ("(E1*x)*(x)^-1", "E1"),
+        ("(x + 1)^-1*E1 + (x - y + phi)^-1*E2^-1 + x*E1",
+         "x*E1 + (x - y + phi)^-1*E2^-1 + (x + 1)^-1*E1"),
+        ("(E1 + x*E2)*(E1 - 2*E2)", "E1^2 + (x - 2)*E1*E2 - 2*x*E2^2"),
+    ])
+    def test_equal_scalars_hash_equal(self, left, right):
+        a = evaluate(left, "mside").terms[(0, 0)]
+        b = evaluate(right, "mside").terms[(0, 0)]
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_exponential_quotient_round_trips(self):
+        e = evaluate("E1*E2^-1", "mside")
+        printed = print_element(e)
+        assert printed == "E1*E2^-1"
+        assert evaluate(printed, "mside") == e
 
 
 # Factors of the printed-form corpus: negative E powers, sums of several

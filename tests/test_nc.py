@@ -10,7 +10,7 @@ from glpq.coeff import RatFunc, TruncLaurent
 from glpq.errors import NonInvertibleNegativePower, NotAUnit, PresentationMismatch
 from glpq.nc import (Element, Presentation, anticommutator, commutator,
                      invert_even_unit)
-from glpq.mside import MCoefficient, MSide, mside, verify_mside
+from glpq.mside import M_SYMS, MSide, mside, verify_mside
 from glpq.poly import SymbolSet
 from glpq.printing import print_element
 from glpq.series import (DEFAULT_RAYS, SeriesConfig, SeriesContext,
@@ -233,8 +233,8 @@ def _tside_case():
 
 def _mside_case():
     m = mside()
-    scalars = [m.one_c, MCoefficient.of(m.x_rf), MCoefficient.of(m.y_rf - m.phi),
-               m.E1, m.E2 * MCoefficient.of(m.x_rf), MCoefficient.const(3)]
+    scalars = [m.one_c, m.x_rf, m.y_rf - m.phi,
+               m.E1, m.E2 * m.x_rf, RatFunc.const(M_SYMS, 3)]
     return m.pres, (), scalars
 
 
