@@ -241,7 +241,6 @@ def group_matrix_identities():
     ctx = mside()
     T = ctx.build_T_from_M()
     a, b, c, d = T.a11, T.a12, T.a21, T.a22
-    pq_inv = ctx.p * ctx.q.inv()
     zero = ctx.pres.zero_elt()
     rels = [
         ("a.beta", "a*beta = q*beta*a", a * b, (b * a).smul(ctx.q)),
@@ -249,7 +248,7 @@ def group_matrix_identities():
         ("a.gamma", "a*gamma = p*gamma*a", a * c, (c * a).smul(ctx.p)),
         ("d.gamma", "d*gamma = p*gamma*d", d * c, (c * d).smul(ctx.p)),
         ("beta.gamma", "beta*gamma + p*q^-1*gamma*beta = 0",
-         b * c + (c * b).smul(pq_inv), zero),
+         b * c + (c * b).smul(ctx.p * ctx.q.inv()), zero),
         ("beta.sq", "beta^2 = 0", b * b, zero),
         ("gamma.sq", "gamma^2 = 0", c * c, zero),
         ("ad.commutator", "a*d - d*a = (p - q^-1)*gamma*beta",
