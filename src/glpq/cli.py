@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one failure or an algebra
 error (such as a symbol ``eval`` needs and has no value for), 2 usage or
-syntax errors.
+syntax errors, or an expression whose evaluation would make a product
+over the DSL's work bound (``dsl.MAX_PRODUCT_PAIRS``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 
 from . import dsl, mside, series, tside
 from .errors import (AlgebraError, BadAssignment, DslSyntaxError,
-                     ExponentOutOfRange, InvalidRay, UnknownIdentifier)
+                     ExponentOutOfRange, InvalidRay, ProductTooLarge,
+                     UnknownIdentifier)
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -203,7 +205,7 @@ def main(argv=None):
         if args.command == "spotcheck":
             return _finish(run_spotcheck(args), args)
     except (DslSyntaxError, UnknownIdentifier, InvalidRay,
-            BadAssignment, ExponentOutOfRange) as exc:
+            BadAssignment, ExponentOutOfRange, ProductTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

@@ -13,7 +13,24 @@ bracket atom is the commutator.  Rational literals are INT or INT/INT,
 with INT a run of ASCII digits 0-9.
 An exponent whose absolute value exceeds :data:`MAX_EXPONENT` is a
 syntax error: a power of a generator expands into one letter per unit
-of exponent, so an unbounded exponent would mean unbounded work.
+of exponent, so an unbounded exponent would mean unbounded work.  The
+exponent bound does not bound the size of a power of a sum, so every
+product the evaluation makes first checks that its term pairs (the
+terms of one factor times those of the other) number at most
+:data:`MAX_PRODUCT_PAIRS`, and raises
+:class:`~glpq.errors.ProductTooLarge` otherwise.  That covers a ``*``,
+both sides of a commutator, and inside a power each squaring, each
+multiplication and each step of the series that inverts an exact unit
+(a series-sector inversion is bounded by its weight window).
+
+A :class:`Context` keeps a table of the powers ``g^n`` of its named
+bindings (generators and parameters), filled on use: the first ``g^n``
+of an expression is computed and stored, and every later one, in this
+or any later expression, returns the stored immutable value.  The
+grammar bounds the table to ``len(bindings) * (2*MAX_EXPONENT + 1)``
+entries.  Powers of literals and of parenthesised bases are not stored,
+nor is a power whose evaluation raised.  The table is not synchronized:
+share a context across threads only under a lock.
 """
 
 from __future__ import annotations
@@ -21,12 +38,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DslSyntaxError, UnknownIdentifier
+from .errors import DslSyntaxError, ProductTooLarge, UnknownIdentifier
 from .nc import commutator
 from .printing import print_element
 
 # largest |n| accepted in ``factor ^ n``; the paper's powers stay far below
 MAX_EXPONENT = 64
+# most term pairs one product may multiply while an expression is
+# evaluated: (a + d + beta)^64 needs 9,216 in its largest product, and
+# (a + d + a^-1 + d^-1 + beta + gamma)^16 needs 81,796 and is refused
+MAX_PRODUCT_PAIRS = 16384
 
 # -- tokens ------------------------------------------------------------------
 
@@ -209,14 +230,31 @@ def _child(node, min_prec):
 # -- evaluation contexts ----------------------------------------------------------
 
 
+def _check_pairs(x, y):
+    """Raise ProductTooLarge unless x*y has at most MAX_PRODUCT_PAIRS
+    term pairs."""
+    pairs = (len(getattr(x, "element", x).terms)
+             * len(getattr(y, "element", y).terms))
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ProductTooLarge(f"a product of {pairs} term pairs exceeds "
+                              f"the bound {MAX_PRODUCT_PAIRS}")
+
+
+def _mul(x, y):
+    _check_pairs(x, y)
+    return x * y
+
+
 class Context:
-    """Named bindings plus the constructor of numeric literals."""
+    """Named bindings, the constructor of numeric literals and the table
+    of binding powers (see the module docstring)."""
 
     def __init__(self, name, bindings, const):
         self.name = name
         self.bindings = bindings
         self.names = frozenset(bindings)
         self.const = const
+        self.powers = {}          # (name, n) -> bindings[name]**n
 
     def eval(self, node):
         kind = node[0]
@@ -234,11 +272,20 @@ class Context:
         if kind == "sub":
             return self.eval(node[1]) - self.eval(node[2])
         if kind == "mul":
-            return self.eval(node[1]) * self.eval(node[2])
+            return _mul(self.eval(node[1]), self.eval(node[2]))
         if kind == "brk":
-            return commutator(self.eval(node[1]), self.eval(node[2]))
+            x, y = self.eval(node[1]), self.eval(node[2])
+            _check_pairs(x, y)
+            return commutator(x, y)
         if kind == "pow":
-            return self.eval(node[1]) ** node[2]
+            base, n = node[1], node[2]
+            if base[0] != "sym":
+                return self.eval(base).power(n, _mul)
+            key = (base[1], n)
+            hit = self.powers.get(key)
+            if hit is None:
+                hit = self.powers[key] = self.eval(base).power(n, _mul)
+            return hit
         raise ValueError(f"unknown node {kind}")
 
 

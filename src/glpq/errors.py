@@ -71,5 +71,10 @@ class DslSyntaxError(AlgebraError):
         self.expected = tuple(expected)
 
 
+class ProductTooLarge(AlgebraError):
+    """Expression evaluation reached a product of more term pairs than
+    the DSL's work bound."""
+
+
 class UnsupportedNegativeN(AlgebraError):
     """Closed power-block forms are defined for positive exponents only."""

@@ -110,7 +110,7 @@ from __future__ import annotations
 import copy
 from heapq import heappop, heappush
 from itertools import compress
-from operator import add
+from operator import add, mul
 
 from .errors import (AlgebraError, NonInvertibleNegativePower, NotAUnit,
                      PresentationMismatch, UnknownGenerator)
@@ -679,9 +679,13 @@ class Element:
                         for t2 in other.terms.items())))
 
     def __pow__(self, n):
+        return self.power(n)
+
+    def power(self, n, mul=mul):
+        """self**n with every product made by ``mul(x, y)``."""
         if n < 0:
-            return invert_even_unit(self) ** (-n)
-        return power(None, self, n) if n else self.pres.one_elt()
+            return invert_even_unit(self, mul).power(-n, mul)
+        return power(None, self, n, mul) if n else self.pres.one_elt()
 
     # -- comparisons ----------------------------------------------------------------
 
@@ -761,12 +765,12 @@ def anticommutator(x, y):
 _UNIT_SERIES_TERMS = 8    # terms tried before a tail counts as non-nilpotent
 
 
-def invert_even_unit(u):
+def invert_even_unit(u, mul=mul):
     """Two-sided inverse of m.(1 + n) with m an invertible even monomial.
 
     The nilpotent tail is inverted by the terminating geometric series.
     Raises NotAUnit when no pure-even pivot term exists or the series
-    fails to terminate.
+    fails to terminate.  Every product is ``mul(x, y)``.
     """
     pres = u.pres
     even_terms = [(m, c) for m, c in u.terms.items()
@@ -786,15 +790,15 @@ def invert_even_unit(u):
         raise NotAUnit(str(exc)) from exc
     if len(u.terms) == 1:
         return v0                # u * v0 = 1: no correction series
-    r = u * v0 - pres.one_elt()
+    r = mul(u, v0) - pres.one_elt()
     acc = pres.one_elt()
     term = pres.one_elt()
     for _ in range(_UNIT_SERIES_TERMS):
         if term.is_zero():
             break
-        term = -(term * r)
+        term = -mul(term, r)
         acc = acc + term
     else:
         if not term.is_zero():
             raise NotAUnit("correction series does not terminate")
-    return v0 * acc
+    return mul(v0, acc)

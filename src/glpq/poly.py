@@ -37,6 +37,7 @@ exponents one by one.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .errors import (DivisionByZero, ExponentOutOfRange, MissingSymbol,
                      SymbolSetMismatch)
@@ -443,20 +444,20 @@ class Pol:
         return f"Pol({self})"
 
 
-def power(one, base, n):
+def power(one, base, n, mul=mul):
     """base**n for n >= 0 by square-and-multiply, starting from ``one``.
 
     With ``one`` None the first factor is ``base`` itself (n >= 1), so no
     product with a unit is made; this serves scalar types that have no
-    ``__pow__``.
+    ``__pow__``.  Every product, the squarings included, is ``mul(x, y)``.
     """
     r = one
     while n:
         if n & 1:
-            r = base if r is None else r * base
+            r = base if r is None else mul(r, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return r
 
 

@@ -107,7 +107,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .coeff import TruncLaurent, add_laurent_products, settle_laurent_sums
 from .errors import InvalidRay, NotAUnit, TruncationUnderflow
@@ -214,9 +214,13 @@ class TruncElement:
         return TruncElement(self.ctx, elem, prec)
 
     def __pow__(self, n):
+        return self.power(n)
+
+    def power(self, n, mul=mul):
+        """self**n with every product made by ``mul(x, y)``."""
         if n < 0:
-            return self.ctx.invert_unit(self) ** (-n)
-        return power(self.ctx.one_te(), self, n)
+            return self.ctx.invert_unit(self).power(-n, mul)
+        return power(self.ctx.one_te(), self, n, mul)
 
     def __eq__(self, other):
         return (isinstance(other, TruncElement)

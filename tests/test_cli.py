@@ -44,6 +44,23 @@ class TestNormalizeCommand:
         assert "only single exponential terms are invertible" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("ctx, expr", [
+        ("tside", "beta^-1"), ("tside", "gamma^-2"), ("mside", "mu^-1"),
+        ("series", "A^-1")])
+    def test_non_invertible_power_exit_code_repeats(self, ctx, expr, capsys):
+        errors = set()
+        for _ in range(2):
+            assert main(["normalize", "--ctx", ctx, expr]) == 1
+            errors.add(capsys.readouterr().err)
+        assert len(errors) == 1 and "error:" in errors.pop()
+        tree = parse(expr, ctx)
+        assert (tree[1][1], tree[2]) not in get_context(ctx).powers
+
+    def test_product_over_the_work_bound_is_a_usage_error(self, capsys):
+        expr = "(a + d + a^-1 + d^-1 + beta + gamma)^32"
+        assert main(["normalize", expr]) == 2
+        assert "exceeds the bound" in capsys.readouterr().err
+
     def test_zero_denominator_exit_code(self, capsys):
         assert main(["normalize", "1/0"]) == 2
         assert "error: zero denominator" in capsys.readouterr().err

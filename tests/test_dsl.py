@@ -1,10 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
-from glpq.dsl import (MAX_EXPONENT, evaluate, get_context, parse,
+from glpq import dsl, nc
+from glpq.dsl import (MAX_EXPONENT, Context, evaluate, get_context, parse,
                       print_canonical, print_tree, tokenize)
-from glpq.errors import DslSyntaxError, NotAUnit, UnknownIdentifier
+from glpq.errors import (DslSyntaxError, NotAUnit, ProductTooLarge,
+                         UnknownIdentifier)
+from glpq.nc import commutator
 from glpq.printing import print_element
 from glpq.tside import tside
 
@@ -188,3 +192,213 @@ def test_unit_numerator_prints_bare_inverse(ctx, text):
     printed = print_element(element)
     assert "1*(" not in printed
     assert evaluate(printed, ctx) == element
+
+
+# -- the table of binding powers ------------------------------------------------
+
+
+def fresh_context(name):
+    """A context over the shared bindings with its own, empty power table;
+    the contexts of get_context are cached and shared by every test."""
+    shared = get_context(name)
+    return Context(name, shared.bindings, shared.const)
+
+
+def plain_eval(ctx, node):
+    """Naive reference evaluator: no power table and no work bound."""
+    kind = node[0]
+    if kind == "num":
+        return ctx.const(node[1])
+    if kind == "sym":
+        return ctx.bindings[node[1]]
+    if kind == "neg":
+        return -plain_eval(ctx, node[1])
+    if kind == "pow":
+        return plain_eval(ctx, node[1]) ** node[2]
+    x, y = plain_eval(ctx, node[1]), plain_eval(ctx, node[2])
+    if kind == "add":
+        return x + y
+    if kind == "sub":
+        return x - y
+    if kind == "mul":
+        return x * y
+    return commutator(x, y)
+
+
+def same_value(x, y):
+    """Equal stored data: the terms, and the window of a series value."""
+    return (getattr(x, "element", x) == getattr(y, "element", y)
+            and getattr(x, "prec", None) == getattr(y, "prec", None))
+
+
+# generators and parameters of each context: (invertible, not invertible)
+POWER_NAMES = {
+    "tside": (("a", "d", "p", "q"), ("beta", "gamma")),
+    "mside": (("x", "y", "p", "q", "phi", "E1"), ("mu", "nu")),
+    "series": (("p", "q", "t"), ("A", "D", "beta", "gamma")),
+}
+
+
+def power_queries(rng, ctx, n):
+    """Seeded queries that repeat binding powers, negative ones on
+    invertible bindings only, so that every query evaluates."""
+    units, others = POWER_NAMES[ctx]
+
+    def atom():
+        r = rng.random()
+        if r < 0.55:
+            return f"{rng.choice(units)}^{rng.choice((-3, -2, -1, 2, 3))}"
+        if r < 0.8:
+            return f"{rng.choice(others)}^{rng.randint(1, 3)}"
+        return rng.choice(("2", "1/3") + units + others)
+
+    def word():
+        return "*".join(atom() for _ in range(rng.randint(1, 3)))
+
+    def total():
+        out = word()
+        for _ in range(rng.randint(0, 2)):
+            out += rng.choice((" + ", " - ")) + word()
+        return out
+
+    queries = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.2:
+            queries.append(f"[{total()}, {word()}]")
+        elif r < 0.35:
+            queries.append(f"({total()})^2*{word()}")
+        else:
+            queries.append(total())
+    return queries
+
+
+def sym_powers(node):
+    """(name, n) of every binding power in a tree."""
+    if node[0] == "pow" and node[1][0] == "sym":
+        yield node[1][1], node[2]
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            yield from sym_powers(child)
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("name, seed, n", [
+        ("tside", 21, 300), ("mside", 22, 200), ("series", 23, 80)])
+    def test_stream_matches_a_table_free_evaluation(self, name, seed, n):
+        ctx = fresh_context(name)
+        for text in power_queries(random.Random(seed), name, n):
+            tree = parse(text, ctx)
+            got, ref = ctx.eval(tree), plain_eval(ctx, tree)
+            assert print_canonical(got) == print_canonical(ref), text
+            assert same_value(got, ref), text
+        assert ctx.powers
+        # no stored value was changed by the products it took part in
+        for (g, k), value in ctx.powers.items():
+            assert same_value(value, ctx.bindings[g] ** k), (g, k)
+
+    def test_each_negative_power_is_inverted_once(self, monkeypatch):
+        ctx = fresh_context("tside")
+        calls = []
+        plain = nc.invert_even_unit
+
+        def counting(u, *args):
+            calls.append(u)
+            return plain(u, *args)
+
+        monkeypatch.setattr(nc, "invert_even_unit", counting)
+        negative = set()
+        for text in power_queries(random.Random(24), "tside", 300):
+            tree = parse(text, ctx)
+            negative.update((g, k) for g, k in sym_powers(tree) if k < 0)
+            ctx.eval(tree)
+        assert len(negative) > 4
+        assert len(calls) == len(negative)
+
+    @pytest.mark.parametrize("name", ["tside", "mside", "series"])
+    def test_table_stays_within_its_bound(self, name):
+        ctx = fresh_context(name)
+        assert ctx.powers == {}
+        bound = len(ctx.bindings) * (2 * MAX_EXPONENT + 1)
+        for _ in range(2):
+            for g in ctx.bindings:
+                for k in range(-MAX_EXPONENT, MAX_EXPONENT + 1):
+                    try:
+                        ctx.eval(parse(f"{g}^{k}", ctx))
+                    except NotAUnit:
+                        pass
+                    assert len(ctx.powers) <= bound
+        assert all(g in ctx.bindings and abs(k) <= MAX_EXPONENT
+                   for g, k in ctx.powers)
+
+    def test_literal_and_parenthesised_bases_are_not_stored(self):
+        ctx = fresh_context("tside")
+        for text in ("2^3", "(a)^2", "(a + d)^2", "(a^2)^-1", "3/2^-1"):
+            ctx.eval(parse(text, ctx))
+        assert set(ctx.powers) == {("a", 2)}
+
+    @pytest.mark.parametrize("name, text", [
+        ("tside", "beta^-1"), ("tside", "gamma^-2"), ("mside", "mu^-1"),
+        ("series", "A^-1")])
+    def test_failed_power_is_not_stored(self, name, text):
+        ctx = fresh_context(name)
+        tree = parse(text, ctx)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(NotAUnit) as info:
+                ctx.eval(tree)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert ctx.powers == {}
+
+
+# -- the work bound on products ---------------------------------------------------
+
+SIX_TERMS = "(a + d + a^-1 + d^-1 + beta + gamma)"
+
+
+class TestProductBound:
+    def test_largest_admitted_power_prints_unchanged(self):
+        # 9,216 term pairs in its largest product
+        printed = print_canonical(evaluate("(a + d + beta)^64", "tside"))
+        assert len(printed) == 204054
+        assert hashlib.sha256(printed.encode()).hexdigest() == \
+            "cdfc11890d12492301f334275e1c019ce853f163fa1dfc408ecade09a5a8b264"
+
+    @pytest.mark.parametrize("n", [16, 32, MAX_EXPONENT])
+    def test_squaring_inside_a_power_is_checked(self, n):
+        # one pow node and no '*' node: the refused product is a squaring
+        with pytest.raises(ProductTooLarge, match="81796 term pairs"):
+            evaluate(f"{SIX_TERMS}^{n}", "tside")
+
+    @pytest.mark.parametrize("text", [f"{SIX_TERMS}^8*{SIX_TERMS}^8",
+                                      f"[{SIX_TERMS}^8, {SIX_TERMS}^8]"])
+    def test_product_and_commutator_are_checked(self, text):
+        with pytest.raises(ProductTooLarge, match="81796 term pairs"):
+            evaluate(text, "tside")
+
+    def test_products_of_the_inversion_series_are_checked(self):
+        # the correction series of a unit with a non-nilpotent tail runs
+        # up to eight products, which grow with every step
+        with pytest.raises(ProductTooLarge):
+            evaluate(f"({SIX_TERMS}^4)^-1", "tside")
+
+    def test_every_product_kind_meets_the_bound(self, monkeypatch):
+        monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", 3)
+        ctx = fresh_context("tside")
+        for text in ("(a + d)^2", "(a + d)*(a + d)", "[a + d, a + d]",
+                     "(a + beta)^-2"):
+            with pytest.raises(ProductTooLarge, match="4 term pairs"):
+                ctx.eval(parse(text, ctx))
+        # a power of a single term pairs one term per product
+        assert print_canonical(ctx.eval(parse("a^64*d^-64", ctx))) == \
+            "a^64*d^-64"
+        with pytest.raises(ProductTooLarge):
+            evaluate("(A + D)^2", fresh_context("series"))
+        # the powers the table stores are checked as well, and a refused
+        # one is not stored
+        monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", 0)
+        ctx = fresh_context("tside")
+        with pytest.raises(ProductTooLarge, match="1 term pairs"):
+            ctx.eval(parse("a^2", ctx))
+        assert ctx.powers == {}
