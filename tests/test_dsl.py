@@ -402,3 +402,135 @@ class TestProductBound:
         with pytest.raises(ProductTooLarge, match="1 term pairs"):
             ctx.eval(parse("a^2", ctx))
         assert ctx.powers == {}
+
+
+# -- golden digests of seeded streams ------------------------------------------
+
+# Per context: atoms, and scalars that prefix a word.  The scalars cover
+# signed and fractional literals, constant and non-constant denominators,
+# E-parts in the exponent algebra, and negative t powers in the series
+# sector, so that answers print coefficients with negative leads.
+STREAM_VOCAB = {
+    "tside": (("a", "d", "beta", "gamma", "a^2", "a^-1", "d^3", "d^-2"),
+              ("2", "3/2", "12345678901234567890", "p", "q^-1",
+               "(p - q^-1)", "(p*q - 1)^-1", "(p + q)^-1*p",
+               "(2*p + 4)*(6*p*q - 6)^-1", "(-7/3*q^2)")),
+    "mside": (("x", "y", "mu", "nu", "x^2", "E1^-1", "E2^2"),
+              ("E1^-1", "E2^-2", "(E1 + x*E2)", "(x - y + phi)^-1",
+               "(x - y + phi)^-1*mu", "(x + 1)^-1*E1", "psi", "p^-1",
+               "(x - y)", "3/2")),
+    "series": (("A", "D", "beta", "gamma", "A^2", "D^2"),
+               ("t^-1", "t^-2", "(1 + t)^-1", "(t + t^2)^-1", "1/2",
+                "q^-1", "p", "t", "(q - p^-1)", "(-5/4*t^-3)")),
+}
+
+
+def golden_stream(name, seed, n):
+    """Seeded expressions over the context's vocabulary: sums of words,
+    leading minus signs, commutators and squares of sums."""
+    rng = random.Random(seed)
+    atoms, scalars = STREAM_VOCAB[name]
+
+    def word():
+        out = "*".join(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
+        return f"{rng.choice(scalars)}*{out}" if rng.random() < 0.6 else out
+
+    def total(k):
+        out = ("-" if rng.random() < 0.2 else "") + word()
+        for _ in range(rng.randint(0, k)):
+            out += rng.choice((" + ", " - ")) + word()
+        return out
+
+    queries = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.2:
+            queries.append(f"[{total(1)}, {word()}]")
+        elif r < 0.3:
+            queries.append(f"({total(1)})^2")
+        else:
+            queries.append(total(2))
+    return queries
+
+
+def tree_data(node):
+    """A parse tree with each number literal as its (numerator,
+    denominator) pair, so that equal literals give equal data whatever
+    their number type."""
+    if node[0] == "num":
+        return ("num", node[1].numerator, node[1].denominator)
+    return tuple(tree_data(c) if isinstance(c, tuple) else c for c in node)
+
+
+def sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestGoldenStreams:
+    # sha256 of the printed answers and of the parse trees of each stream;
+    # a change to the lexer, the parser, the product or the printer has to
+    # keep every answer and every tree
+    @pytest.mark.parametrize("name, seed, n, answers, trees", [
+        ("tside", 31, 300,
+         "38ad690a2ad21e9e5457dbbae90236ff8c35ae28c5117f56c5d1cd1cdbb7d520",
+         "ab8dbadd345f6bdbd1f951299912c71ebf2021d7cc4133c40fe9d5ba59715b5f"),
+        ("mside", 32, 200,
+         "26e1995fab2528c2ad9c9861141f26a17fe14c7a2eb905d1eab97c71ea5bbf81",
+         "bc274c6c669821ed0594adf95bd71ebca982d79c5ab852755828ad52d8f83092"),
+        ("series", 33, 80,
+         "84b7c469ea52a44adc17f7d7460d9f22f4eda2d3b1c2e688b8335540ca6f94e6",
+         "4e45f096fdafcc187ca12dbb48003629514a4386fb920bba92ddb7e3e2a7158b"),
+    ])
+    def test_stream_digests(self, name, seed, n, answers, trees):
+        ctx = get_context(name)
+        queries = golden_stream(name, seed, n)
+        parsed = [parse(text, ctx) for text in queries]
+        printed = [print_canonical(ctx.eval(tree)) for tree in parsed]
+        assert sha(printed) == answers
+        assert sha(repr(tree_data(tree)) for tree in parsed) == trees
+
+
+# Malformed inputs with the message and position each is rejected at.
+# Characters are rejected before any token is parsed, and a number token
+# shows as the Fraction it stands for.
+MALFORMED = [
+    ("a 2", "unexpected token Fraction(2, 1) at position 2 (expected end)",
+     2),
+    ("2 3", "unexpected token Fraction(3, 1) at position 2 (expected end)",
+     2),
+    ("a^3/2", "exponent must be an integer at position 2", 2),
+    ("1/0", "zero denominator in rational literal at position 0", 0),
+    ("a^1/00", "zero denominator in rational literal at position 2", 2),
+    ("(a + d", "unexpected token None at position 6 (expected ))", 6),
+    ("a^65", "exponent 65 exceeds the bound 64 at position 2", 2),
+    ("a^-65", "exponent -65 exceeds the bound 64 at position 3", 3),
+    ("2/3/4", "unexpected character '/' at position 3", 3),
+    ("a + * d", "unexpected token '*' at position 4 "
+     "(expected ident, num, (, [)", 4),
+    ("", "unexpected token None at position 0 (expected ident, num, (, [)",
+     0),
+    ("a^", "unexpected token None at position 2 (expected num)", 2),
+    ("a^-", "unexpected token None at position 3 (expected num)", 3),
+    ("a^b", "unexpected token 'b' at position 2 (expected num)", 2),
+    ("[a, d", "unexpected token None at position 5 (expected ])", 5),
+    ("[a d]", "unexpected token 'd' at position 3 (expected ,)", 3),
+    ("a)", "unexpected token ')' at position 1 (expected end)", 1),
+    ("a^2^3", "unexpected token '^' at position 3 (expected end)", 3),
+    ("--a", "unexpected token '-' at position 1 "
+     "(expected ident, num, (, [)", 1),
+    ("[a,]", "unexpected token ']' at position 3 "
+     "(expected ident, num, (, [)", 3),
+    ("a^(2)", "unexpected token '(' at position 2 (expected num)", 2),
+    ("0x1", "unexpected token 'x1' at position 1 (expected end)", 1),
+    ("a ? d", "unexpected character '?' at position 2", 2),
+    ("a + * d ?", "unexpected character '?' at position 8", 8),
+    ("\u00b2", "unexpected character '\u00b2' at position 0", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", MALFORMED)
+def test_malformed_input_message(text, message, pos):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert info.value.pos == pos
