@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 at least one failure or an algebra
 error (such as a symbol ``eval`` needs and has no value for), 2 usage or
-syntax errors, or an expression whose evaluation would make a product
-over the DSL's work bound (``dsl.MAX_PRODUCT_PAIRS``).
+syntax errors, an expression whose evaluation would make a product
+over the DSL's work bound (``dsl.MAX_PRODUCT_PAIRS``), or an answer with
+a coefficient of more digits than Python converts to a string.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import dsl, mside, series, tside
-from .errors import (AlgebraError, BadAssignment, DslSyntaxError,
-                     ExponentOutOfRange, InvalidRay, ProductTooLarge,
-                     UnknownIdentifier)
+from .errors import (AlgebraError, BadAssignment, CoefficientTooLarge,
+                     DslSyntaxError, ExponentOutOfRange, InvalidRay,
+                     ProductTooLarge, UnknownIdentifier)
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -204,8 +205,8 @@ def main(argv=None):
             return _finish(run_suites(args), args)
         if args.command == "spotcheck":
             return _finish(run_spotcheck(args), args)
-    except (DslSyntaxError, UnknownIdentifier, InvalidRay,
-            BadAssignment, ExponentOutOfRange, ProductTooLarge) as exc:
+    except (DslSyntaxError, UnknownIdentifier, InvalidRay, BadAssignment,
+            ExponentOutOfRange, ProductTooLarge, CoefficientTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

@@ -65,13 +65,12 @@ from fractions import Fraction
 from .errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
                      NotAUnit, NumericOverflow, SymbolSetMismatch,
                      TruncationUnderflow)
-from .poly import _MASK, Pol, SymbolSet, _pol, cofactors, term_str
+from .poly import _MASK, Pol, _pol, cofactors, signed_terms, terms_str
 
 DEFAULT_TRUNC_ORDER = 12
 POLE_EPS = 1e-6
 
 _new = object.__new__
-_T = SymbolSet(("t",))      # the printer's one symbol for TruncLaurent
 
 
 def _rf(num, den):
@@ -364,11 +363,7 @@ class RatFunc:
             if dc == 1:
                 return str(num)
             # distribute a constant denominator into the numerator terms
-            syms = self.syms
-            return " ".join(
-                term_str(syms, syms.unpack(k), Fraction(num.terms[k], dc),
-                         with_sign=i > 0)
-                for i, k in enumerate(sorted(num.terms, reverse=True)))
+            return terms_str(self.syms, num.terms, dc)
         num, den = self.cleared()
         inv = f"({den})^-1"
         if num.is_const() and abs(num.const_value()) == 1:
@@ -587,10 +582,11 @@ class TruncLaurent:
     def __str__(self):
         if not self.nums:
             return "0"
-        terms = [(e, n) for e, n in enumerate(self.nums, self.lead) if n]
-        return " ".join(term_str(_T, (e,), Fraction(n, self.den),
-                                 with_sign=i > 0)
-                        for i, (e, n) in enumerate(terms))
+        pairs = []
+        for e, n in enumerate(self.nums, self.lead):
+            if n:
+                pairs.append(("" if e == 0 else "t" if e == 1 else f"t^{e}", n))
+        return signed_terms(pairs, self.den)
 
     def __repr__(self):
         return f"TruncLaurent({self} + O(t^{self.cap + 1}))"

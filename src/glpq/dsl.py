@@ -10,7 +10,10 @@ Grammar (binding tightest last):
 Identifiers are resolved against the active context (the defining
 algebra, the exponent algebra, or the truncated-series sector); the
 bracket atom is the commutator.  Rational literals are INT or INT/INT,
-with INT a run of ASCII digits 0-9.
+with INT a run of ASCII digits 0-9; an INT of more digits than Python
+converts to an int (``sys.get_int_max_str_digits``) is a syntax error.
+A tree holds an INT literal as an ``int`` and an INT/INT one as a
+``Fraction``.
 An exponent whose absolute value exceeds :data:`MAX_EXPONENT` is a
 syntax error: a power of a generator expands into one letter per unit
 of exponent, so an unbounded exponent would mean unbounded work.  The
@@ -35,6 +38,7 @@ share a context across threads only under a lock.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,130 +59,175 @@ _SYMBOLS = "+-*^()[],"
 _DIGITS = "0123456789"      # str.isdigit also accepts digits int() rejects
 
 
-def tokenize(text):
-    out = []
+def _too_long(i, j):
+    return DslSyntaxError(
+        f"integer literal of {j - i} digits exceeds the limit of "
+        f"{sys.get_int_max_str_digits()} digits", i)
+
+
+def _lex(text):
+    """Token kinds, values and positions of ``text`` as three lists that
+    end in an ``end`` token.  A number's value is an int, or a Fraction
+    for INT/INT."""
+    kinds, values, where = [], [], []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SYMBOLS:
+            kinds.append(ch)
+            values.append(ch)
+            where.append(i)
             i += 1
             continue
         if ch in _DIGITS:
-            j = i
+            j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
             if j + 1 < n and text[j] == "/" and text[j + 1] in _DIGITS:
-                k = j + 1
+                k = j + 2
                 while k < n and text[k] in _DIGITS:
                     k += 1
-                den = int(text[j + 1:k])
+                try:
+                    den = int(text[j + 1:k])
+                except ValueError:      # more digits than int() converts
+                    raise _too_long(j + 1, k) from None
                 if den == 0:
                     raise DslSyntaxError("zero denominator in rational literal",
                                          i)
-                out.append(("num", Fraction(int(text[i:j]), den), i))
-                i = k
+                try:
+                    value = Fraction(int(text[i:j]), den)
+                except ValueError:
+                    raise _too_long(i, j) from None
+                j = k
             else:
-                out.append(("num", Fraction(int(text[i:j])), i))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("ident", text[i:j], i))
+                try:
+                    value = int(text[i:j])
+                except ValueError:
+                    raise _too_long(i, j) from None
+            kinds.append("num")
+            values.append(value)
+            where.append(i)
             i = j
             continue
-        if ch in _SYMBOLS:
-            out.append((ch, ch, i))
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            kinds.append("ident")
+            values.append(text[i:j])
+            where.append(i)
+            i = j
+            continue
+        if ch.isspace():
             i += 1
             continue
         raise DslSyntaxError(f"unexpected character {ch!r}", i)
-    out.append(("end", None, n))
-    return out
+    kinds.append("end")
+    values.append(None)
+    where.append(n)
+    return kinds, values, where
+
+
+def tokenize(text):
+    """(kind, value, position) of every token of ``text``, the last one
+    of kind ``end``."""
+    return list(zip(*_lex(text)))
 
 
 # -- parser -------------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, tokens, names):
-        self.toks = tokens
+    """Recursive descent over the token lists of :func:`_lex`; each rule
+    reads the kind at ``pos`` by index and advances past what it
+    consumed."""
+
+    def __init__(self, text, names):
+        self.kinds, self.values, self.where = _lex(text)
         self.pos = 0
         self.names = names
 
-    def peek(self):
-        return self.toks[self.pos]
+    def error(self, expected):
+        """The syntax error for the token at ``pos``."""
+        value = self.values[self.pos]
+        if self.kinds[self.pos] == "num":
+            value = Fraction(value)     # shown as the rational it stands for
+        return DslSyntaxError(f"unexpected token {value!r}",
+                              self.where[self.pos], expected=expected)
 
-    def take(self, kind=None):
-        tok = self.toks[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise DslSyntaxError(f"unexpected token {tok[1]!r}", tok[2],
-                                 expected=(kind,))
+    def expect(self, kind):
+        if self.kinds[self.pos] != kind:
+            raise self.error((kind,))
         self.pos += 1
-        return tok
 
     def parse_expr(self):
-        if self.peek()[0] == "-":
-            self.take()
+        kinds = self.kinds
+        if kinds[self.pos] == "-":
+            self.pos += 1
             node = ("neg", self.parse_term())
         else:
             node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+        kind = kinds[self.pos]
+        while kind == "+" or kind == "-":
+            self.pos += 1
+            node = ("add" if kind == "+" else "sub", node, self.parse_term())
+            kind = kinds[self.pos]
         return node
 
     def parse_term(self):
         node = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.take()
+        kinds = self.kinds
+        while kinds[self.pos] == "*":
+            self.pos += 1
             node = ("mul", node, self.parse_factor())
         return node
 
     def parse_factor(self):
-        node = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.take()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.take()
-                sign = -1
-            tok = self.take("num")
-            if tok[1].denominator != 1:
-                raise DslSyntaxError("exponent must be an integer", tok[2])
-            n = sign * int(tok[1])
-            if abs(n) > MAX_EXPONENT:
-                raise DslSyntaxError(
-                    f"exponent {n} exceeds the bound {MAX_EXPONENT}", tok[2])
-            node = ("pow", node, n)
-        return node
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            return ("num", tok[1])
-        if tok[0] == "ident":
-            self.take()
-            if self.names is not None and tok[1] not in self.names:
+        """An atom and its optional exponent."""
+        pos = self.pos
+        kind = self.kinds[pos]
+        self.pos = pos + 1
+        if kind == "ident":
+            name = self.values[pos]
+            if self.names is not None and name not in self.names:
                 raise UnknownIdentifier(
-                    f"{tok[1]!r} is not defined in this context")
-            return ("sym", tok[1])
-        if tok[0] == "(":
-            self.take()
+                    f"{name!r} is not defined in this context")
+            node = ("sym", name)
+        elif kind == "num":
+            node = ("num", self.values[pos])
+        elif kind == "(":
             node = self.parse_expr()
-            self.take(")")
-            return node
-        if tok[0] == "[":
-            self.take()
+            self.expect(")")
+        elif kind == "[":
             a = self.parse_expr()
-            self.take(",")
-            b = self.parse_expr()
-            self.take("]")
-            return ("brk", a, b)
-        raise DslSyntaxError(f"unexpected token {tok[1]!r}", tok[2],
-                             expected=("ident", "num", "(", "["))
+            self.expect(",")
+            node = ("brk", a, self.parse_expr())
+            self.expect("]")
+        else:
+            self.pos = pos
+            raise self.error(("ident", "num", "(", "["))
+        kinds = self.kinds
+        pos = self.pos
+        if kinds[pos] != "^":
+            return node
+        pos += 1
+        sign = 1
+        if kinds[pos] == "-":
+            pos += 1
+            sign = -1
+        self.pos = pos
+        if kinds[pos] != "num":
+            raise self.error(("num",))
+        self.pos = pos + 1
+        value = self.values[pos]
+        if value.denominator != 1:
+            raise DslSyntaxError("exponent must be an integer", self.where[pos])
+        n = sign * value.numerator
+        if abs(n) > MAX_EXPONENT:
+            raise DslSyntaxError(
+                f"exponent {n} exceeds the bound {MAX_EXPONENT}",
+                self.where[pos])
+        return ("pow", node, n)
 
 
 def parse(text, context=None):
@@ -188,9 +237,9 @@ def parse(text, context=None):
     if context is not None:
         names = get_context(context).names if isinstance(context, str) \
             else context.names
-    p = _Parser(tokenize(text), names)
+    p = _Parser(text, names)
     node = p.parse_expr()
-    p.take("end")
+    p.expect("end")
     return node
 
 

@@ -76,5 +76,10 @@ class ProductTooLarge(AlgebraError):
     the DSL's work bound."""
 
 
+class CoefficientTooLarge(AlgebraError):
+    """A coefficient to print has more digits than Python converts to a
+    string (``sys.get_int_max_str_digits``)."""
+
+
 class UnsupportedNegativeN(AlgebraError):
     """Closed power-block forms are defined for positive exponents only."""

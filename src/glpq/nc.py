@@ -175,6 +175,9 @@ class Presentation:
         # of a scalar held in _swaps and the exponent
         self._powers = {}
         self._views = {}
+        # monomial -> (sort key, string), filled by glpq.printing; a
+        # capped view shares it
+        self.print_table = {}
 
     def capped(self, top):
         """View of this presentation that keeps each coefficient of its
@@ -674,9 +677,21 @@ class Element:
 
     def __mul__(self, other):
         self._check(other)
-        return Element(self.pres, mul_pairs(
-            self.pres, ((t1, t2) for t1 in self.terms.items()
-                        for t2 in other.terms.items())))
+        pres = self.pres
+        a, b = self.terms, other.terms
+        if len(a) != 1 or len(b) != 1:
+            return Element(pres, mul_pairs(
+                pres, ((t1, t2) for t1 in a.items() for t2 in b.items())))
+        # one term times one term: mul_pairs' work without its pair
+        # generator
+        (m1, c1), = a.items()
+        (m2, c2), = b.items()
+        out = {}
+        odd_bit = pres._odd_bit
+        if not sum(compress(odd_bit, m1)) & sum(compress(odd_bit, m2)):
+            add_products(out, pres.one, c1, pres.cross_left(m1, c2),
+                         pres.word_product(m1, m2))
+        return Element(pres, out)
 
     def __pow__(self, n):
         return self.power(n)

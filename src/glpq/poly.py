@@ -30,22 +30,29 @@ the bound with :class:`~glpq.errors.ExponentOutOfRange`.  The test adds
 set exactly when the exponent is inside the bound.
 
 Only the gcd boundary (:func:`poly_gcd`, :func:`_prem`,
-``as_univariate``), evaluation, substitution and printing read
-exponents one by one.
+``as_univariate``), evaluation and substitution read exponents one by
+one.  The printer reads each key's monomial string from a table of its
+symbol set (``SymbolSet.strs``), which unpacks a key the first time it
+is printed; the table is emptied when it reaches
+:data:`MONO_TABLE_SIZE` entries, so it stays bounded whatever is
+printed.  Like the other caches of the package it is not synchronized.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from operator import mul
 
-from .errors import (DivisionByZero, ExponentOutOfRange, MissingSymbol,
-                     SymbolSetMismatch)
+from .errors import (CoefficientTooLarge, DivisionByZero,
+                     ExponentOutOfRange, MissingSymbol, SymbolSetMismatch)
 
 FIELD_BITS = 40
 _HALF = 1 << (FIELD_BITS - 1)        # bias of one field
 _MASK = (1 << FIELD_BITS) - 1
 EXPONENT_BOUND = 1 << (FIELD_BITS - 2)
+# most entries of a symbol set's table of printed monomials
+MONO_TABLE_SIZE = 4096
 
 
 class SymbolSet:
@@ -54,7 +61,7 @@ class SymbolSet:
     the symbols kept out of every denominator (see :mod:`glpq.coeff`)."""
 
     __slots__ = ("names", "index", "zero", "shifts", "units", "top",
-                 "_offset", "laurent")
+                 "_offset", "laurent", "strs")
 
     def __init__(self, names, laurent=()):
         names = tuple(names)
@@ -72,6 +79,7 @@ class SymbolSet:
         self.units = tuple((1 << self.top) + (1 << s) for s in self.shifts)
         self.zero = sum(_HALF << s for s in self.shifts)
         self._offset = self.zero >> 1     # 2^(W-2) in every field
+        self.strs = {}                    # key -> monomial string
 
     def pack(self, exps):
         if len(exps) != len(self.names):
@@ -434,11 +442,7 @@ class Pol:
     def __str__(self):
         if not self.terms:
             return "0"
-        syms = self.syms
-        return " ".join(term_str(syms, syms.unpack(k), self.terms[k],
-                                 with_sign=i > 0)
-                        for i, k in enumerate(sorted(self.terms,
-                                                     reverse=True)))
+        return terms_str(self.syms, self.terms)
 
     def __repr__(self):
         return f"Pol({self})"
@@ -461,24 +465,67 @@ def power(one, base, n, mul=mul):
     return r
 
 
-def term_str(syms, exps, c, with_sign=False):
-    """One monomial with its coefficient, sign folded out in front."""
-    parts = []
-    for i, ex in enumerate(exps):
-        if ex == 0:
-            continue
-        n = syms.names[i]
-        parts.append(n if ex == 1 else f"{n}^{ex}")
-    mag = abs(c)
-    if not parts:
-        body = str(mag)
-    elif mag == 1:
-        body = "*".join(parts)
-    else:
-        body = "*".join([str(mag)] + parts)
-    if with_sign:
-        return ("- " if c < 0 else "+ ") + body
-    return ("-" if c < 0 else "") + body
+def mono_str(syms, key):
+    """Monomial string of a packed key, ``""`` for the constant, through
+    the bounded table ``syms.strs``."""
+    table = syms.strs
+    if len(table) >= MONO_TABLE_SIZE:
+        table.clear()
+    s = table[key] = "*".join(n if e == 1 else f"{n}^{e}"
+                              for n, e in zip(syms.names, syms.unpack(key))
+                              if e)
+    return s
+
+
+def terms_str(syms, terms, den=1):
+    """The terms (packed key -> nonzero int) over the positive int
+    ``den``, highest key first: the printed form of a polynomial, or of
+    a rational function over a constant denominator."""
+    table = syms.strs
+    pairs = []
+    for k in sorted(terms, reverse=True):
+        s = table.get(k)
+        pairs.append((mono_str(syms, k) if s is None else s, terms[k]))
+    return signed_terms(pairs, den)
+
+
+def signed_terms(pairs, den):
+    """' '-joined terms of (monomial string, nonzero int numerator) pairs
+    over the positive int ``den``, each sign folded out in front: ``-`` on
+    the first term, ``+ `` or ``- `` on the others.  A coefficient is
+    reduced by one gcd, and one of 1 is left out next to a monomial.
+
+    Raises :class:`~glpq.errors.CoefficientTooLarge` for an integer with
+    more digits than Python converts to a string.
+    """
+    out = []
+    try:
+        for mono, c in pairs:
+            if c < 0:
+                sign = "- " if out else "-"
+                c = -c
+            else:
+                sign = "+ " if out else ""
+            if den != 1:
+                g = math.gcd(c, den)
+                d = den // g
+                if d != 1:
+                    body = f"{c // g}/{d}"
+                    out.append(f"{sign}{body}*{mono}" if mono
+                               else sign + body)
+                    continue
+                c //= g
+            if not mono:
+                out.append(f"{sign}{c}")
+            elif c == 1:
+                out.append(sign + mono)
+            else:
+                out.append(f"{sign}{c}*{mono}")
+    except ValueError:
+        raise CoefficientTooLarge(
+            f"a coefficient of more than {sys.get_int_max_str_digits()} "
+            "digits is too large to print") from None
+    return " ".join(out)
 
 
 # -- gcd ------------------------------------------------------------------

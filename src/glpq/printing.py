@@ -3,15 +3,22 @@
 Terms are ordered by odd content, then by descending even exponents, so
 pure even words print before their odd corrections.  Output reparses in
 the expression grammar of :mod:`glpq.dsl`.
+
+Each presentation keeps a table (``Presentation.print_table``) that maps
+a canonical monomial to its sort key and its string, filled the first
+time the monomial is printed and emptied when it reaches
+:data:`TABLE_SIZE` entries.  Like the other caches of the package it is
+not synchronized.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 
-def _term_sort_key(pres, mono):
-    odd = mono[pres.n_even:]
-    even = mono[:pres.n_even]
-    return (sum(odd), tuple(-e for e in even), odd)
+# most entries of a presentation's table of printed monomials
+TABLE_SIZE = 4096
+
+_first = itemgetter(0)
 
 
 def _mono_str(pres, mono):
@@ -22,6 +29,18 @@ def _mono_str(pres, mono):
         name = pres.gen_names[g]
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
+
+
+def _row(pres, mono):
+    """(sort key, string) of a canonical monomial, stored in the
+    presentation's bounded table."""
+    table = pres.print_table
+    if len(table) >= TABLE_SIZE:
+        table.clear()
+    odd = mono[pres.n_even:]
+    key = (sum(odd), tuple(-e for e in mono[:pres.n_even]), odd)
+    row = table[mono] = key, _mono_str(pres, mono)
+    return row
 
 
 def scalar_term(coeff, mono_str, first):
@@ -49,11 +68,16 @@ def scalar_term(coeff, mono_str, first):
 def print_element(e):
     """Deterministic canonical rendering of an Element (or wrapper)."""
     elem = getattr(e, "element", e)
-    pres = elem.pres
     if not elem.terms:
         return "0"
-    keys = sorted(elem.terms, key=lambda m: _term_sort_key(pres, m))
-    out = []
-    for i, m in enumerate(keys):
-        out.append(scalar_term(elem.terms[m], _mono_str(pres, m), i == 0))
-    return " ".join(out)
+    pres = elem.pres
+    table = pres.print_table
+    rows = []
+    for m, c in elem.terms.items():
+        row = table.get(m)
+        if row is None:
+            row = _row(pres, m)
+        rows.append((row[0], row[1], c))
+    rows.sort(key=_first)
+    return " ".join([scalar_term(c, s, i == 0)
+                     for i, (_, s, c) in enumerate(rows)])
