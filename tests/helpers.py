@@ -1,9 +1,13 @@
 """Shared randomized generators and naive references for the engine
 property tests."""
 
+from fractions import Fraction
+
 from glpq.coeff import RatFunc, TruncLaurent
-from glpq.nc import Element
-from glpq.poly import Pol, poly_gcd
+from glpq.dsl import MAX_EXPONENT
+from glpq.errors import DslSyntaxError, UnknownIdentifier
+from glpq.nc import Element, mul_pairs
+from glpq.poly import Pol, SymbolSet, poly_gcd
 from glpq.series import INF, TruncElement
 from glpq.tside import tside
 
@@ -253,3 +257,263 @@ def naive_subst(f, mapping):
                 term = term * mapping[name] ** ex
         out = out + term.shift(syms.offset(rest))
     return out
+
+
+def pairwise_product(x, y):
+    """Reference Element product: every term pair through ``mul_pairs``'
+    pair loop, also when both operands hold one term."""
+    pres = x.pres
+    return Element(pres, mul_pairs(pres, [(t1, t2) for t1 in x.terms.items()
+                                          for t2 in y.terms.items()]))
+
+
+# -- reference printer: one term at a time, each key unpacked and each
+# coefficient a Fraction, with no table -----------------------------------
+
+
+def naive_term_str(syms, exps, c, with_sign=False):
+    """One monomial with its coefficient, sign folded out in front."""
+    parts = []
+    for i, ex in enumerate(exps):
+        if ex == 0:
+            continue
+        n = syms.names[i]
+        parts.append(n if ex == 1 else f"{n}^{ex}")
+    mag = abs(c)
+    if not parts:
+        body = str(mag)
+    elif mag == 1:
+        body = "*".join(parts)
+    else:
+        body = "*".join([str(mag)] + parts)
+    if with_sign:
+        return ("- " if c < 0 else "+ ") + body
+    return ("-" if c < 0 else "") + body
+
+
+def naive_pol_str(p, den=1):
+    """A polynomial over the positive int ``den``, highest key first."""
+    if not p.terms:
+        return "0"
+    syms = p.syms
+    return " ".join(naive_term_str(syms, syms.unpack(k),
+                                   Fraction(p.terms[k], den), with_sign=i > 0)
+                    for i, k in enumerate(sorted(p.terms, reverse=True)))
+
+
+def _naive_plain_str(r):
+    num, den = r.num, r.den
+    if len(den.terms) == 1:
+        return naive_pol_str(num, den.const_value())
+    num, den = r.cleared()
+    inv = f"({naive_pol_str(den)})^-1"
+    if num.is_const() and abs(num.const_value()) == 1:
+        return inv if num.const_value() > 0 else f"-{inv}"
+    text = naive_pol_str(num)
+    if len(num.terms) > 1:
+        text = f"({text})"
+    return f"{text}*{inv}"
+
+
+_T = SymbolSet(("t",))
+
+
+def naive_scalar_str(x):
+    """Reference ``str`` of a RatFunc (E-parts included) or a
+    TruncLaurent."""
+    if isinstance(x, TruncLaurent):
+        if not x.nums:
+            return "0"
+        terms = [(e, n) for e, n in enumerate(x.nums, x.lead) if n]
+        return " ".join(naive_term_str(_T, (e,), Fraction(n, x.den),
+                                       with_sign=i > 0)
+                        for i, (e, n) in enumerate(terms))
+    if not x.syms.laurent:
+        return _naive_plain_str(x)
+    out = []
+    for mono, r in x._laurent_parts():
+        rs = _naive_plain_str(r)
+        es = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
+        if not es:
+            body = rs
+        elif rs in ("1", "-1"):
+            body = rs[:-1] + es
+        else:
+            body = f"({rs})*{es}" if " " in rs else f"{rs}*{es}"
+        if out:
+            body = "- " + body[1:] if body[0] == "-" else "+ " + body
+        out.append(body)
+    return " ".join(out) or "0"
+
+
+def naive_print_element(e):
+    """Reference ``print_element``: terms sorted by a key computed per
+    term, each monomial and coefficient printed afresh."""
+    elem = getattr(e, "element", e)
+    pres = elem.pres
+    if not elem.terms:
+        return "0"
+
+    def sort_key(m):
+        odd = m[pres.n_even:]
+        return sum(odd), tuple(-x for x in m[:pres.n_even]), odd
+
+    out = []
+    for i, m in enumerate(sorted(elem.terms, key=sort_key)):
+        coeff = elem.terms[m]
+        mono = "*".join(pres.gen_names[g] if x == 1 else
+                        f"{pres.gen_names[g]}^{x}"
+                        for g, x in enumerate(m) if x)
+        s = naive_scalar_str(coeff)
+        sign = "+"
+        body = s
+        if s.startswith("-"):
+            sign = "-"
+            body = s[1:] if " " not in s else naive_scalar_str(-coeff)
+        if " " in body:
+            body = f"({body})"
+        term = (mono if body == "1" else f"{body}*{mono}") if mono else body
+        if i == 0:
+            out.append(term if sign == "+" else f"-{term}")
+        else:
+            out.append(f"{sign} {term}")
+    return " ".join(out)
+
+
+# -- reference parser: the token list of (kind, value, position) triples
+# read through peek and take, every number a Fraction --------------------
+
+_REF_SYMBOLS = "+-*^()[],"
+_REF_DIGITS = "0123456789"
+
+
+def naive_tokenize(text):
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _REF_DIGITS:
+            j = i
+            while j < n and text[j] in _REF_DIGITS:
+                j += 1
+            if j + 1 < n and text[j] == "/" and text[j + 1] in _REF_DIGITS:
+                k = j + 1
+                while k < n and text[k] in _REF_DIGITS:
+                    k += 1
+                den = int(text[j + 1:k])
+                if den == 0:
+                    raise DslSyntaxError("zero denominator in rational literal",
+                                         i)
+                out.append(("num", Fraction(int(text[i:j]), den), i))
+                i = k
+            else:
+                out.append(("num", Fraction(int(text[i:j])), i))
+                i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("ident", text[i:j], i))
+            i = j
+            continue
+        if ch in _REF_SYMBOLS:
+            out.append((ch, ch, i))
+            i += 1
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", i)
+    out.append(("end", None, n))
+    return out
+
+
+class _NaiveParser:
+    def __init__(self, tokens, names):
+        self.toks = tokens
+        self.pos = 0
+        self.names = names
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def take(self, kind=None):
+        tok = self.toks[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise DslSyntaxError(f"unexpected token {tok[1]!r}", tok[2],
+                                 expected=(kind,))
+        self.pos += 1
+        return tok
+
+    def parse_expr(self):
+        if self.peek()[0] == "-":
+            self.take()
+            node = ("neg", self.parse_term())
+        else:
+            node = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            rhs = self.parse_term()
+            node = ("add" if op == "+" else "sub", node, rhs)
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.peek()[0] == "*":
+            self.take()
+            node = ("mul", node, self.parse_factor())
+        return node
+
+    def parse_factor(self):
+        node = self.parse_atom()
+        if self.peek()[0] == "^":
+            self.take()
+            sign = 1
+            if self.peek()[0] == "-":
+                self.take()
+                sign = -1
+            tok = self.take("num")
+            if tok[1].denominator != 1:
+                raise DslSyntaxError("exponent must be an integer", tok[2])
+            n = sign * int(tok[1])
+            if abs(n) > MAX_EXPONENT:
+                raise DslSyntaxError(
+                    f"exponent {n} exceeds the bound {MAX_EXPONENT}", tok[2])
+            node = ("pow", node, n)
+        return node
+
+    def parse_atom(self):
+        tok = self.peek()
+        if tok[0] == "num":
+            self.take()
+            return ("num", tok[1])
+        if tok[0] == "ident":
+            self.take()
+            if self.names is not None and tok[1] not in self.names:
+                raise UnknownIdentifier(
+                    f"{tok[1]!r} is not defined in this context")
+            return ("sym", tok[1])
+        if tok[0] == "(":
+            self.take()
+            node = self.parse_expr()
+            self.take(")")
+            return node
+        if tok[0] == "[":
+            self.take()
+            a = self.parse_expr()
+            self.take(",")
+            b = self.parse_expr()
+            self.take("]")
+            return ("brk", a, b)
+        raise DslSyntaxError(f"unexpected token {tok[1]!r}", tok[2],
+                             expected=("ident", "num", "(", "["))
+
+
+def naive_parse(text, names=None):
+    """Reference parser; ``names`` is the set of defined identifiers, or
+    None to accept any."""
+    p = _NaiveParser(naive_tokenize(text), names)
+    node = p.parse_expr()
+    p.take("end")
+    return node

@@ -153,6 +153,26 @@ class TestNormalizeCommand:
         assert main(["normalize", "--ctx", ctx, expr]) == 2
         assert "exponents must lie in [-2^38, 2^38)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ctx, expr, message", [
+        ("tside", "7" * 5000 + "*a",
+         "error: integer literal of 5000 digits exceeds the limit of "
+         f"{sys.get_int_max_str_digits()} digits at position 0"),
+        ("tside", "(((2)^64)^64)^64*a",
+         "error: a coefficient of more than "
+         f"{sys.get_int_max_str_digits()} digits is too large to print"),
+        ("series", "(((2)^64)^64)^64*A",
+         "error: a coefficient of more than "
+         f"{sys.get_int_max_str_digits()} digits is too large to print"),
+    ])
+    def test_digits_beyond_the_conversion_limit(self, ctx, expr, message,
+                                                capsys):
+        # int() and str() refuse more digits than the interpreter's limit;
+        # both ends of normalize turn that into one usage error
+        assert main(["normalize", "--ctx", ctx, expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
 
 def _normalize_in_child(expr):
     """``glpq normalize --ctx tside expr`` in a child process, so that a

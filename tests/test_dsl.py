@@ -1,7 +1,10 @@
 import hashlib
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glpq import dsl, nc
 from glpq.dsl import (MAX_EXPONENT, Context, evaluate, get_context, parse,
@@ -12,7 +15,7 @@ from glpq.nc import commutator
 from glpq.printing import print_element
 from glpq.tside import tside
 
-from helpers import random_element
+from helpers import naive_parse, random_element
 
 
 class TestParse:
@@ -534,3 +537,74 @@ def test_malformed_input_message(text, message, pos):
         parse(text)
     assert str(info.value) == message
     assert info.value.pos == pos
+
+
+def parse_outcome(parse_fn, text, names):
+    """The tree data of a parse, or the kind, message, position and
+    expected kinds of its error."""
+    try:
+        return "tree", tree_data(parse_fn(text, names))
+    except DslSyntaxError as exc:
+        return "syntax", str(exc), exc.pos, exc.expected
+    except UnknownIdentifier as exc:
+        return "unknown", str(exc)
+
+
+def names_parse(text, names):
+    return parse(text, None if names is None else Context("x", names, None))
+
+
+TSIDE_NAMES = get_context("tside").names
+
+
+class TestAgainstTheReferenceParser:
+    @pytest.mark.parametrize("text, message, pos", MALFORMED)
+    def test_malformed_table(self, text, message, pos):
+        assert parse_outcome(names_parse, text, None) == \
+            parse_outcome(naive_parse, text, None)
+
+    def test_golden_streams(self):
+        for name, seed, n in (("tside", 31, 300), ("mside", 32, 200),
+                              ("series", 33, 80)):
+            names = get_context(name).names
+            for text in golden_stream(name, seed, n):
+                got = parse_outcome(names_parse, text, names)
+                assert got == parse_outcome(naive_parse, text, names)
+                assert got[0] == "tree"
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["a", "d", "beta", "zz", "_x1", "2", "3/2", "1/0", "07", "65", "4/2",
+         "+", "-", "*", "^", "(", ")", "[", "]", ",", " ", "/", "?", "\u00b2",
+         "\u00e9", "\t"]), max_size=14))
+    def test_token_soup(self, parts):
+        text = "".join(parts)
+        for names in (None, TSIDE_NAMES):
+            got = parse_outcome(names_parse, text, names)
+            assert got == parse_outcome(naive_parse, text, names), text
+
+    def test_literal_types(self):
+        assert parse("2*a^3") == ("mul", ("num", 2), ("pow", ("sym", "a"), 3))
+        assert type(parse("2")[1]) is int
+        assert type(parse("4/2")[1]).__name__ == "Fraction"
+        assert parse("a^4/2") == ("pow", ("sym", "a"), 2)
+
+
+class TestLongIntegerLiterals:
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("template, pos", [
+        ("{}*a", 0), ("a + 1/{}", 6), ("a + {}/3", 4), ("a^{}", 2)])
+    def test_rejected_with_position(self, template, pos):
+        text = template.format("7" * (self.LIMIT + 1))
+        with pytest.raises(DslSyntaxError) as info:
+            parse(text)
+        assert info.value.pos == pos
+        assert str(info.value) == (
+            f"integer literal of {self.LIMIT + 1} digits exceeds the limit "
+            f"of {self.LIMIT} digits at position {pos}")
+
+    def test_longest_literal_is_accepted(self):
+        digits = "7" * self.LIMIT
+        assert parse(f"{digits}*a") == ("mul", ("num", int(digits)),
+                                        ("sym", "a"))
