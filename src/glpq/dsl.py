@@ -59,13 +59,18 @@ _SYMBOLS = "+-*^()[],"
 _DIGITS = "0123456789"      # str.isdigit also accepts digits int() rejects
 
 
-def _too_long(i, j):
-    return DslSyntaxError(
-        f"integer literal of {j - i} digits exceeds the limit of "
-        f"{sys.get_int_max_str_digits()} digits", i)
+def _int(text, i, j):
+    """The int of the digit run ``text[i:j]``; a run of more digits than
+    int() converts is a syntax error at ``i``."""
+    try:
+        return int(text[i:j])
+    except ValueError:
+        raise DslSyntaxError(
+            f"integer literal of {j - i} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits", i) from None
 
 
-def _lex(text):
+def tokenize(text):
     """Token kinds, values and positions of ``text`` as three lists that
     end in an ``end`` token.  A number's value is an int, or a Fraction
     for INT/INT."""
@@ -87,23 +92,14 @@ def _lex(text):
                 k = j + 2
                 while k < n and text[k] in _DIGITS:
                     k += 1
-                try:
-                    den = int(text[j + 1:k])
-                except ValueError:      # more digits than int() converts
-                    raise _too_long(j + 1, k) from None
+                den = _int(text, j + 1, k)
                 if den == 0:
                     raise DslSyntaxError("zero denominator in rational literal",
                                          i)
-                try:
-                    value = Fraction(int(text[i:j]), den)
-                except ValueError:
-                    raise _too_long(i, j) from None
+                value = Fraction(_int(text, i, j), den)
                 j = k
             else:
-                try:
-                    value = int(text[i:j])
-                except ValueError:
-                    raise _too_long(i, j) from None
+                value = _int(text, i, j)
             kinds.append("num")
             values.append(value)
             where.append(i)
@@ -128,22 +124,16 @@ def _lex(text):
     return kinds, values, where
 
 
-def tokenize(text):
-    """(kind, value, position) of every token of ``text``, the last one
-    of kind ``end``."""
-    return list(zip(*_lex(text)))
-
-
 # -- parser -------------------------------------------------------------------
 
 
 class _Parser:
-    """Recursive descent over the token lists of :func:`_lex`; each rule
+    """Recursive descent over the token lists of :func:`tokenize`; each rule
     reads the kind at ``pos`` by index and advances past what it
     consumed."""
 
     def __init__(self, text, names):
-        self.kinds, self.values, self.where = _lex(text)
+        self.kinds, self.values, self.where = tokenize(text)
         self.pos = 0
         self.names = names
 

@@ -465,7 +465,7 @@ def power(one, base, n, mul=mul):
     return r
 
 
-def mono_str(syms, key):
+def _mono_str(syms, key):
     """Monomial string of a packed key, ``""`` for the constant, through
     the bounded table ``syms.strs``."""
     table = syms.strs
@@ -485,7 +485,7 @@ def terms_str(syms, terms, den=1):
     pairs = []
     for k in sorted(terms, reverse=True):
         s = table.get(k)
-        pairs.append((mono_str(syms, k) if s is None else s, terms[k]))
+        pairs.append((_mono_str(syms, k) if s is None else s, terms[k]))
     return signed_terms(pairs, den)
 
 

@@ -548,6 +548,10 @@ def test_dead_pairs_never_reach_word_product(name, monkeypatch):
                           odd: pres.one})
     assert full * full == naive_element_product(full, full)
     assert seen and not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
+    # the single-term product skips a dead pair as well
+    lone = Element(pres, {odd: pres.one})
+    assert (lone * lone).is_zero()
+    assert not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
 
 
 def _check_concatenation(pres, m1, m2, want, monkeypatch):
