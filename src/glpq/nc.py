@@ -746,8 +746,9 @@ def mul_pairs(pres, pairs, words=None, add=add_products):
     term pairs.
 
     ``pairs`` yields ((m1, c1), (m2, c2)); the full product of two
-    elements passes every pair, a truncated product only those that can
-    land inside its window.  A pair whose monomials share an odd
+    elements passes every pair (``Element.__mul__`` runs the same steps
+    inline for one term times one term), a truncated product only those
+    that can land inside its window.  A pair whose monomials share an odd
     generator is zero (see the module docstring) and is skipped first.
     Word products come from ``words``, a capped view of ``pres``, when
     given.  ``add(out, one, c1, c2, terms)`` adds each pair's coefficients
