@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -539,38 +540,36 @@ def test_malformed_input_message(text, message, pos):
     assert info.value.pos == pos
 
 
-def parse_outcome(parse_fn, text, names):
+def parse_outcome(parse_fn, *args):
     """The tree data of a parse, or the kind, message, position and
     expected kinds of its error."""
     try:
-        return "tree", tree_data(parse_fn(text, names))
+        return "tree", tree_data(parse_fn(*args))
     except DslSyntaxError as exc:
         return "syntax", str(exc), exc.pos, exc.expected
     except UnknownIdentifier as exc:
         return "unknown", str(exc)
 
 
-def names_parse(text, names):
-    return parse(text, None if names is None else Context("x", names, None))
-
-
-TSIDE_NAMES = get_context("tside").names
+def same_parse(text, name=None):
+    """parse and the reference parser agree on ``text``, with the names
+    of the context ``name`` or with any name; returns the outcome."""
+    got = parse_outcome(parse, text, name)
+    names = None if name is None else get_context(name).names
+    assert got == parse_outcome(naive_parse, text, names), text
+    return got
 
 
 class TestAgainstTheReferenceParser:
-    @pytest.mark.parametrize("text, message, pos", MALFORMED)
-    def test_malformed_table(self, text, message, pos):
-        assert parse_outcome(names_parse, text, None) == \
-            parse_outcome(naive_parse, text, None)
+    @pytest.mark.parametrize("text", [row[0] for row in MALFORMED])
+    def test_malformed_table(self, text):
+        assert same_parse(text)[0] == "syntax"
 
     def test_golden_streams(self):
         for name, seed, n in (("tside", 31, 300), ("mside", 32, 200),
                               ("series", 33, 80)):
-            names = get_context(name).names
             for text in golden_stream(name, seed, n):
-                got = parse_outcome(names_parse, text, names)
-                assert got == parse_outcome(naive_parse, text, names)
-                assert got[0] == "tree"
+                assert same_parse(text, name)[0] == "tree"
 
     @settings(max_examples=600, deadline=None)
     @given(st.lists(st.sampled_from(
@@ -579,14 +578,13 @@ class TestAgainstTheReferenceParser:
          "\u00e9", "\t"]), max_size=14))
     def test_token_soup(self, parts):
         text = "".join(parts)
-        for names in (None, TSIDE_NAMES):
-            got = parse_outcome(names_parse, text, names)
-            assert got == parse_outcome(naive_parse, text, names), text
+        same_parse(text)
+        same_parse(text, "tside")
 
     def test_literal_types(self):
         assert parse("2*a^3") == ("mul", ("num", 2), ("pow", ("sym", "a"), 3))
         assert type(parse("2")[1]) is int
-        assert type(parse("4/2")[1]).__name__ == "Fraction"
+        assert type(parse("4/2")[1]) is Fraction
         assert parse("a^4/2") == ("pow", ("sym", "a"), 2)
 
 
