@@ -65,7 +65,8 @@ from fractions import Fraction
 from .errors import (DivisionByZero, MissingSymbol, NearPoleEvaluation,
                      NotAUnit, NumericOverflow, SymbolSetMismatch,
                      TruncationUnderflow)
-from .poly import _MASK, Pol, _pol, cofactors, signed_terms, terms_str
+from .poly import (_MASK, Pol, _pol, cofactors, mono_str, signed_terms,
+                   terms_str)
 
 DEFAULT_TRUNC_ORDER = 12
 POLE_EPS = 1e-6
@@ -344,7 +345,7 @@ class RatFunc:
         out = []
         for mono, r in self._laurent_parts():
             rs = r._plain_str()
-            es = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
+            es = mono_str(mono)
             if not es:
                 body = rs
             elif rs in ("1", "-1"):
@@ -582,11 +583,9 @@ class TruncLaurent:
     def __str__(self):
         if not self.nums:
             return "0"
-        pairs = []
-        for e, n in enumerate(self.nums, self.lead):
-            if n:
-                pairs.append(("" if e == 0 else "t" if e == 1 else f"t^{e}", n))
-        return signed_terms(pairs, self.den)
+        return signed_terms([(mono_str((("t", e),)), n)
+                             for e, n in enumerate(self.nums, self.lead)
+                             if n], self.den)
 
     def __repr__(self):
         return f"TruncLaurent({self} + O(t^{self.cap + 1}))"

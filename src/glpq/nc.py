@@ -677,21 +677,9 @@ class Element:
 
     def __mul__(self, other):
         self._check(other)
-        pres = self.pres
-        a, b = self.terms, other.terms
-        if len(a) != 1 or len(b) != 1:
-            return Element(pres, mul_pairs(
-                pres, ((t1, t2) for t1 in a.items() for t2 in b.items())))
-        # one term times one term: mul_pairs' work without its pair
-        # generator
-        (m1, c1), = a.items()
-        (m2, c2), = b.items()
-        out = {}
-        odd_bit = pres._odd_bit
-        if not sum(compress(odd_bit, m1)) & sum(compress(odd_bit, m2)):
-            add_products(out, pres.one, c1, pres.cross_left(m1, c2),
-                         pres.word_product(m1, m2))
-        return Element(pres, out)
+        return Element(self.pres, mul_pairs(
+            self.pres, ((t1, t2) for t1 in self.terms.items()
+                        for t2 in other.terms.items())))
 
     def __pow__(self, n):
         return self.power(n)
@@ -746,9 +734,8 @@ def mul_pairs(pres, pairs, words=None, add=add_products):
     term pairs.
 
     ``pairs`` yields ((m1, c1), (m2, c2)); the full product of two
-    elements passes every pair (``Element.__mul__`` runs the same steps
-    inline for one term times one term), a truncated product only those
-    that can land inside its window.  A pair whose monomials share an odd
+    elements passes every pair, a truncated product only those that can
+    land inside its window.  A pair whose monomials share an odd
     generator is zero (see the module docstring) and is skipped first.
     Word products come from ``words``, a capped view of ``pres``, when
     given.  ``add(out, one, c1, c2, terms)`` adds each pair's coefficients

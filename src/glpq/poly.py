@@ -31,11 +31,13 @@ set exactly when the exponent is inside the bound.
 
 Only the gcd boundary (:func:`poly_gcd`, :func:`_prem`,
 ``as_univariate``), evaluation and substitution read exponents one by
-one.  The printer reads each key's monomial string from a table of its
-symbol set (``SymbolSet.strs``), which unpacks a key the first time it
-is printed; the table is emptied when it reaches
-:data:`MONO_TABLE_SIZE` entries, so it stays bounded whatever is
-printed.  Like the other caches of the package it is not synchronized.
+one.  The printer unpacks a key the first time it prints it and keeps
+the monomial string in a table of its symbol set (``SymbolSet.strs``).
+Each printer table is bounded by :data:`PRINT_TABLE_SIZE` entries
+through :func:`remember` and holds only values computed from their
+keys; it is not synchronized, so threads that share one can lose
+entries or run it a few entries past its bound, but never print a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ FIELD_BITS = 40
 _HALF = 1 << (FIELD_BITS - 1)        # bias of one field
 _MASK = (1 << FIELD_BITS) - 1
 EXPONENT_BOUND = 1 << (FIELD_BITS - 2)
-# most entries of a symbol set's table of printed monomials
-MONO_TABLE_SIZE = 4096
+# most entries of each printer table (SymbolSet.strs and
+# Presentation.print_table)
+PRINT_TABLE_SIZE = 4096
 
 
 class SymbolSet:
@@ -79,7 +82,7 @@ class SymbolSet:
         self.units = tuple((1 << self.top) + (1 << s) for s in self.shifts)
         self.zero = sum(_HALF << s for s in self.shifts)
         self._offset = self.zero >> 1     # 2^(W-2) in every field
-        self.strs = {}                    # key -> monomial string
+        self.strs = {}                    # key -> printed monomial
 
     def pack(self, exps):
         if len(exps) != len(self.names):
@@ -465,16 +468,20 @@ def power(one, base, n, mul=mul):
     return r
 
 
-def _mono_str(syms, key):
-    """Monomial string of a packed key, ``""`` for the constant, through
-    the bounded table ``syms.strs``."""
-    table = syms.strs
-    if len(table) >= MONO_TABLE_SIZE:
+def remember(table, key, value):
+    """Store ``key -> value`` in a printer table and return ``value``.  A
+    table that holds :data:`PRINT_TABLE_SIZE` entries is emptied first,
+    so it stays bounded whatever is printed."""
+    if len(table) >= PRINT_TABLE_SIZE:
         table.clear()
-    s = table[key] = "*".join(n if e == 1 else f"{n}^{e}"
-                              for n, e in zip(syms.names, syms.unpack(key))
-                              if e)
-    return s
+    table[key] = value
+    return value
+
+
+def mono_str(factors):
+    """``*``-joined ``name`` or ``name^e`` of the (name, exponent) pairs
+    whose exponent is nonzero; ``""`` when there is none."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in factors if e)
 
 
 def terms_str(syms, terms, den=1):
@@ -485,7 +492,9 @@ def terms_str(syms, terms, den=1):
     pairs = []
     for k in sorted(terms, reverse=True):
         s = table.get(k)
-        pairs.append((_mono_str(syms, k) if s is None else s, terms[k]))
+        if s is None:
+            s = remember(table, k, mono_str(zip(syms.names, syms.unpack(k))))
+        pairs.append((s, terms[k]))
     return signed_terms(pairs, den)
 
 

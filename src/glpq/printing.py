@@ -4,46 +4,31 @@ Terms are ordered by odd content, then by descending even exponents, so
 pure even words print before their odd corrections.  Output reparses in
 the expression grammar of :mod:`glpq.dsl`.
 
-Each presentation keeps a table (``Presentation.print_table``) that maps
-a canonical monomial to its sort key and its string, filled the first
-time the monomial is printed and emptied when it reaches
-:data:`TABLE_SIZE` entries.  Like the other caches of the package it is
-not synchronized.
+Each presentation keeps a table (``Presentation.print_table``, shared
+with its capped views) from a canonical monomial to its sort key and
+string, bounded like every printer table (:func:`glpq.poly.remember`).
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-# most entries of a presentation's table of printed monomials
-TABLE_SIZE = 4096
+from .poly import mono_str, remember
 
 _first = itemgetter(0)
 
 
-def _mono_str(pres, mono):
-    parts = []
-    for g, e in enumerate(mono):
-        if e == 0:
-            continue
-        name = pres.gen_names[g]
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
-def _row(pres, mono):
-    """(sort key, string) of a canonical monomial, stored in the
-    presentation's bounded table."""
-    table = pres.print_table
-    if len(table) >= TABLE_SIZE:
-        table.clear()
+def _term_sort_key(pres, mono):
     odd = mono[pres.n_even:]
-    key = (sum(odd), tuple(-e for e in mono[:pres.n_even]), odd)
-    row = table[mono] = key, _mono_str(pres, mono)
-    return row
+    even = mono[:pres.n_even]
+    return (sum(odd), tuple(-e for e in even), odd)
 
 
-def scalar_term(coeff, mono_str, first):
+def _mono_str(pres, mono):
+    return mono_str(zip(pres.gen_names, mono))
+
+
+def scalar_term(coeff, word, first):
     s = str(coeff)
     if s.startswith("-"):
         sign = "-"
@@ -56,8 +41,8 @@ def scalar_term(coeff, mono_str, first):
         body = s
     if " " in body:
         body = f"({body})"
-    if mono_str:
-        term = mono_str if body == "1" else f"{body}*{mono_str}"
+    if word:
+        term = word if body == "1" else f"{body}*{word}"
     else:
         term = body
     if first:
@@ -76,7 +61,8 @@ def print_element(e):
     for m, c in elem.terms.items():
         row = table.get(m)
         if row is None:
-            row = _row(pres, m)
+            row = remember(table, m, (_term_sort_key(pres, m),
+                                      _mono_str(pres, m)))
         rows.append((row[0], row[1], c))
     rows.sort(key=_first)
     return " ".join([scalar_term(c, s, i == 0)

@@ -1,15 +1,21 @@
 """Shared randomized generators and naive references for the engine
 property tests."""
 
+import sys
 from fractions import Fraction
 
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.dsl import MAX_EXPONENT
 from glpq.errors import DslSyntaxError, UnknownIdentifier
-from glpq.nc import Element, mul_pairs
+from glpq.nc import Element
 from glpq.poly import Pol, SymbolSet, poly_gcd
 from glpq.series import INF, TruncElement
 from glpq.tside import tside
+
+# the interpreter's limit on the digits int() and str() convert (CPython
+# 3.10.7 and later); None where it is missing or switched off
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits",
+                             lambda: 0)() or None
 
 
 def random_word(rng, max_len=12, exp_bound=3):
@@ -257,14 +263,6 @@ def naive_subst(f, mapping):
                 term = term * mapping[name] ** ex
         out = out + term.shift(syms.offset(rest))
     return out
-
-
-def pairwise_product(x, y):
-    """Reference Element product: every term pair through ``mul_pairs``'
-    pair loop, also when both operands hold one term."""
-    pres = x.pres
-    return Element(pres, mul_pairs(pres, [(t1, t2) for t1 in x.terms.items()
-                                          for t2 in y.terms.items()]))
 
 
 # -- reference printer: one term at a time, each key unpacked and each

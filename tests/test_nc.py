@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glpq import nc
-
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.errors import NonInvertibleNegativePower, NotAUnit, PresentationMismatch
 from glpq.nc import (Element, Presentation, anticommutator, commutator,
@@ -21,8 +19,8 @@ from glpq.tside import (TSide, tside, verify_appendix, verify_section2,
                         verify_section3)
 
 from helpers import (laurent_dump, mono_units, naive_element_product,
-                     naive_normal_form, pairwise_product, random_element,
-                     random_word, renormalize, random_homogeneous)
+                     naive_normal_form, random_element, random_word,
+                     renormalize, random_homogeneous)
 
 
 class TestNormalize:
@@ -446,44 +444,6 @@ def test_element_product_matches_naive(name, data):
     assert x * y == naive_element_product(x, y)
 
 
-def _even_case():
-    ctx = series_context(SeriesConfig(Fraction(1), Fraction(2)))
-    scalars = [ctx.even.one, ctx.q, ctx.h1, ctx.p_inv - 1,
-               TruncLaurent.t_power(-2, ctx.K), TruncLaurent.zero(3)]
-    return ctx.even, ((0, 3), (0, 3)), scalars
-
-
-# the single-term product against mul_pairs' pair loop: on tside, on
-# mside, where the odd shifts move x, y and E coefficients, on the
-# affine presentation, and on the rule-free even one; dead pairs (a
-# shared odd generator) and a zero series coefficient are drawn too
-@pytest.mark.parametrize("name", [*CASES, "even"])
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_single_term_product_matches_mul_pairs(name, data):
-    case = _even_case() if name == "even" else CASES[name]()
-    pres, _, scalars = case
-    x, y = (Element(pres, {data.draw(_monomials(case)):
-                           data.draw(st.sampled_from(scalars))})
-            for _ in range(2))
-    got, want = x * y, pairwise_product(x, y)
-    assert _datum(got.terms.items(), pres.one) == \
-        _datum(want.terms.items(), pres.one)
-
-
-def test_single_term_product_runs_no_pair_loop(monkeypatch):
-    ctx = tside()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a single-term product ran mul_pairs")
-
-    monkeypatch.setattr(nc, "mul_pairs", refuse)
-    assert print_element(ctx.d * ctx.a) == "a*d + (q - p^-1)*beta*gamma"
-    assert (ctx.beta * ctx.beta).is_zero()
-    with pytest.raises(AssertionError, match="ran mul_pairs"):
-        (ctx.a + ctx.d) * ctx.a
-
-
 @pytest.mark.parametrize("word", [
     [("a", -6), ("d", -2), ("a", -1)],       # needs the odd mask to end
     [("d", 5), ("a", 3)],
@@ -548,7 +508,7 @@ def test_dead_pairs_never_reach_word_product(name, monkeypatch):
                           odd: pres.one})
     assert full * full == naive_element_product(full, full)
     assert seen and not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
-    # the single-term product skips a dead pair as well
+    # a product of two single terms skips a dead pair as well
     lone = Element(pres, {odd: pres.one})
     assert (lone * lone).is_zero()
     assert not any(_shares_odd(pres, m1, m2) for m1, m2 in seen)
