@@ -3,8 +3,9 @@
 Exit codes: 0 all checks pass, 1 at least one failure or an algebra
 error (such as a symbol ``eval`` needs and has no value for), 2 usage or
 syntax errors, an expression whose evaluation would make a product
-over the DSL's work bound (``dsl.MAX_PRODUCT_PAIRS``), or an answer with
-a coefficient of more digits than Python converts to a string.
+over the DSL's work bound (``dsl.MAX_PRODUCT_PAIRS``), a polynomial gcd
+over its work budget (``poly.GCD_BUDGET``), or an answer with a
+coefficient of more digits than Python converts to a string.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 
 from . import dsl, mside, series, tside
 from .errors import (AlgebraError, BadAssignment, CoefficientTooLarge,
-                     DslSyntaxError, ExponentOutOfRange, InvalidRay,
-                     ProductTooLarge, UnknownIdentifier)
+                     DslSyntaxError, ExponentOutOfRange, GcdBudgetExceeded,
+                     InvalidRay, ProductTooLarge, UnknownIdentifier)
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -206,7 +207,8 @@ def main(argv=None):
         if args.command == "spotcheck":
             return _finish(run_spotcheck(args), args)
     except (DslSyntaxError, UnknownIdentifier, InvalidRay, BadAssignment,
-            ExponentOutOfRange, ProductTooLarge, CoefficientTooLarge) as exc:
+            ExponentOutOfRange, ProductTooLarge, CoefficientTooLarge,
+            GcdBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

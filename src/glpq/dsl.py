@@ -41,6 +41,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import DslSyntaxError, ProductTooLarge, UnknownIdentifier
 from .nc import commutator
@@ -48,6 +49,9 @@ from .printing import print_element
 
 # largest |n| accepted in ``factor ^ n``; the paper's powers stay far below
 MAX_EXPONENT = 64
+# most brackets, round or square, open at any point of an expression;
+# parsing and evaluation recurse once per level, a few frames each
+MAX_NESTING = 100
 # most term pairs one product may multiply while an expression is
 # evaluated: (a + d + beta)^64 needs 9,216 in its largest product, and
 # (a + d + a^-1 + d^-1 + beta + gamma)^16 needs 81,796 and is refused
@@ -136,6 +140,7 @@ class _Parser:
         self.kinds, self.values, self.where = tokenize(text)
         self.pos = 0
         self.names = names
+        self.depth = 0
 
     def error(self, expected):
         """The syntax error for the token at ``pos``."""
@@ -185,14 +190,20 @@ class _Parser:
             node = ("sym", name)
         elif kind == "num":
             node = ("num", self.values[pos])
-        elif kind == "(":
+        elif kind == "(" or kind == "[":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise DslSyntaxError(
+                    f"brackets nested deeper than {MAX_NESTING}",
+                    self.where[pos])
             node = self.parse_expr()
-            self.expect(")")
-        elif kind == "[":
-            a = self.parse_expr()
-            self.expect(",")
-            node = ("brk", a, self.parse_expr())
-            self.expect("]")
+            if kind == "(":
+                self.expect(")")
+            else:
+                self.expect(",")
+                node = ("brk", node, self.parse_expr())
+                self.expect("]")
+            self.depth -= 1
         else:
             self.pos = pos
             raise self.error(("ident", "num", "(", "["))
@@ -284,6 +295,9 @@ def _mul(x, y):
     return x * y
 
 
+_CHAIN = {"add": add, "sub": sub, "mul": _mul}
+
+
 class Context:
     """Named bindings, the constructor of numeric literals and the table
     of binding powers (see the module docstring)."""
@@ -306,12 +320,17 @@ class Context:
                 raise UnknownIdentifier(node[1]) from None
         if kind == "neg":
             return -self.eval(node[1])
-        if kind == "add":
-            return self.eval(node[1]) + self.eval(node[2])
-        if kind == "sub":
-            return self.eval(node[1]) - self.eval(node[2])
-        if kind == "mul":
-            return _mul(self.eval(node[1]), self.eval(node[2]))
+        if kind in _CHAIN:
+            # a chain a + b - c*d ... leans left: walk down its left side
+            # in a loop, so no Python recursion grows with its length
+            spine = []
+            while node[0] in _CHAIN:
+                spine.append(node)
+                node = node[1]
+            acc = self.eval(node)
+            for kind, _, right in reversed(spine):
+                acc = _CHAIN[kind](acc, self.eval(right))
+            return acc
         if kind == "brk":
             x, y = self.eval(node[1]), self.eval(node[2])
             _check_pairs(x, y)

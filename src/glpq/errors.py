@@ -71,6 +71,11 @@ class DslSyntaxError(AlgebraError):
         self.expected = tuple(expected)
 
 
+class GcdBudgetExceeded(AlgebraError):
+    """A polynomial gcd needed more steps than its fixed work budget
+    (``poly.GCD_BUDGET``)."""
+
+
 class ProductTooLarge(AlgebraError):
     """Expression evaluation reached a product of more term pairs than
     the DSL's work bound."""

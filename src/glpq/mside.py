@@ -9,6 +9,16 @@ a coefficient left across mu maps x, y -> x - phi, y - phi and E1, E2 ->
 q^-1 E1, q^-1 E2 (across nu: psi and p).  So the bracket relations hold
 exactly, without any series truncation.  psi is always materialized as
 2 - phi.
+
+Each shift and the involution tau are substitutions of symbols by
+polynomials, and a substitution is a ring homomorphism: sigma(F(x, y,
+phi, psi)) = F(sigma x, sigma y, sigma phi, sigma psi) for every
+rational expression F whose denominator sigma keeps nonzero.  The power
+suite therefore evaluates its closed forms F_n, G_n at the mapped
+scalars x, y, phi, psi (one or two terms each) instead of mapping the
+expanded forms; canonical forms are unique, so both routes give the
+same coefficient.  The maps are the presentation's own, so a wrong
+shift or tau map fails the same checks either way.
 """
 
 from __future__ import annotations
@@ -98,17 +108,32 @@ class MSide:
 
     # -- closed forms ----------------------------------------------------
 
-    def f_closed(self, n):
-        """Rational closed form of the even correction in the n-th power."""
-        s, phi, psi = self.s, self.phi, self.psi
-        num = (self.x_rf ** n * (s + phi)
-               - (self.x_rf + _rconst(2)) ** n * (s - psi)
-               - (self.y_rf + psi) ** n * _rconst(2))
-        return num / ((s + phi) * (s - psi) * _rconst(2))
+    def f_closed(self, n, *maps):
+        """Rational closed form F_n of the even correction in the n-th
+        power, evaluated at the arguments that the coefficient ``maps``
+        give (see :meth:`_args`)."""
+        x, y, phi, psi = self._args(*maps)
+        s = x - y
+        two = _rconst(2)
+        num = x ** n * (s + phi) - (x + two) ** n * (s - psi) - \
+            (y + psi) ** n * two
+        return num / ((s + phi) * (s - psi) * two)
 
-    def g_closed(self, n):
-        s, phi = self.s, self.phi
-        return ((self.x_rf + phi) ** n - self.y_rf ** n) / (s + phi)
+    def g_closed(self, n, *maps):
+        """Closed form G_n of the odd blocks, at the arguments that the
+        coefficient ``maps`` give."""
+        x, y, phi, _ = self._args(*maps)
+        return ((x + phi) ** n - y ** n) / (x - y + phi)
+
+    def _args(self, *maps):
+        """x, y, phi and psi, each sent through the coefficient maps in
+        order.  The maps are substitutions, so ring homomorphisms (see
+        the module docstring): the closed forms at these arguments equal
+        the maps of the expanded closed forms."""
+        args = (self.x_rf, self.y_rf, self.phi, self.psi)
+        for m in maps:
+            args = tuple(map(m, args))
+        return args
 
     def tau_rf(self, r):
         return r.subst(_TAU_MAP)
@@ -151,25 +176,24 @@ def power_block_identities(n_max=8):
     """Iterated powers of M against the displayed closed forms.
 
     The displayed corrections sit to the right of the odd words; moving
-    them into canonical left position applies the inverse shifts, which
-    is what the closed-form sides below do explicitly.
+    them into canonical left position applies the inverse shifts (after
+    tau for the tau images), which the closed-form sides below do by
+    evaluating F_n and G_n at the shifted arguments (the homomorphism
+    argument of the module docstring).
     """
     ctx = mside()
+    tau = ctx.tau_rf
     powers = {1: ctx.M()}
     for n in range(2, n_max + 1):
         powers[n] = powers[n - 1] * ctx.M()
     for n in range(1, n_max + 1):
         m = powers[n]
-        f = ctx.f_closed(n)
-        g = ctx.g_closed(n)
-        f_tau = ctx.tau_rf(f)
-        g_tau = ctx.tau_rf(g)
         lhs_a = ctx.pres.scalar_elt(ctx.x_rf ** n) - \
-            (ctx.mu * ctx.nu).smul(_shift_munu_inv_rf(f))
+            (ctx.mu * ctx.nu).smul(ctx.f_closed(n, _shift_munu_inv_rf))
         lhs_d = ctx.pres.scalar_elt(ctx.y_rf ** n) - \
-            (ctx.nu * ctx.mu).smul(_shift_munu_inv_rf(f_tau))
-        lhs_b = ctx.mu.smul(_shift_mu_inv_rf(g))
-        lhs_c = ctx.nu.smul(_shift_nu_inv_rf(g_tau))
+            (ctx.nu * ctx.mu).smul(ctx.f_closed(n, tau, _shift_munu_inv_rf))
+        lhs_b = ctx.mu.smul(ctx.g_closed(n, _shift_mu_inv_rf))
+        lhs_c = ctx.nu.smul(ctx.g_closed(n, tau, _shift_nu_inv_rf))
         yield Identity(f"power.A.n={n}", "M^n_11 = x^n - mu*nu*F_n",
                        m.a11, lhs_a)
         yield Identity(f"power.B.n={n}", "M^n_12 = mu*G_n", m.a12, lhs_b)
@@ -187,10 +211,9 @@ def resolve_f_placement(n_probe=4):
     """
     ctx = mside()
     m = ctx.m_power(n_probe)
-    f = ctx.f_closed(n_probe)
     target = m.a11 - ctx.pres.scalar_elt(ctx.x_rf ** n_probe)
-    right = -(ctx.mu * ctx.nu).smul(_shift_munu_inv_rf(f))
-    left = -(ctx.mu * ctx.nu).smul(f)
+    right = -(ctx.mu * ctx.nu).smul(ctx.f_closed(n_probe, _shift_munu_inv_rf))
+    left = -(ctx.mu * ctx.nu).smul(ctx.f_closed(n_probe))
     right_ok = (target - right).is_zero()
     left_ok = (target - left).is_zero()
     if right_ok and not left_ok:

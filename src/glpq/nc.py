@@ -17,8 +17,11 @@ generator is zero.  ``_reduce`` drops such words unread, and
 ``mul_pairs`` skips such term pairs before it touches their
 coefficients or calls ``word_product``.
 
-Two word builders: ``word_elt`` and ``word_product`` append letters one
-at a time through the cached single-letter step ``_word_step``, and
+Two word builders: ``word_product`` multiplies two canonical monomials,
+in the closed form below when it applies and otherwise by appending
+letters one at a time through the cached single-letter step
+``_word_step``; ``word_elt`` multiplies the runs of a word (the powers
+of one generator) through it, so it reads the same caches.  And
 ``normalize`` rewrites the whole word directly with ``_reduce``, with no
 cache, under a choice of strategy; it is the reference for the
 confluence tests.  ``_reduce`` merges equal pending words, so a word
@@ -272,13 +275,25 @@ class Presentation:
         return self.word_elt([(name, exp)])
 
     def word_elt(self, word, coeff=None):
-        """Element ``coeff * word``, built through the cached letter step."""
+        """Element ``coeff * word``, built one run of a generator at a time
+        through ``word_product``.  The coefficient stays at the left, so
+        no shift applies."""
         coeff = self.one if coeff is None else coeff
-        letters = self._letters(self._resolve_word(word))
+        runs = self._runs(self._resolve_word(word))
         if coeff.is_zero():
             return self.zero_elt()
-        return Element(self, self._append(
-            {(0,) * self.n_gens: coeff}, letters))
+        one = self.one
+        zero = (0,) * self.n_gens
+        acc = {zero: coeff}
+        for g, e in runs:
+            if self.parity[g] and e > 1:
+                return self.zero_elt()          # an odd square
+            run = zero[:g] + (e,) + zero[g + 1:]
+            new = {}
+            for mono, sc in acc.items():
+                add_products(new, one, sc, one, self.word_product(mono, run))
+            acc = new
+        return Element(self, acc)
 
     def monomial_letters(self, mono):
         letters = []
@@ -291,18 +306,22 @@ class Presentation:
 
     # -- core rewriting -------------------------------------------------------
 
+    def _runs(self, word):
+        """The (generator, exponent) pairs of a resolved word whose
+        exponent is not zero; raises NonInvertibleNegativePower for a
+        negative power of an odd or non-invertible generator."""
+        runs = []
+        for g, e in word:
+            if e:
+                if e < 0 and not self.invertible[g]:
+                    raise NonInvertibleNegativePower(self.gen_names[g])
+                runs.append((g, e))
+        return runs
+
     def _letters(self, word):
         letters = []
-        for g, e in word:
-            if e == 0:
-                continue
-            if self.parity[g]:
-                if e < 0:
-                    raise NonInvertibleNegativePower(self.gen_names[g])
-            elif e < 0 and not self.invertible[g]:
-                raise NonInvertibleNegativePower(self.gen_names[g])
-            s = 1 if e > 0 else -1
-            letters.extend([(g, s)] * abs(e))
+        for g, e in self._runs(word):
+            letters.extend([(g, 1 if e > 0 else -1)] * abs(e))
         return letters
 
     def normalize(self, word, coeff, strategy="leftmost"):

@@ -47,7 +47,8 @@ import sys
 from operator import mul
 
 from .errors import (CoefficientTooLarge, DivisionByZero,
-                     ExponentOutOfRange, MissingSymbol, SymbolSetMismatch)
+                     ExponentOutOfRange, GcdBudgetExceeded, MissingSymbol,
+                     SymbolSetMismatch)
 
 FIELD_BITS = 40
 _HALF = 1 << (FIELD_BITS - 1)        # bias of one field
@@ -372,20 +373,31 @@ class Pol:
                 t[k] = q
             syms.check(t)
             return _pol(syms, t)
-        rem = self
+        # one remainder dict, each quotient term subtracted in place; the
+        # leading key falls at every step, so no quotient key repeats
+        rem = dict(self.terms)
         out = {}
         lk, lc = other.leading()
-        while rem.terms:
-            rk, rc = rem.leading()
+        tail = [(k - lk, c) for k, c in other.terms.items() if k != lk]
+        check = syms.check
+        while rem:
+            rk = max(rem)
             qk = rk - lk + z
             if qk & z != z:
                 raise ArithmeticError("inexact division (monomial mismatch)")
-            syms.check((qk,))
-            qc, r = divmod(rc, lc)
+            check((qk,))
+            qc, r = divmod(rem.pop(rk), lc)
             if r:
                 raise ArithmeticError("inexact division (coefficient)")
-            out[qk] = out.get(qk, 0) + qc
-            rem = rem + other.shift(qk - z).mul_int(-qc)
+            out[qk] = qc
+            keys = [rk + d for d, _ in tail]
+            check(keys)
+            for k, (_, c) in zip(keys, tail):
+                nc = rem.get(k, 0) - qc * c
+                if nc:
+                    rem[k] = nc
+                else:
+                    del rem[k]
         return _pol(syms, out)
 
     # -- evaluation / substitution ----------------------------------------
@@ -539,7 +551,22 @@ def signed_terms(pairs, den):
 
 # -- gcd ------------------------------------------------------------------
 #
-# The gcd routines take polynomials: every exponent is nonnegative.
+# The gcd routines take polynomials: every exponent is nonnegative.  A
+# top-level poly_gcd gets a fixed work budget: every gcd call of its
+# recursion and every pseudo-division step of its PRS spends one unit,
+# and running out raises GcdBudgetExceeded.  No call of any suite (the
+# mside suite up to n_max = 24 included) or of the benchmark's normalize
+# streams spends more than 19 units; the stall input of the README needs
+# more than 100,000 and spends the budget below in about 0.4 s.
+
+GCD_BUDGET = 10_000
+
+
+def _spend(budget):
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise GcdBudgetExceeded(
+            f"polynomial gcd needs more than {GCD_BUDGET} steps")
 
 
 def _int_primitive(p):
@@ -549,23 +576,25 @@ def _int_primitive(p):
     return c, p.divexact(Pol.const(p.syms, c))
 
 
-def _poly_content(coeffs):
+def _poly_content(coeffs, budget):
     g = None
     for p in coeffs:
-        g = p if g is None else poly_gcd(g, p)
+        g = p if g is None else _gcd(g, p, budget)
         if g.is_const() and abs(g.const_value()) == 1:
             break
     return g
 
 
-def _prem(f, g, var):
-    """Pseudo-remainder of f by g in the main variable."""
+def _prem(f, g, var, budget):
+    """Pseudo-remainder of f by g in the main variable; one budget unit
+    per division step."""
     df, dg = f.degree_in(var), g.degree_in(var)
     fu = f.as_univariate(var)
     gu = g.as_univariate(var)
     lg = gu[dg]
     n = df - dg + 1
     while fu and max(fu) >= dg:
+        _spend(budget)
         d = max(fu)
         lf = fu[d]
         # f <- lg*f - lf*x^(d-dg)*g
@@ -658,9 +687,18 @@ def cofactors(f, g):
 
 def poly_gcd(f, g):
     """gcd over Z[symbols] with positive leading coefficient; its integer
-    content is the gcd of the operands' contents."""
+    content is the gcd of the operands' contents.  Raises
+    :class:`~glpq.errors.GcdBudgetExceeded` when it needs more than
+    :data:`GCD_BUDGET` steps."""
     if f.syms != g.syms:
         raise SymbolSetMismatch(f"{f.syms} vs {g.syms}")
+    return _gcd(f, g, [GCD_BUDGET])
+
+
+def _gcd(f, g, budget):
+    """:func:`poly_gcd` drawing on ``budget``, a one-element list that
+    holds the units left."""
+    _spend(budget)
     if f.is_zero():
         return _normalize_sign(g)
     if g.is_zero():
@@ -674,9 +712,9 @@ def poly_gcd(f, g):
     if var < 0:
         return Pol.const(f.syms, c)
     # recurse on contents w.r.t. the main variable
-    fcont = _poly_content(fp.as_univariate(var).values())
-    gcont = _poly_content(gp.as_univariate(var).values())
-    cont = poly_gcd(fcont, gcont)
+    fcont = _poly_content(fp.as_univariate(var).values(), budget)
+    gcont = _poly_content(gp.as_univariate(var).values(), budget)
+    cont = _gcd(fcont, gcont, budget)
     fp = fp.divexact(fcont)
     gp = gp.divexact(gcont)
     if fp.degree_in(var) < gp.degree_in(var):
@@ -689,12 +727,12 @@ def poly_gcd(f, g):
         if gp.degree_in(var) == 0:
             h = Pol.const(f.syms, 1)
             break
-        r = _prem(fp, gp, var)
+        r = _prem(fp, gp, var, budget)
         if r.is_zero():
             h = gp
             break
         _, r = _int_primitive(r)
-        rc = _poly_content(r.as_univariate(var).values())
+        rc = _poly_content(r.as_univariate(var).values(), budget)
         r = r.divexact(rc)
         fp, gp = gp, r
     _, h = _int_primitive(h)

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.dsl import MAX_EXPONENT
-from glpq.errors import DslSyntaxError, UnknownIdentifier
+from glpq.errors import DivisionByZero, DslSyntaxError, UnknownIdentifier
 from glpq.nc import Element
-from glpq.poly import Pol, SymbolSet, poly_gcd
+from glpq.poly import Pol, SymbolSet, _pol, poly_gcd
 from glpq.series import INF, TruncElement
 from glpq.tside import tside
 
@@ -245,6 +245,81 @@ def naive_ratfunc_add(a, b):
     denominators."""
     (an, ad), (bn, bd) = a.cleared(), b.cleared()
     return naive_ratfunc(an * bd + bn * ad, ad * bd)
+
+
+def naive_divexact(f, g):
+    """Reference exact quotient, the loop ``Pol.divexact`` used before it
+    divided in place: each step adds a new Pol, a shifted and scaled
+    copy of the divisor, to the remainder."""
+    syms = f.syms
+    if g.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if g.is_one():
+        return f
+    z = syms.zero
+    if g.is_const():
+        k = g.const_value()
+        t = {}
+        for e, c in f.terms.items():
+            q, r = divmod(c, k)
+            if r:
+                raise ArithmeticError("inexact constant division")
+            t[e] = q
+        return _pol(syms, t)
+    if g.is_monomial():
+        (dk, dc), = g.terms.items()
+        s = dk - z
+        t = {}
+        for k, c in f.terms.items():
+            q, r = divmod(c, dc)
+            k -= s
+            if r or k & z != z:
+                raise ArithmeticError("inexact monomial division")
+            t[k] = q
+        syms.check(t)
+        return _pol(syms, t)
+    rem = f
+    out = {}
+    lk, lc = g.leading()
+    while rem.terms:
+        rk, rc = rem.leading()
+        qk = rk - lk + z
+        if qk & z != z:
+            raise ArithmeticError("inexact division (monomial mismatch)")
+        syms.check((qk,))
+        qc, r = divmod(rc, lc)
+        if r:
+            raise ArithmeticError("inexact division (coefficient)")
+        out[qk] = out.get(qk, 0) + qc
+        rem = rem + g.shift(qk - z).mul_int(-qc)
+    return _pol(syms, out)
+
+
+def subst_power_blocks(n_max):
+    """The closed-form sides of ``mside.power_block_identities`` built the
+    substitution way: each map applied to the expanded F_n and G_n.  The
+    maps are read from :mod:`glpq.mside` at call time, so a patched map
+    reaches both routes."""
+    from glpq import mside as ms
+    from glpq.report import Identity
+    ctx = ms.mside()
+    tau = ctx.tau_rf
+    sc = ctx.pres.scalar_elt
+    m = ctx.M()
+    for n in range(1, n_max + 1):
+        if n > 1:
+            m = m * ctx.M()
+        f, g = ctx.f_closed(n), ctx.g_closed(n)
+        sides = (
+            ("A", m.a11, sc(ctx.x_rf ** n) - (ctx.mu * ctx.nu).smul(
+                ms._shift_munu_inv_rf(f))),
+            ("B", m.a12, ctx.mu.smul(ms._shift_mu_inv_rf(g))),
+            ("C", m.a21, ctx.nu.smul(ms._shift_nu_inv_rf(tau(g)))),
+            ("D", m.a22, sc(ctx.y_rf ** n) - (ctx.nu * ctx.mu).smul(
+                ms._shift_munu_inv_rf(tau(f)))),
+        )
+        for block, lhs, rhs in sides:
+            yield Identity(f"power.{block}.n={n}", "", lhs, rhs)
 
 
 def naive_subst(f, mapping):

@@ -178,16 +178,45 @@ class TestNormalizeCommand:
         assert captured.err.splitlines() == [message]
 
 
-def _normalize_in_child(expr):
-    """``glpq normalize --ctx tside expr`` in a child process, so that a
+def _normalize_in_child(expr, ctx="tside"):
+    """``glpq normalize --ctx ctx expr`` in a child process, so that a
     regression fails on the timeout instead of hanging the run."""
     src = os.path.dirname(os.path.dirname(glpq.__file__))
     code = ("import sys; from glpq.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     return subprocess.run(
-        [sys.executable, "-c", code, "normalize", "--ctx", "tside", expr],
+        [sys.executable, "-c", code, "normalize", "--ctx", ctx, expr],
         capture_output=True, text=True, timeout=10,
         env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("expr, printed", [
+    ("*".join(["p"] * 1500), "p^1500"),
+    (" + ".join(["p"] * 1500), "1500*p"),
+    ("a" + " - a*p" * 1500, "-(1500*p - 1)*a"),
+], ids=["product", "sum", "difference"])
+def test_long_flat_chains_print_their_answer(expr, printed):
+    proc = _normalize_in_child(expr)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == printed
+
+
+@pytest.mark.parametrize("ctx, expr, message", [
+    ("tside", "(" * 400 + "a" + ")" * 400,
+     "error: brackets nested deeper than 100 at position 100"),
+    ("tside", "[a, " * 400 + "d" + "]" * 400,
+     "error: brackets nested deeper than 100 at position 400"),
+    # the primitive PRS stalls on this gcd (it is 1); the work budget
+    # ends it
+    ("mside", "((p*q*x^2*phi^2 - p^2*x - q*x)*(p*q*x^2 - p^2*q^2*x*phi^2"
+     " - phi))*(18*q^2*phi^2*(p*x + q*phi)^2)^-1*mu",
+     "error: polynomial gcd needs more than 10000 steps"),
+], ids=["parentheses", "commutators", "gcd"])
+def test_deep_or_stalling_input_is_a_usage_error(ctx, expr, message):
+    proc = _normalize_in_child(expr, ctx)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
 
 
 class TestEvalCommand:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glpq import dsl, nc
-from glpq.dsl import (MAX_EXPONENT, Context, evaluate, get_context, parse,
-                      print_canonical, print_tree, tokenize)
+from glpq.dsl import (MAX_EXPONENT, MAX_NESTING, Context, evaluate,
+                      get_context, parse, print_canonical, print_tree,
+                      tokenize)
 from glpq.errors import (DslSyntaxError, NotAUnit, ProductTooLarge,
                          UnknownIdentifier)
 from glpq.nc import commutator
@@ -138,6 +140,49 @@ def test_exponent_bound():
     for text in (f"a^{MAX_EXPONENT + 1}", f"(a + d)^-{MAX_EXPONENT + 1}"):
         with pytest.raises(DslSyntaxError, match="exceeds the bound"):
             parse(text)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("[a, ", "]")])
+def test_nesting_bound(opening, closing):
+    # MAX_NESTING levels parse; one more is a syntax error at the bracket
+    # that opens it
+    n = MAX_NESTING
+    assert parse(opening * n + "a" + closing * n) is not None
+    text = opening * (n + 1) + "a" + closing * (n + 1)
+    with pytest.raises(DslSyntaxError, match="nested deeper than") as info:
+        parse(text)
+    assert info.value.pos == n * len(opening)
+
+
+def test_nesting_at_the_bound_evaluates():
+    # the deepest admitted nesting, with the most evaluation frames per
+    # level, runs under a lowered recursion limit
+    text = "a"
+    for _ in range(MAX_NESTING // 2):
+        text = f"-(d + d*[a, {text}]^2)"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(700)
+    try:
+        evaluate(text, "tside")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("op, want", [
+    ("*", "p^1500*a"), (" + ", "1500*a"), (" - ", "-1498*a")])
+def test_long_flat_chains_evaluate_in_a_loop(op, want):
+    ctx = get_context("tside")
+    word = "p" if op == "*" else "a"
+    text = op.join([word] * 1500) + ("*a" if op == "*" else "")
+    assert print_canonical(evaluate(text, ctx)) == want
+
+
+def test_chains_keep_left_to_right_order():
+    # a mixed chain against its fully parenthesised form
+    ctx = get_context("tside")
+    flat = "a - d*beta*gamma + 2*d - beta*a*gamma*d - a*d"
+    nested = "((((a - ((d*beta)*gamma)) + (2*d)) - (((beta*a)*gamma)*d)) - (a*d))"
+    assert evaluate(flat, ctx) == evaluate(nested, ctx)
 
 
 # Printed canonical forms with general and monomial denominators, as the

@@ -5,11 +5,19 @@ import pytest
 
 from glpq.dsl import evaluate
 from glpq.coeff import RatFunc
-from glpq.mside import (M_SYMS, mside, mside_identities,
-                        resolve_f_placement, verify_mside)
+from glpq import mside as mside_module
+from glpq.mside import (M_SYMS, _shift_mu_inv_rf, _shift_munu_inv_rf,
+                        _shift_nu_inv_rf, centrality_identities,
+                        group_matrix_identities, mside, mside_identities,
+                        relation_identities, resolve_f_placement,
+                        verify_mside)
 from glpq.nc import commutator
+from glpq.poly import Pol
 from glpq.printing import print_element
+from glpq.report import run_exact
 from glpq.supermatrix import sdet
+
+from helpers import subst_power_blocks
 
 
 class TestPowers:
@@ -172,3 +180,63 @@ def test_printed_forms_digest():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == \
         "07ddf9d99dbacf372d687727033d9b6f09495abf34ffe650c2a6f3ea73f0585b"
+
+
+# -- closed forms at mapped arguments against the substitution route ---------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_forms_at_mapped_arguments(n):
+    # each map is a substitution, so a ring homomorphism: F_n and G_n at
+    # the mapped arguments equal the map of the expanded forms
+    ctx = mside()
+    tau = ctx.tau_rf
+    f, g = ctx.f_closed(n), ctx.g_closed(n)
+    for maps in ((_shift_munu_inv_rf,), (tau, _shift_munu_inv_rf),
+                 (_shift_mu_inv_rf,), (tau, _shift_nu_inv_rf), (tau,)):
+        want_f, want_g = f, g
+        for m in maps:
+            want_f, want_g = m(want_f), m(want_g)
+        assert ctx.f_closed(n, *maps) == want_f
+        assert ctx.g_closed(n, *maps) == want_g
+
+
+def _failing_ids(report):
+    return sorted(c.id for c in report.checks if c.status != "pass")
+
+
+def _q_pol(name, e=1):
+    return Pol.symbol(M_SYMS, name, e)
+
+
+_X, _PHI = _q_pol("x"), _q_pol("phi")
+_MUTANTS = {
+    "mu map, x -> x + phi": ("_SHIFT_MU_INV", "x", _X + _PHI),
+    "mu map, E2 -> p^-1*E2": ("_SHIFT_MU_INV", "E2",
+                              _q_pol("p", -1) * _q_pol("E2")),
+    "nu map, x -> x + psi": ("_SHIFT_NU_INV", "x",
+                             _X + Pol.const(M_SYMS, 2) - _PHI),
+}
+
+
+@pytest.mark.parametrize("mutant", [*_MUTANTS, "tau map, p and q fixed"])
+def test_mutated_maps_fail_the_same_checks_on_both_routes(mutant,
+                                                          monkeypatch):
+    # the closed-form sides take their maps from the presentation, so a
+    # wrong map fails exactly the checks that the substitution route
+    # fails; the tau mutant that fixes p and q is a known survivor
+    if mutant in _MUTANTS:
+        table, name, value = _MUTANTS[mutant]
+        monkeypatch.setitem(getattr(mside_module, table), name, value)
+    else:
+        monkeypatch.setitem(mside_module._TAU_MAP, "p", _q_pol("p"))
+        monkeypatch.setitem(mside_module._TAU_MAP, "q", _q_pol("q"))
+    got = _failing_ids(verify_mside(4))
+    want = _failing_ids(run_exact("mside", [
+        *subst_power_blocks(4), *relation_identities(),
+        *centrality_identities(), *group_matrix_identities()]))
+    assert got == want
+    if mutant in _MUTANTS:
+        assert got
+    else:
+        assert got == []

@@ -435,6 +435,75 @@ def test_word_elt_matches_naive(name, data):
     assert pres.normalize(word, coeff) == want
 
 
+@st.composite
+def _run_words(draw, case):
+    """Words of whole runs: negative runs of the invertible even
+    generators, a run often on the generator of the run before it, and
+    odd runs of one or two letters."""
+    pres, even_ranges, _ = case
+    word = []
+    for _ in range(draw(st.integers(0, 5))):
+        if word and draw(st.booleans()):
+            g = pres.index[word[-1][0]]
+        else:
+            g = draw(st.integers(0, pres.n_gens - 1))
+        if g < pres.n_even:
+            lo, hi = even_ranges[g]
+            lo -= pres.invertible[g]
+            e = draw(st.integers(lo, hi + 1).filter(bool))
+        else:
+            e = draw(st.integers(1, 2))
+        word.append((pres.gen_names[g], e))
+    return word
+
+
+@pytest.mark.parametrize("name", CASES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_elt_by_runs_matches_normalize(name, data):
+    # word_elt multiplies whole runs through word_product; normalize
+    # rewrites the whole word with no cache
+    case = CASES[name]()
+    pres, _, scalars = case
+    word = data.draw(_run_words(case))
+    coeff = data.draw(st.sampled_from(scalars))
+    assert pres.word_elt(word, coeff).terms == pres.normalize(word, coeff)
+
+
+@pytest.mark.parametrize("name, word, n_terms", [
+    ("tside", [("a", -2), ("d", -1), ("a", -1)], 2),
+    ("tside", [("d", 2), ("d", -3), ("a", 2), ("a", -1)], 2),
+    ("tside", [("a", 1), ("a", -1)], 1),
+    ("tside", [("beta", 2)], 0),
+    ("tside", [("beta", 1), ("a", 1), ("beta", 1)], 0),
+    ("tside", [("gamma", 1), ("a", 2), ("beta", 1), ("d", -1)], 1),
+    ("mside", [("nu", 1), ("mu", 1)], 1),
+    ("mside", [("mu", 1), ("nu", 1), ("mu", 1)], 0),
+    ("affine", [("beta", 1), ("A", 3), ("beta", 1)], 0),
+    ("affine", [("D", 1), ("A", 2), ("D", 1)], None),
+])
+def test_word_elt_by_runs_cases(name, word, n_terms):
+    pres, _, scalars = CASES[name]()
+    for coeff in (pres.one, scalars[2]):
+        got = pres.word_elt(word, coeff).terms
+        assert got == pres.normalize(word, coeff)
+        assert n_terms is None or len(got) == n_terms
+
+
+@pytest.mark.parametrize("name, word", [
+    ("tside", [("beta", -1)]),
+    ("tside", [("beta", 2), ("gamma", -1)]),
+    ("mside", [("mu", 1), ("nu", -2)]),
+    ("affine", [("A", 1), ("D", -1)]),
+])
+def test_word_elt_by_runs_refuses_negative_powers(name, word):
+    # every run is checked before any product, an odd square included
+    pres, _, scalars = CASES[name]()
+    for build in (pres.word_elt, pres.normalize):
+        with pytest.raises(NonInvertibleNegativePower):
+            build(word, scalars[1])
+
+
 @pytest.mark.parametrize("name", CASES)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())

@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glpq.errors import ExponentOutOfRange
+from glpq import poly
+from glpq.errors import ExponentOutOfRange, GcdBudgetExceeded
+from glpq.mside import verify_mside
 from glpq.poly import EXPONENT_BOUND, Pol, SymbolSet, poly_gcd
 
-from helpers import naive_subst
+from helpers import naive_divexact, naive_subst
 
 PQ = SymbolSet(["p", "q"])
 
@@ -209,3 +211,129 @@ def test_laurent_leading_term():
     assert PQ.unpack(k) == (2, 0) and c == 1
     k, c = (sym("p", -1) - q * sym("p", -2)).leading()
     assert PQ.unpack(k) == (-1, 0) and c == 1
+
+
+# -- in-place exact division against the step-by-step loop -------------------
+
+_EDGE = st.sampled_from([-EXPONENT_BOUND, -EXPONENT_BOUND + 1,
+                         EXPONENT_BOUND - 2, EXPONENT_BOUND - 1])
+_laurent_dicts = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3),
+                                 st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=4)
+_several_terms = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3),
+                                 st.integers(-3, 3).filter(bool),
+                                 min_size=2, max_size=4)
+_divisors = st.one_of(
+    st.integers(-3, 3).filter(bool).map(lambda c: {(0, 0, 0): c}),
+    st.tuples(st.tuples(*[st.integers(-2, 2)] * 3),
+              st.integers(-3, 3).filter(bool)).map(lambda kc: dict([kc])),
+    _several_terms, _several_terms, _several_terms)
+
+
+def _division(fn, f, g):
+    try:
+        return "ok", fn(f, g)
+    except (ArithmeticError, ExponentOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+_quotients = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                             st.integers(-3, 3).filter(bool),
+                             min_size=1, max_size=4)
+
+
+@given(g=_divisors, q=_quotients,
+       how=st.sampled_from(["exact", "inexact", "coefficient", "laurent",
+                            "edge"]),
+       extra=_laurent_dicts,
+       edge=st.tuples(_EDGE, st.integers(-2, 2), st.integers(-2, 2)))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_divexact_matches_the_step_loop(g, q, how, extra, edge):
+    # exact and inexact quotients; constant, monomial and Laurent
+    # divisors; quotients with a negative exponent or with one at the
+    # edge of the bound: the same quotient or the same error
+    g, q = Pol(XYC, g), Pol(XYC, q)
+    if how == "laurent":
+        q = q * Pol(XYC, extra)
+    try:
+        if how == "edge":
+            q = q * Pol(XYC, {edge: 1})
+        f = g * q
+    except ExponentOutOfRange:
+        assume(False)
+    if how == "inexact":
+        f = f + Pol(XYC, extra)
+    elif how == "coefficient":
+        # a leading coefficient that the divisor's may not divide
+        f = f + Pol(XYC, {XYC.unpack(max(f.terms)): 1})
+    assert _division(Pol.divexact, f, g) == _division(naive_divexact, f, g)
+
+
+@pytest.mark.parametrize("f, g, error", [
+    # the quotient key p^(B-1) is inside the bound, the remainder key p^B
+    # that its step would store is not
+    (sym("p", EXPONENT_BOUND - 1) * sym("q", 3), sym("q", 3) + sym("p"),
+     ExponentOutOfRange),
+    # the quotient key p^(B+1) itself is past the bound
+    (sym("p", EXPONENT_BOUND - 1), sym("p", -2) + sym("q", -3),
+     ExponentOutOfRange),
+    # a quotient key with a negative exponent
+    (sym("q", -EXPONENT_BOUND) * sym("p"), sym("p") + sym("q", -1),
+     ArithmeticError),
+    (sym("p", 2) + sym("q"), sym("p") + const(1), ArithmeticError),
+    ((sym("p") + const(1)) * sym("q", EXPONENT_BOUND - 2),
+     sym("p") + const(1), None),
+])
+def test_divexact_at_the_edge_of_the_bound(f, g, error):
+    assert _division(Pol.divexact, f, g) == _division(naive_divexact, f, g)
+    if error is None:
+        assert f.divexact(g) * g == f
+    else:
+        with pytest.raises(error):
+            f.divexact(g)
+
+
+# -- the gcd work budget ---------------------------------------------------------
+
+
+def _stall_pair():
+    """The operands of the README's stall input, over p, q, s, phi."""
+    syms = SymbolSet(["p", "q", "s", "phi"])
+    p, q, s, phi = (Pol.symbol(syms, n) for n in syms.names)
+    num = (p * q * s ** 2 * phi ** 2 - p ** 2 * s - q * s) * \
+        (p * q * s ** 2 - p ** 2 * q ** 2 * s * phi ** 2 - phi)
+    den = Pol.const(syms, 18) * q ** 2 * phi ** 2 * (p * s + q * phi) ** 2
+    return num, den
+
+
+def test_gcd_over_its_budget_raises(monkeypatch):
+    with pytest.raises(GcdBudgetExceeded, match="more than 10000 steps"):
+        poly_gcd(*_stall_pair())
+    # this gcd spends 5 units, and each top-level call gets the whole
+    # budget afresh
+    f = sym("p") ** 2 - const(1)
+    g = sym("p") ** 2 + sym("p") * const(2) + const(1)
+    monkeypatch.setattr(poly, "GCD_BUDGET", 5)
+    for _ in range(3):
+        assert poly_gcd(f, g) == sym("p") + const(1)
+    monkeypatch.setattr(poly, "GCD_BUDGET", 4)
+    with pytest.raises(GcdBudgetExceeded):
+        poly_gcd(f, g)
+
+
+def test_suites_spend_a_hundredth_of_the_budget(monkeypatch):
+    # the budget stays at least 100 times the most that any gcd of the
+    # mside suite spends (the tside suites reduce no gcd by the PRS)
+    spent = []
+    inner = poly._gcd
+
+    def counting(f, g, budget):
+        top = budget[0] == poly.GCD_BUDGET
+        h = inner(f, g, budget)
+        if top:
+            spent.append(poly.GCD_BUDGET - budget[0])
+        return h
+
+    monkeypatch.setattr(poly, "_gcd", counting)
+    assert verify_mside(12).ok
+    assert spent and max(spent) * 100 <= poly.GCD_BUDGET
