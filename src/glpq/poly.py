@@ -556,8 +556,8 @@ def signed_terms(pairs, den):
 # recursion and every pseudo-division step of its PRS spends one unit,
 # and running out raises GcdBudgetExceeded.  No call of any suite (the
 # mside suite up to n_max = 24 included) or of the benchmark's normalize
-# streams spends more than 19 units; the stall input of the README needs
-# more than 100,000 and spends the budget below in about 0.4 s.
+# streams spends more than 19 units, so the budget is over 500 times
+# that; the stall input of ROADMAP item 1 needs more than 100,000.
 
 GCD_BUDGET = 10_000
 
