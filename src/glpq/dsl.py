@@ -25,6 +25,11 @@ terms of one factor times those of the other) number at most
 both sides of a commutator, and inside a power each squaring, each
 multiplication and each step of the series that inverts an exact unit
 (a series-sector inversion is bounded by its weight window).
+Parsing and evaluation recurse once per bracket level, so at most
+:data:`MAX_NESTING` brackets may be open at once, and one more is a
+syntax error at the bracket that opens it; a chain of ``+``, ``-`` and
+``*`` is evaluated in a loop, so a flat expression of any length
+recurses no deeper than its brackets.
 
 A :class:`Context` keeps a table of the powers ``g^n`` of its named
 bindings (generators and parameters), filled on use: the first ``g^n``
@@ -49,8 +54,8 @@ from .printing import print_element
 
 # largest |n| accepted in ``factor ^ n``; the paper's powers stay far below
 MAX_EXPONENT = 64
-# most brackets, round or square, open at any point of an expression;
-# parsing and evaluation recurse once per level, a few frames each
+# most brackets, round or square, open at any point of an expression:
+# each level costs the parser three frames and evaluation a few more
 MAX_NESTING = 100
 # most term pairs one product may multiply while an expression is
 # evaluated: (a + d + beta)^64 needs 9,216 in its largest product, and

@@ -553,11 +553,13 @@ def signed_terms(pairs, den):
 #
 # The gcd routines take polynomials: every exponent is nonnegative.  A
 # top-level poly_gcd gets a fixed work budget: every gcd call of its
-# recursion and every pseudo-division step of its PRS spends one unit,
-# and running out raises GcdBudgetExceeded.  No call of any suite (the
-# mside suite up to n_max = 24 included) or of the benchmark's normalize
-# streams spends more than 19 units, so the budget is over 500 times
-# that; the stall input of ROADMAP item 1 needs more than 100,000.
+# recursion and every pseudo-remainder of its PRS spends one unit, and
+# running out raises GcdBudgetExceeded.  No call of any suite (the mside
+# suite up to n_max = 24 included) or of the benchmark's normalize
+# streams spends more than 17 units, so the budget is over 500 times
+# that; the stall input of ROADMAP item 1 needs more than 100,000.  A
+# pseudo-remainder costs one unit whatever its degree, so a gcd of
+# high-degree operands in one variable stays within the budget.
 
 GCD_BUDGET = 10_000
 
@@ -585,16 +587,14 @@ def _poly_content(coeffs, budget):
     return g
 
 
-def _prem(f, g, var, budget):
-    """Pseudo-remainder of f by g in the main variable; one budget unit
-    per division step."""
+def _prem(f, g, var):
+    """Pseudo-remainder of f by g in the main variable."""
     df, dg = f.degree_in(var), g.degree_in(var)
     fu = f.as_univariate(var)
     gu = g.as_univariate(var)
     lg = gu[dg]
     n = df - dg + 1
     while fu and max(fu) >= dg:
-        _spend(budget)
         d = max(fu)
         lf = fu[d]
         # f <- lg*f - lf*x^(d-dg)*g
@@ -727,7 +727,8 @@ def _gcd(f, g, budget):
         if gp.degree_in(var) == 0:
             h = Pol.const(f.syms, 1)
             break
-        r = _prem(fp, gp, var, budget)
+        _spend(budget)
+        r = _prem(fp, gp, var)
         if r.is_zero():
             h = gp
             break

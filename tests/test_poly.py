@@ -309,14 +309,17 @@ def _stall_pair():
 def test_gcd_over_its_budget_raises(monkeypatch):
     with pytest.raises(GcdBudgetExceeded, match="more than 10000 steps"):
         poly_gcd(*_stall_pair())
-    # this gcd spends 5 units, and each top-level call gets the whole
+    # a pseudo-remainder of any degree is one unit
+    assert poly_gcd(sym("p", 12288) + const(1), sym("p") + const(1)) == \
+        const(1)
+    # this gcd spends 4 units, and each top-level call gets the whole
     # budget afresh
     f = sym("p") ** 2 - const(1)
     g = sym("p") ** 2 + sym("p") * const(2) + const(1)
-    monkeypatch.setattr(poly, "GCD_BUDGET", 5)
+    monkeypatch.setattr(poly, "GCD_BUDGET", 4)
     for _ in range(3):
         assert poly_gcd(f, g) == sym("p") + const(1)
-    monkeypatch.setattr(poly, "GCD_BUDGET", 4)
+    monkeypatch.setattr(poly, "GCD_BUDGET", 3)
     with pytest.raises(GcdBudgetExceeded):
         poly_gcd(f, g)
 
