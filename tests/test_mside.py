@@ -205,15 +205,15 @@ def _failing_ids(report):
     return sorted(c.id for c in report.checks if c.status != "pass")
 
 
-def _q_pol(name, e=1):
+def _pol(name, e=1):
     return Pol.symbol(M_SYMS, name, e)
 
 
-_X, _PHI = _q_pol("x"), _q_pol("phi")
+_X, _PHI = _pol("x"), _pol("phi")
 _MUTANTS = {
     "mu map, x -> x + phi": ("_SHIFT_MU_INV", "x", _X + _PHI),
     "mu map, E2 -> p^-1*E2": ("_SHIFT_MU_INV", "E2",
-                              _q_pol("p", -1) * _q_pol("E2")),
+                              _pol("p", -1) * _pol("E2")),
     "nu map, x -> x + psi": ("_SHIFT_NU_INV", "x",
                              _X + Pol.const(M_SYMS, 2) - _PHI),
 }
@@ -229,8 +229,8 @@ def test_mutated_maps_fail_the_same_checks_on_both_routes(mutant,
         table, name, value = _MUTANTS[mutant]
         monkeypatch.setitem(getattr(mside_module, table), name, value)
     else:
-        monkeypatch.setitem(mside_module._TAU_MAP, "p", _q_pol("p"))
-        monkeypatch.setitem(mside_module._TAU_MAP, "q", _q_pol("q"))
+        monkeypatch.setitem(mside_module._TAU_MAP, "p", _pol("p"))
+        monkeypatch.setitem(mside_module._TAU_MAP, "q", _pol("q"))
     got = _failing_ids(verify_mside(4))
     want = _failing_ids(run_exact("mside", [
         *subst_power_blocks(4), *relation_identities(),
