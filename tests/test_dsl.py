@@ -155,8 +155,9 @@ def test_nesting_bound(opening, closing):
 
 
 def test_nesting_at_the_bound_evaluates():
-    # the deepest admitted nesting, with the most evaluation frames per
-    # level, runs under a lowered recursion limit
+    # the deepest admitted nesting, a negation, sum, product, power and
+    # commutator in every two levels, runs under a lowered recursion
+    # limit
     text = "a"
     for _ in range(MAX_NESTING // 2):
         text = f"-(d + d*[a, {text}]^2)"
@@ -166,23 +167,6 @@ def test_nesting_at_the_bound_evaluates():
         evaluate(text, "tside")
     finally:
         sys.setrecursionlimit(limit)
-
-
-@pytest.mark.parametrize("op, want", [
-    ("*", "p^1500*a"), (" + ", "1500*a"), (" - ", "-1498*a")])
-def test_long_flat_chains_evaluate_in_a_loop(op, want):
-    ctx = get_context("tside")
-    word = "p" if op == "*" else "a"
-    text = op.join([word] * 1500) + ("*a" if op == "*" else "")
-    assert print_canonical(evaluate(text, ctx)) == want
-
-
-def test_chains_keep_left_to_right_order():
-    # a mixed chain against its fully parenthesised form
-    ctx = get_context("tside")
-    flat = "a - d*beta*gamma + 2*d - beta*a*gamma*d - a*d"
-    nested = "((((a - ((d*beta)*gamma)) + (2*d)) - (((beta*a)*gamma)*d)) - (a*d))"
-    assert evaluate(flat, ctx) == evaluate(nested, ctx)
 
 
 # Printed canonical forms with general and monomial denominators, as the

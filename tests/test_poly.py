@@ -293,7 +293,7 @@ def test_divexact_at_the_edge_of_the_bound(f, g, error):
             f.divexact(g)
 
 
-# -- the gcd work budget ---------------------------------------------------------
+# -- the gcd work budget ------------------------------------------------------
 
 
 def _stall_pair():
