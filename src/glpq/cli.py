@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from . import dsl, mside, series, tside
 from .errors import (AlgebraError, BadAssignment, CoefficientTooLarge,
-                     DslSyntaxError, ExponentOutOfRange, GcdBudgetExceeded,
-                     InvalidRay, ProductTooLarge, UnknownIdentifier)
+                     DivisionBudgetExceeded, DslSyntaxError,
+                     ExponentOutOfRange, GcdBudgetExceeded, InvalidRay,
+                     ProductTooLarge, UnknownIdentifier)
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -208,7 +209,7 @@ def main(argv=None):
             return _finish(run_spotcheck(args), args)
     except (DslSyntaxError, UnknownIdentifier, InvalidRay, BadAssignment,
             ExponentOutOfRange, ProductTooLarge, CoefficientTooLarge,
-            GcdBudgetExceeded) as exc:
+            GcdBudgetExceeded, DivisionBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

@@ -528,14 +528,14 @@ class TruncLaurent:
     def __mul__(self, other):
         if type(other) is not TruncLaurent:
             other = TruncLaurent.const(other, self.cap)
-        cap = min(self.cap + other.valuation(), other.cap + self.valuation())
-        if self.is_zero() or other.is_zero():
-            return TruncLaurent.zero(cap)
-        lead = self.lead + other.lead
-        if cap < lead:
-            return TruncLaurent.zero(cap)
-        return _settle(lead, _conv(self.nums, other.nums, cap - lead + 1),
-                       self.den * other.den, cap)
+        return _product(self, other, min(self.cap + other.valuation(),
+                                         other.cap + self.valuation()))
+
+    def mul_through(self, other, cap):
+        """``(self * other).with_cap(cap)`` when ``cap`` is below the
+        product's own cap, without computing the slots past ``cap``."""
+        return _product(self, other, min(cap, self.cap + other.valuation(),
+                                         other.cap + self.valuation()))
 
     def inv(self):
         if self.is_zero():
@@ -623,6 +623,16 @@ def _settle(lead, nums, den, cap):
             den //= g
             nums = [n // g for n in nums]
     return _laurent(lead, nums, den, cap)
+
+
+def _product(a, b, cap):
+    """The product of two series through ``cap``, at most their product's
+    own cap."""
+    lead = a.lead + b.lead
+    if not (a.nums and b.nums) or cap < lead:
+        return TruncLaurent.zero(cap)
+    return _settle(lead, _conv(a.nums, b.nums, cap - lead + 1),
+                   a.den * b.den, cap)
 
 
 def _conv(a, b, width):

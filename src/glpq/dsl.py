@@ -255,6 +255,11 @@ _PREC = {"add": 1, "sub": 1, "neg": 1, "mul": 2, "pow": 3,
          "num": 4, "sym": 4, "brk": 4}
 
 
+# chain kind -> (operator, least precedence of a bare left operand, the
+# same for the right operand)
+_INFIX = {"add": (" + ", 1, 2), "sub": (" - ", 1, 2), "mul": ("*", 2, 3)}
+
+
 def print_tree(node):
     kind = node[0]
     if kind == "num":
@@ -265,11 +270,20 @@ def print_tree(node):
         return f"[{print_tree(node[1])}, {print_tree(node[2])}]"
     if kind == "neg":
         return "-" + _child(node[1], 2)
-    if kind in ("add", "sub"):
-        op = " + " if kind == "add" else " - "
-        return _child(node[1], 1) + op + _child(node[2], 2)
-    if kind == "mul":
-        return _child(node[1], 2) + "*" + _child(node[2], 3)
+    if kind in _INFIX:
+        # a chain leans left: walk down the left operands that print bare
+        # in a loop, as Context.eval does, so no Python recursion grows
+        # with its length
+        spine = [node]
+        while (node[1][0] in _INFIX
+               and _PREC[node[1][0]] >= _INFIX[node[0]][1]):
+            node = node[1]
+            spine.append(node)
+        parts = [_child(node[1], _INFIX[node[0]][1])]
+        for kind, _, right in reversed(spine):
+            op, _, right_prec = _INFIX[kind]
+            parts += (op, _child(right, right_prec))
+        return "".join(parts)
     if kind == "pow":
         return _child(node[1], 4) + f"^{node[2]}"
     raise ValueError(f"unknown node {kind}")

@@ -76,6 +76,11 @@ class GcdBudgetExceeded(AlgebraError):
     (``poly.GCD_BUDGET``)."""
 
 
+class DivisionBudgetExceeded(AlgebraError):
+    """An exact polynomial division needed more work than its fixed
+    budget (``poly.DIVISION_BUDGET``)."""
+
+
 class ProductTooLarge(AlgebraError):
     """Expression evaluation reached a product of more term pairs than
     the DSL's work bound."""

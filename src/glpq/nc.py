@@ -20,8 +20,19 @@ coefficients or calls ``word_product``.
 Two word builders: ``word_product`` multiplies two canonical monomials,
 in the closed form below when it applies and otherwise by appending
 letters one at a time through the cached single-letter step
-``_word_step``; ``word_elt`` multiplies the runs of a word (the powers
-of one generator) through it, so it reads the same caches.  And
+``_word_step``.  The appending starts from the longest prefix p of the
+right factor m2 whose product with m1 is already in the word cache:
+``_prefix_product`` walks down the prefixes of m2 in a loop, one unit of
+its last generator at a time, and caches the product of m1 with each
+longer prefix as it appends the letters again.  Those products are the
+ones ``word_product`` returns for them (normal forms are unique, and a
+capped view cuts each of them as the first bullet of the weight-cap
+argument in ``glpq.series`` allows), so a later power of the same
+generator, longer or shorter, starts where this one stopped.  The cache
+then holds one entry per prefix built: ``d^3*(((a^64)^64)^2)`` peaks at
+39 MB against 29 MB with only the requested products cached.
+``word_elt`` multiplies the runs of a word (the powers of one generator)
+through ``word_product``, so it reads the same caches.  And
 ``normalize`` rewrites the whole word directly with ``_reduce``, with no
 cache, under a choice of strategy; it is the reference for the
 confluence tests.  ``_reduce`` merges equal pending words, so a word
@@ -569,21 +580,53 @@ class Presentation:
         """Canonical terms of the concatenation of two canonical monomials.
 
         Written down in closed form when every crossing of the two can
-        only twist (see the module docstring); otherwise computed by
-        appending the right factor letter by letter, which shares the
-        expensive reordering work across all pairs.
+        only twist (see the module docstring); otherwise built from the
+        longest prefix of the right factor whose product with m1 is
+        cached (``_prefix_product``).
         """
         key = (m1, m2)
         hit = self._word_cache.get(key)
         if hit is None:
             out = self._twist_product(m1, m2)
             if out is None:
-                out = self._append({m1: self.one},
-                                   self.monomial_letters(m2))
+                return self._prefix_product(m1, m2)
             if self.top is not None:
                 out = self._cap_terms(out)
             hit = tuple(out.items())
             self._word_cache[key] = hit
+        return hit
+
+    def _prefix_product(self, m1, m2):
+        """Terms of m1.m2 from the longest prefix p of m2 with (m1, p) in
+        the word cache (or from m1 alone): the walk down drops one unit of
+        the last generator of m2 at a time, and the letters it dropped are
+        appended again through ``_append``.  The product with each longer
+        prefix is cut on a capped view and cached, so a later product with
+        a longer or a shorter power starts where this one stopped."""
+        cache = self._word_cache
+        letters = []
+        prefix = m2
+        h = self.n_gens - 1
+        while True:
+            while h >= 0 and not prefix[h]:
+                h -= 1
+            if h < 0:
+                acc = {m1: self.one}
+                break
+            s = 1 if prefix[h] > 0 else -1
+            letters.append((h, s))
+            prefix = prefix[:h] + (prefix[h] - s,) + prefix[h + 1:]
+            hit = cache.get((m1, prefix))
+            if hit is not None:
+                acc = dict(hit)
+                break
+        for g, s in reversed(letters):
+            prefix = prefix[:g] + (prefix[g] + s,) + prefix[g + 1:]
+            acc = self._append(acc, ((g, s),))
+            if self.top is not None:
+                acc = self._cap_terms(acc)
+            hit = tuple(acc.items())
+            cache[(m1, prefix)] = hit
         return hit
 
     def _twist_product(self, m1, m2):

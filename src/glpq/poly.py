@@ -46,9 +46,9 @@ import math
 import sys
 from operator import mul
 
-from .errors import (CoefficientTooLarge, DivisionByZero,
-                     ExponentOutOfRange, GcdBudgetExceeded, MissingSymbol,
-                     SymbolSetMismatch)
+from .errors import (CoefficientTooLarge, DivisionBudgetExceeded,
+                     DivisionByZero, ExponentOutOfRange, GcdBudgetExceeded,
+                     MissingSymbol, SymbolSetMismatch)
 
 FIELD_BITS = 40
 _HALF = 1 << (FIELD_BITS - 1)        # bias of one field
@@ -57,6 +57,12 @@ EXPONENT_BOUND = 1 << (FIELD_BITS - 2)
 # most entries of each printer table (SymbolSet.strs and
 # Presentation.print_table)
 PRINT_TABLE_SIZE = 4096
+# work bound of one long division in Pol.divexact: a quotient term spends
+# one unit per term of the divisor, and running out raises
+# DivisionBudgetExceeded.  No division of any suite (the mside suite up
+# to n_max = 24 included) or of the benchmark's normalize streams spends
+# more than 20,700 units, so the budget is over 40 times that.
+DIVISION_BUDGET = 1_000_000
 
 
 class SymbolSet:
@@ -374,13 +380,21 @@ class Pol:
             syms.check(t)
             return _pol(syms, t)
         # one remainder dict, each quotient term subtracted in place; the
-        # leading key falls at every step, so no quotient key repeats
+        # leading key falls at every step, so no quotient key repeats.
+        # Each quotient term spends one unit of DIVISION_BUDGET per term
+        # of the divisor.
         rem = dict(self.terms)
         out = {}
         lk, lc = other.leading()
         tail = [(k - lk, c) for k, c in other.terms.items() if k != lk]
         check = syms.check
+        steps = DIVISION_BUDGET // len(other.terms)
         while rem:
+            steps -= 1
+            if steps < 0:
+                raise DivisionBudgetExceeded(
+                    f"exact division needs more than {DIVISION_BUDGET} "
+                    "term updates")
             rk = max(rem)
             qk = rk - lk + z
             if qk & z != z:

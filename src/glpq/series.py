@@ -54,7 +54,10 @@ steps and the sub-steps that build a letter step (the memo entries of
   steps and sub-steps) of total valuation v with g + v >= g'.  A slot
   of its coefficient past t^(top - g') reaches only slots past
   t^(top - g), and a cap of at least top - g' becomes one of at least
-  top - g, which the final cut sets;
+  top - g, which the final cut sets.  So the products of m1 with the
+  prefixes of m2 that ``word_product`` caches on its way to m1.m2
+  (``nc.Presentation._prefix_product``), each cut at its own degree,
+  equal what ``word_product`` returns for them;
 * the cap of c*lam is min(c.cap + val(lam), lam.cap + val(c)).  After
   the cut the second term is at least W - g, at or past the trim's cap;
   the first changes only where lam's slots through t^(top - g) all
@@ -65,7 +68,21 @@ steps and the sub-steps that build a letter step (the memo entries of
 * ``pres.one`` is never cut.  ``_append`` and ``mul_pairs`` skip a
   multiplication when a factor *is* ``one``, and a cut copy would be a
   different object, so those shortcuts would stop firing.  An uncut
-  ``one`` is exact, so it needs no cap.
+  ``one`` is exact, so it needs no cap;
+* the even prefactors are solved through the window as well.  Every
+  solution of ``_even_div`` is embedded with at least one odd generator,
+  and f_series multiplies its pieces by a scalar of valuation -1, so the
+  trim of ``_embed`` reads the degree-g part of a solution z through
+  t^(W - g - 1) at most.  ``_solve_caps`` sets that cap, with a floor at
+  t^(1 - EXPAND_MARGIN) so that f_series keeps its slots through
+  t^-EXPAND_MARGIN and the "too singular" guard of ``_embed`` sees the
+  valuations it sees uncut, and lifts the cap where a later degree
+  still reads z_g through the denominator.  Each degree's accumulator, and
+  each product in it (``TruncLaurent.mul_through``), is cut val(c0)
+  higher, for the multiply by c0^-1.  No cap falls below the one the
+  trim sets, so the trim keeps the same caps and slots.
+  tests/test_series.py compares ``m_entries_scaled`` with and without
+  the cut on the five default rays at weights 8, 10 and 12.
 
 Fused sums: TruncElement.__mul__ adds up each result coefficient in a
 raw window (``coeff.add_laurent_products``) and normalizes it once, so
@@ -382,9 +399,14 @@ def series_context(cfg: SeriesConfig) -> SeriesContext:
 # so it is no unit of the weight-truncated algebra.
 
 
-def _even_div(num, den, gmax):
+def _even_div(num, den, gmax, top=None):
     """Graded solve of z * den = num through generator degree ``gmax``;
-    ``den`` needs an invertible constant term."""
+    ``den`` needs an invertible constant term.
+
+    With the weight window ``top``, the degree-g part of z is solved only
+    through the caps of ``_solve_caps``: the slots that the embedding of
+    a prefactor reads (see the weight-cap bullets of the module
+    docstring).  Without it, every slot is solved."""
     c0 = den.terms.get((0, 0))
     if c0 is None or c0.is_zero():
         raise TruncationUnderflow("denominator has no constant term")
@@ -393,9 +415,14 @@ def _even_div(num, den, gmax):
     for by, e in ((num_by, num), (den_by, den)):
         for m, c in e.terms.items():
             by.setdefault(sum(m), {})[m] = c
+    v0 = c0.valuation()
+    caps = _solve_caps(den_by, v0, gmax, top)
     out = {}
     for g in range(gmax + 1):
-        acc = dict(num_by.get(g, {}))
+        # z_g = acc * c0^-1, and c0^-1 has valuation -v0
+        cap = caps[g] + v0
+        acc = {ik: c if c.cap <= cap else c.with_cap(cap)
+               for ik, c in num_by.get(g, {}).items()}
         for j in range(1, g + 1):
             dj = den_by.get(j)
             zg = out.get(g - j)
@@ -404,12 +431,36 @@ def _even_div(num, den, gmax):
             for (i1, k1), c1 in zg.items():
                 for (i2, k2), c2 in dj.items():
                     ik = (i1 + i2, k1 + k2)
-                    c = c1 * c2
+                    c = c1.mul_through(c2, cap)
                     acc[ik] = acc[ik] - c if ik in acc else -c
         # a zero keeps its cap: the later degrees read it
         out[g] = {ik: c * c0_inv for ik, c in acc.items()}
     return Element(num.pres, {m: c for s in out.values()
                               for m, c in s.items() if not c.is_zero()})
+
+
+def _solve_caps(den_by, v0, gmax, top):
+    """Per degree g, the t-order through which ``_even_div`` solves z_g.
+
+    An embedded solution carries at least one odd generator, after the
+    prefactor of valuation -1 of f_series at most, so the weight window
+    ``top`` reads z_g through t^(top - g - 1); the guard of ``_embed``
+    reads f_series through t^-EXPAND_MARGIN, so z_g through
+    t^(1 - EXPAND_MARGIN).  A later degree g + j reads z_g times the
+    degree-j part of ``den`` (grouped by degree in ``den_by``), and its
+    accumulator is cut v0 = val(c0) above its own cap, so z_g must also
+    reach that cap less the valuation of the degree-j part."""
+    if top is None:
+        return [INF] * (gmax + 1)
+    caps = [0] * (gmax + 1)
+    for g in range(gmax, -1, -1):
+        cap = max(top - g - 1, 1 - EXPAND_MARGIN)
+        for j, dj in den_by.items():
+            if j and g + j <= gmax:
+                cap = max(cap, caps[g + j] + v0
+                          - min(c.valuation() for c in dj.values()))
+        caps[g] = cap
+    return caps
 
 
 def _embed(ctx, e, odd_bits=(0, 0), scalar=None):
@@ -459,29 +510,36 @@ def scalar_expansions(ctx, swapped=False):
     den_q = g1.smul(qq) - g2
     den_p = g1.smul(pp_inv) - g2
     # the denominators have degree 2 at most, so only the solve needs a cut
-    piece1 = _even_div(ln_g1, g1 * den_q, gmax)
-    piece2 = _even_div(ln_pq_inv_g1, g1 * den_p, gmax)
-    piece3 = _even_div(ln_q_inv_g2, den_p * den_q, gmax)
+    W = ctx.W
+    piece1 = _even_div(ln_g1, g1 * den_q, gmax, W)
+    piece2 = _even_div(ln_pq_inv_g1, g1 * den_p, gmax, W)
+    piece3 = _even_div(ln_q_inv_g2, den_p * den_q, gmax, W)
     q2 = qq * qq
     f_series = (piece1 - piece2).smul(q2 * (qq - pp_inv).inv()) \
         + piece3.smul(q2)
-    g_series = _even_div(ln_g1 - ln_q_inv_g2, g1 - g2.smul(qq_inv), gmax)
+    g_series = _even_div(ln_g1 - ln_q_inv_g2, g1 - g2.smul(qq_inv), gmax, W)
     return ln_g1, f_series, g_series
 
 
 # -- the two code paths for the matrix logarithm --------------------------------
 
 
-def log_partial_sums(ctx):
-    """Matrix logarithm as the alternating series in powers of (T - I)."""
+def tminus_powers(ctx):
+    """[(T - I)^1, ..., (T - I)^W], each the one before times T - I."""
     tm = ctx.T_minus_I()
+    powers = [tm]
+    for _ in range(1, ctx.W):
+        powers.append(powers[-1] * tm)
+    return powers
+
+
+def log_partial_sums(ctx, powers=None):
+    """Matrix logarithm as the alternating series in powers of (T - I);
+    ``powers`` is ``tminus_powers(ctx)`` when the caller has it."""
     acc = None
-    power = tm
-    for n in range(1, ctx.W + 1):
+    for n, power in enumerate(powers or tminus_powers(ctx), 1):
         scaled = power.smul(ctx.tl(Fraction((-1) ** (n + 1), n)))
         acc = scaled if acc is None else acc + scaled
-        if n < ctx.W:
-            power = power * tm
     return acc
 
 
@@ -551,7 +609,8 @@ def exp_matrix(ctx, m):
 
 def series_identities(cfg):
     ctx = series_context(cfg)
-    ln_mat = log_partial_sums(ctx)
+    powers = tminus_powers(ctx)
+    ln_mat = log_partial_sums(ctx, powers)
     hx, hmu, hnu, hy = m_entries_scaled(ctx)
 
     for tag, closed, series_entry in (("x", hx, ln_mat.a11),
@@ -562,16 +621,14 @@ def series_identities(cfg):
                        "h*M entry equals the matrix-log series",
                        closed, series_entry)
 
-    tm = ctx.T_minus_I()
-    power = tm
-    for n in range(1, cfg.N + 1):
+    # N <= W, which SeriesConfig enforces
+    for n, power in enumerate(powers[:cfg.N], 1):
         closed = closed_tminus_powers(ctx, n)
         for tag, lhs, rhs in zip(("11", "12", "21", "22"),
                                  closed.entries(), power.entries()):
             yield Identity(f"tpower.closed.n={n}.{tag}",
                            "(T - I)^n closed block equals iterated product",
                            lhs, rhs)
-        power = power * tm
 
     phi_h, psi_h = ctx.phi * ctx.h, ctx.psi * ctx.h
     zero = ctx.zero_te()

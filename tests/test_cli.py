@@ -201,6 +201,20 @@ def test_long_flat_chains_print_their_answer(expr, printed):
     assert proc.stdout.strip() == printed
 
 
+@pytest.mark.parametrize("expr, printed", [
+    ("d*((a^64)^64)", "a^4096*d + (q - p^-4096*q^-4095)*a^4095*beta*gamma"),
+    ("d^3*(((a^64)^64)^2)",
+     "a^8192*d^3 + (q + p^-1 + p^-2*q^-1 - p^-8192*q^-8191"
+     " - p^-8193*q^-8192 - p^-8194*q^-8193)*a^8191*d^2*beta*gamma"),
+], ids=["d.a^4096", "d^3.a^8192"])
+def test_long_word_products_print_their_answer(expr, printed):
+    # the right factor is built from its cached prefixes in a loop, one
+    # letter at a time, so no Python recursion grows with its exponent
+    proc = _normalize_in_child(expr)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == printed
+
+
 @pytest.mark.parametrize("ctx, expr, message", [
     ("tside", "(" * 400 + "a" + ")" * 400,
      "error: brackets nested deeper than 100 at position 100"),
@@ -211,7 +225,11 @@ def test_long_flat_chains_print_their_answer(expr, printed):
     ("mside", "((p*q*x^2*phi^2 - p^2*x - q*x)*(p*q*x^2 - p^2*q^2*x*phi^2"
      " - phi))*(18*q^2*phi^2*(p*x + q*phi)^2)^-1*mu",
      "error: polynomial gcd needs more than 10000 steps"),
-], ids=["parentheses", "commutators", "gcd"])
+    # x^(2^24) + 1 over x + 1: a long division of 2^24 steps that ends
+    # inexact; the work budget ends it first
+    ("mside", "((((x^64)^64)^64)^64 + 1)*(x + 1)^-1*mu",
+     "error: exact division needs more than 1000000 term updates"),
+], ids=["parentheses", "commutators", "gcd", "division"])
 def test_deep_or_stalling_input_is_a_usage_error(ctx, expr, message):
     proc = _normalize_in_child(expr, ctx)
     assert proc.returncode == 2

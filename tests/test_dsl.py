@@ -114,6 +114,18 @@ class TestRoundTrips:
             tree = rand_tree(rng.randint(1, 3))
             assert parse(print_tree(tree)) == tree
 
+    @pytest.mark.parametrize("text", [
+        "*".join(["p"] * 1500),
+        " + ".join(["p"] * 1500),
+        "a" + " - a*p" * 1500,
+        "(a + d)" + "*(a - p)^2" * 1500,
+    ], ids=["product", "sum", "difference", "bracketed"])
+    def test_long_chain_prints_in_a_loop(self, text):
+        # a left-deep chain of 1,500 operands prints without a Python
+        # frame per operand, as it parses and evaluates (the trees are
+        # too deep for tuple equality, so the text is compared)
+        assert print_tree(parse(text)) == text
+
     def test_element_print_parse_fixpoint(self):
         ctx = get_context("tside")
         rng = random.Random(15)

@@ -422,6 +422,64 @@ def test_closed_form_matches_letter_by_letter_on_the_suites(monkeypatch):
                      "affine[1,2]/capped"}
 
 
+# fresh presentations for the prefix build: tside and mside, and the
+# affine rules through capped views at two tops; even exponents up to 4
+# in size, negative ones where the generator is invertible
+PREFIX_VIEWS = {
+    "tside": (lambda: TSide().pres, ((-4, 4), (-4, 4))),
+    "mside": (lambda: MSide().pres, ()),
+    "affine-top-8": (lambda: SeriesContext(SeriesConfig(
+        Fraction(1), Fraction(2))).pres.capped(8), ((0, 4), (0, 4))),
+    "affine-top-11": (lambda: SeriesContext(SeriesConfig(
+        Fraction(1), Fraction(2))).pres.capped(11), ((0, 4), (0, 4))),
+}
+
+
+@pytest.mark.parametrize("name", PREFIX_VIEWS)
+def test_prefix_built_word_product_matches_from_scratch(name, monkeypatch):
+    # a word product built from the cached product with a prefix of its
+    # right factor equals a from-scratch append of all the letters,
+    # datum for datum, and so does every intermediate it cached.  Few
+    # left factors, so the walk stops at cached prefixes of many lengths
+    make, ranges = PREFIX_VIEWS[name]
+    pres = make()
+    one = pres.one
+    rng = random.Random(22)
+    odds = pres.n_gens - pres.n_even
+
+    def mono():
+        return (tuple(rng.randint(lo, hi) for lo, hi in ranges)
+                + tuple(rng.randint(0, 1) for _ in range(odds)))
+
+    def from_scratch(m1, m2):
+        built = Presentation._append(pres, {m1: one},
+                                     pres.monomial_letters(m2))
+        if pres.top is not None:
+            built = pres._cap_terms(built)
+        return _datum(built.items(), one)
+
+    appended = []
+    append = pres._append
+    monkeypatch.setattr(pres, "_append", lambda acc, letters: (
+        appended.append(len(letters)) or append(acc, letters)))
+    lefts = [mono() for _ in range(3)]
+    started = set()
+    for _ in range(150):
+        m1, m2 = rng.choice(lefts), mono()
+        appended.clear()
+        got = pres.word_product(m1, m2)
+        assert _datum(got, one) == from_scratch(m1, m2)
+        if appended:
+            n = len(pres.monomial_letters(m2))
+            started.add("empty" if sum(appended) == n else "prefix")
+    for (m1, m2), got in pres._word_cache.items():
+        assert _datum(got, one) == from_scratch(m1, m2)
+    # a right factor of mside has two letters at most, so its draws need
+    # not reach a cached prefix
+    assert started >= ({"empty"} if name == "mside"
+                       else {"empty", "prefix"})
+
+
 @pytest.mark.parametrize("name", CASES)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())

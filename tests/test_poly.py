@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glpq import poly
-from glpq.errors import ExponentOutOfRange, GcdBudgetExceeded
+from glpq.errors import (DivisionBudgetExceeded, ExponentOutOfRange,
+                         GcdBudgetExceeded)
 from glpq.mside import verify_mside
 from glpq.poly import EXPONENT_BOUND, Pol, SymbolSet, poly_gcd
 
@@ -340,3 +341,28 @@ def test_suites_spend_a_hundredth_of_the_budget(monkeypatch):
     monkeypatch.setattr(poly, "_gcd", counting)
     assert verify_mside(12).ok
     assert spent and max(spent) * 100 <= poly.GCD_BUDGET
+
+
+# -- the exact-division work budget ---------------------------------------
+
+
+def test_division_over_its_budget_raises(monkeypatch):
+    # p^12 - 1 over p - 1: twelve quotient terms, each one unit per term
+    # of the two-term divisor, so 24 units
+    f, g = sym("p", 12) - const(1), sym("p") - const(1)
+    want = sum((sym("p", k) for k in range(1, 12)), const(1))
+    monkeypatch.setattr(poly, "DIVISION_BUDGET", 24)
+    for _ in range(2):        # each call gets the whole budget afresh
+        assert f.divexact(g) == want
+    monkeypatch.setattr(poly, "DIVISION_BUDGET", 23)
+    with pytest.raises(DivisionBudgetExceeded, match="more than 23 term"):
+        f.divexact(g)
+    # a monomial or constant divisor takes no long division
+    assert (f * sym("q", 3)).divexact(sym("q", 3)) == f
+
+
+def test_suites_divide_within_a_fortieth_of_the_budget(monkeypatch):
+    # no long division of the mside suite (up to n_max = 24, the most
+    # 20,700 units) comes near the budget
+    monkeypatch.setattr(poly, "DIVISION_BUDGET", poly.DIVISION_BUDGET // 40)
+    assert verify_mside(12).ok

@@ -10,9 +10,11 @@ from glpq.errors import InvalidRay, TruncationUnderflow
 from glpq.nc import Element, Presentation
 from glpq.printing import print_element
 from glpq.report import Identity
+from glpq import series
 from glpq.series import (DEFAULT_RAYS, EXPAND_MARGIN, SeriesConfig,
-                         TruncElement, _embed, _even_div, closed_tminus_powers, exp_matrix, log_partial_sums,
-                         log_T, m_entries_scaled, m_from_T, scalar_expansions,
+                         TruncElement, _embed, _even_div, closed_tminus_powers,
+                         exp_matrix, log_partial_sums, log_T,
+                         m_entries_scaled, m_from_T, scalar_expansions,
                          series_context, series_identities, verify_series)
 from glpq.supermatrix import SuperMatrix
 
@@ -274,6 +276,30 @@ def test_even_div_solves_through_its_degree(x, tail, c0, gmax):
     assert all(c.is_zero() for m, c in resid.items() if sum(m) <= gmax)
 
 
+@settings(max_examples=120, deadline=None)
+@given(_even_elements(0), _even_elements(1), _nonzero_coeffs,
+       st.integers(0, 4))
+def test_cut_even_solve_matches_the_full_one_in_its_window(x, tail, c0,
+                                                           top):
+    # through t^max(top - g - 1, 1 - EXPAND_MARGIN) at degree g, the
+    # solve cut to the window ``top`` holds the slots of the full solve,
+    # with no lower cap; later degrees read a coefficient through the
+    # denominator, so its own cut must reach past that
+    den = tail + EVEN.scalar_elt(c0)
+    gmax = top + EXPAND_MARGIN
+    full, cut = _even_div(x, den, gmax), _even_div(x, den, gmax, top)
+    for m in full.terms.keys() | cut.terms.keys():
+        need = max(top - sum(m) - 1, 1 - EXPAND_MARGIN)
+        a, b = full.terms.get(m), cut.terms.get(m)
+        if a is not None and b is not None:
+            assert b.cap >= min(a.cap, need)
+        both = [c for c in (a, b) if c is not None]
+        known = min(need, *(c.cap for c in both))
+        for e in range(min(c.lead for c in both), known + 1):
+            assert (a.coefficient(e) if a else 0) == \
+                (b.coefficient(e) if b else 0)
+
+
 def test_even_div_keeps_the_cap_of_a_cancelled_coefficient():
     # the A*D slice cancels to zero, known only through t^3; the A*D^2
     # coefficient that reads it is known through t^4, not t^6
@@ -302,6 +328,43 @@ def test_embed_rejects_a_too_singular_expansion():
         (0, 0, 1, 0): lowest.terms[(0, 0)]}
     with pytest.raises(TruncationUnderflow, match="too singular"):
         _embed(ctx, lowest.smul(ctx.h_inv))
+
+
+@pytest.mark.parametrize("n, k, weight", [(6, 12, 8), (8, 14, 10),
+                                          (10, 16, 12)])
+def test_cut_even_solve_leaves_the_prefactors_unchanged(n, k, weight,
+                                                       monkeypatch):
+    # the four closed-form entries built from the solve cut to the
+    # weight window equal their build from the full solve, datum for datum
+    ctxs = [series_context(SeriesConfig(*ray, N=n, K=k, weight=weight))
+            for ray in DEFAULT_RAYS]
+
+    def dump():
+        return [trunc_dump(te) for ctx in ctxs for te in m_entries_scaled(ctx)]
+
+    cut = dump()
+    monkeypatch.setattr(series, "_even_div", lambda num, den, gmax, top:
+                        _even_div(num, den, gmax))
+    assert cut == dump()
+
+
+def test_cut_even_solve_keeps_the_guard():
+    # at the top degree the window would cut z to t^-5; the floor keeps
+    # it through t^-3, so the t^-4 slot still reaches the guard of _embed
+    ctx = PRUNE_CTX
+    gmax = ctx.W + EXPAND_MARGIN
+    t = TruncLaurent.t_power(1, ctx.K)
+    den = EVEN.scalar_elt(t) + EVEN.gen("D")
+    for v, singular in ((-3, False), (-4, True)):
+        num = Element(EVEN, {(gmax, 0): TruncLaurent.t_power(v + 1, ctx.K)})
+        z = _even_div(num, den, gmax, ctx.W)
+        c = z.terms[(gmax, 0)]
+        assert (c.lead, c.nums, c.cap) == (v, (1,), 1 - EXPAND_MARGIN)
+        if singular:
+            with pytest.raises(TruncationUnderflow, match="too singular"):
+                _embed(ctx, z, (1, 0))
+        else:
+            assert _embed(ctx, z, (1, 0)).is_zero()     # past the window
 
 
 @pytest.mark.parametrize("ray", DEFAULT_RAYS, ids=lambda r: f"{r[0]},{r[1]}")
