@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -358,6 +359,18 @@ class TestSuiteCommand:
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_suite_all_golden_digest(self, tmp_path, capsys):
+        # pins every id, anchor, status, witness and param of the default
+        # report; only the timing is left out
+        path = tmp_path / "all.json"
+        assert main(["suite", "all", "--json", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc.pop("elapsed_ms")
+        assert len(doc["checks"]) == 661
+        digest = hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == ("18730bfb4eb605629eb40e925fd02aeeb43d200f"
+                          "85189101a1eed749f239f037")
 
     @pytest.mark.parametrize("argv", [
         ["suite", "appendix", "--k-max", "-2"],
