@@ -178,10 +178,10 @@ def cmd_eval(args):
     if not values:
         print("0")
         return 0
-    from .printing import _mono_str
-    elem = getattr(element, "element", element)
+    from .poly import mono_str
+    names = element.pres.gen_names
     for m in sorted(values):
-        word = _mono_str(elem.pres, m) or "1"
+        word = mono_str(zip(names, m)) or "1"
         print(f"{word}: {values[m]:.12g}")
     return 0
 

@@ -302,8 +302,7 @@ def _child(node, min_prec):
 def _check_pairs(x, y):
     """Raise ProductTooLarge unless x*y has at most MAX_PRODUCT_PAIRS
     term pairs."""
-    pairs = (len(getattr(x, "element", x).terms)
-             * len(getattr(y, "element", y).terms))
+    pairs = len(x.terms) * len(y.terms)
     if pairs > MAX_PRODUCT_PAIRS:
         raise ProductTooLarge(f"a product of {pairs} term pairs exceeds "
                               f"the bound {MAX_PRODUCT_PAIRS}")

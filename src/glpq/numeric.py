@@ -37,9 +37,8 @@ def sample_series(rng):
 
 
 def eval_terms(obj, assignment):
-    elem = getattr(obj, "element", obj)
     try:
-        values = {m: c.eval_float(assignment) for m, c in elem.terms.items()}
+        values = {m: c.eval_float(assignment) for m, c in obj.terms.items()}
     except OverflowError:
         values = None
     if values is None or not all(map(math.isfinite, values.values())):

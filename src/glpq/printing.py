@@ -24,10 +24,6 @@ def _term_sort_key(pres, mono):
     return (sum(odd), tuple(-e for e in even), odd)
 
 
-def _mono_str(pres, mono):
-    return mono_str(zip(pres.gen_names, mono))
-
-
 def scalar_term(coeff, word, first):
     s = str(coeff)
     if s.startswith("-"):
@@ -51,18 +47,17 @@ def scalar_term(coeff, word, first):
 
 
 def print_element(e):
-    """Deterministic canonical rendering of an Element (or wrapper)."""
-    elem = getattr(e, "element", e)
-    if not elem.terms:
+    """Deterministic canonical rendering of an Element."""
+    if not e.terms:
         return "0"
-    pres = elem.pres
+    pres = e.pres
     table = pres.print_table
     rows = []
-    for m, c in elem.terms.items():
+    for m, c in e.terms.items():
         row = table.get(m)
         if row is None:
             row = remember(table, m, (_term_sort_key(pres, m),
-                                      _mono_str(pres, m)))
+                                      mono_str(zip(pres.gen_names, m))))
         rows.append((row[0], row[1], c))
     rows.sort(key=_first)
     return " ".join([scalar_term(c, s, i == 0)

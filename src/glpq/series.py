@@ -8,9 +8,10 @@ Truncation semantics: rewriting trades generator degree for t-order
 one-for-one (corrections like beta.A -> q^-1 A beta + (q^-1 - 1) beta),
 so capping generator degree and t-order independently is not a ring
 quotient.  Elements are therefore truncated by total weight (generator
-degree plus t-exponent), and every element carries the weight bound
-``prec`` through which its stored coefficients equal the untruncated
-value.  Checks report and enforce that bound.
+degree plus t-exponent).  A series element (TruncElement) is an
+``nc.Element`` whose terms are cut to that window, and it carries the
+weight bound ``prec`` through which its stored coefficients equal the
+untruncated value.  Checks report and enforce that bound.
 
 Window pruning: no rewrite rule lowers total weight, so the product of
 two terms of weights w1 and w2 has every term of weight at least
@@ -173,47 +174,45 @@ class SeriesConfig(namedtuple("SeriesConfig", "alpha beta_ray N K weight")):
         return cls(*iterable)
 
 
-class TruncElement:
-    """Element with a tracked validity bound on total weight."""
+class TruncElement(Element):
+    """Element with a tracked validity bound ``prec`` on total weight.
 
-    __slots__ = ("ctx", "element", "prec")
+    Every sum, product and scalar multiple is trimmed to the weight
+    window; the rest (``pres``, ``terms``, ``is_zero``, ``parity``,
+    ``-``) is the Element's own.  ``==`` compares windows, as for
+    TruncLaurent, so the class has no hash.
+    """
+
+    __slots__ = ("ctx", "prec")
 
     def __init__(self, ctx, element, prec, trim=True):
         if trim:
             element, prec = _trim(element, min(prec, ctx.W))
+        super().__init__(element.pres, element.terms)
         self.ctx = ctx
-        self.element = element
         self.prec = prec
 
     @property
-    def pres(self):
-        return self.element.pres
-
-    def parity(self):
-        return self.element.parity()
-
-    def is_zero(self):
-        return self.element.is_zero()
+    def element(self):
+        # kept for the trace hook of perfbench/layers.py, which reads
+        # ``te.element.terms``
+        return self
 
     def min_weight(self):
         w = INF
-        for m, c in self.element.terms.items():
+        for m, c in self.terms.items():
             w = min(w, sum(m) + c.valuation())
         return w
 
     def __add__(self, other):
-        return TruncElement(self.ctx, self.element + other.element,
-                            min(self.prec, other.prec))
-
-    def __sub__(self, other):
-        return TruncElement(self.ctx, self.element - other.element,
+        return TruncElement(self.ctx, super().__add__(other),
                             min(self.prec, other.prec))
 
     def __neg__(self):
-        return TruncElement(self.ctx, -self.element, self.prec, trim=False)
+        return TruncElement(self.ctx, super().__neg__(), self.prec, trim=False)
 
     def __mul__(self, other):
-        self.element._check(other.element)
+        self._check(other)
         left, right = _by_weight(self), _by_weight(other)
         prec = min(self.prec + (right[0][0] if right else INF),
                    other.prec + (left[0][0] if left else INF), INF)
@@ -227,11 +226,7 @@ class TruncElement:
     def smul(self, s):
         """Multiply by a truncated scalar."""
         prec = min(self.prec + s.valuation(), s.cap + self.min_weight(), INF)
-        elem = self.element.smul(s)
-        return TruncElement(self.ctx, elem, prec)
-
-    def __pow__(self, n):
-        return self.power(n)
+        return TruncElement(self.ctx, super().smul(s), prec)
 
     def power(self, n, mul=mul):
         """self**n with every product made by ``mul(x, y)``."""
@@ -244,13 +239,13 @@ class TruncElement:
                 and (self - other).is_zero())
 
     def __repr__(self):
-        return f"TruncElement({print_element(self.element)}; prec={self.prec})"
+        return f"TruncElement({print_element(self)}; prec={self.prec})"
 
 
 def _by_weight(te):
     """(weight, term) of every term of ``te``, lightest first."""
     return sorted(((sum(m) + c.valuation(), (m, c))
-                   for m, c in te.element.terms.items()), key=itemgetter(0))
+                   for m, c in te.terms.items()), key=itemgetter(0))
 
 
 def _min_valuation(terms):
@@ -269,7 +264,9 @@ def _window_pairs(left, right, cap):
 
 
 def _trim(element, prec):
-    """Restrict stored data to the trusted weight window."""
+    """Restrict stored data to the trusted weight window: an Element in,
+    (Element, window) out, the shape the trace hook of
+    perfbench/layers.py wraps."""
     eff = prec
     for m, c in element.terms.items():
         eff = min(eff, sum(m) + min(c.cap, prec - sum(m)))
@@ -361,7 +358,7 @@ class SeriesContext:
     def invert_unit(self, te):
         """Inverse of an element whose constant coefficient is a unit."""
         empty = (0,) * self.pres.n_gens
-        c0 = te.element.terms.get(empty)
+        c0 = te.terms.get(empty)
         if c0 is None or c0.is_zero():
             raise NotAUnit("constant term required for series inversion")
         v0 = self.scalar_te(c0.inv())
@@ -696,8 +693,8 @@ def series_identities(cfg):
 
 
 def _odd_part(te):
-    pres = te.element.pres
-    terms = {m: c for m, c in te.element.terms.items()
+    pres = te.pres
+    terms = {m: c for m, c in te.terms.items()
              if any(m[pres.n_even:])}
     return TruncElement(te.ctx, Element(pres, terms), te.prec, trim=False)
 

@@ -156,8 +156,8 @@ def naive_product(a, b):
     pres = a.pres
     one = pres.one
     out = {}
-    for m1, c1 in a.element.terms.items():
-        for m2, c2 in b.element.terms.items():
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
             c2 = pres.cross_left(m1, c2)
             for mono, lam in pres.word_product(m1, m2):
                 c = naive_times(one, c1, c2, lam)
@@ -221,7 +221,7 @@ def laurent_dump(s):
 def trunc_dump(te):
     """Every stored datum of a truncated element: its window and, per
     monomial, the coefficient's numerators, denominator and cap."""
-    return te.prec, {m: laurent_dump(c) for m, c in te.element.terms.items()}
+    return te.prec, {m: laurent_dump(c) for m, c in te.terms.items()}
 
 
 def naive_ratfunc(num, den):
@@ -422,9 +422,8 @@ def naive_scalar_str(x):
 def naive_print_element(e):
     """Reference ``print_element``: terms sorted by a key computed per
     term, each monomial and coefficient printed afresh."""
-    elem = getattr(e, "element", e)
-    pres = elem.pres
-    if not elem.terms:
+    pres = e.pres
+    if not e.terms:
         return "0"
 
     def sort_key(m):
@@ -432,8 +431,8 @@ def naive_print_element(e):
         return sum(odd), tuple(-x for x in m[:pres.n_even]), odd
 
     out = []
-    for i, m in enumerate(sorted(elem.terms, key=sort_key)):
-        coeff = elem.terms[m]
+    for i, m in enumerate(sorted(e.terms, key=sort_key)):
+        coeff = e.terms[m]
         mono = "*".join(pres.gen_names[g] if x == 1 else
                         f"{pres.gen_names[g]}^{x}"
                         for g, x in enumerate(m) if x)

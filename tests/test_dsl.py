@@ -271,7 +271,7 @@ def plain_eval(ctx, node):
 
 def same_value(x, y):
     """Equal stored data: the terms, and the window of a series value."""
-    return (getattr(x, "element", x) == getattr(y, "element", y)
+    return (x.pres is y.pres and x.terms == y.terms
             and getattr(x, "prec", None) == getattr(y, "prec", None))
 
 

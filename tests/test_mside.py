@@ -108,8 +108,7 @@ class TestGroupMatrix:
         T = ctx.build_T_from_M()
         assign = {"p": 1.3, "q": 0.7, "phi": 0.9,
                   "x": 0.0, "y": 0.0, "E1": 1.0, "E2": 1.0}
-        even = T.a11.element if hasattr(T.a11, "element") else T.a11
-        val = even.terms[(0, 0)].eval_float(assign)
+        val = T.a11.terms[(0, 0)].eval_float(assign)
         assert abs(val - 1.0) < 1e-12
         val_d = T.a22.terms[(0, 0)].eval_float(assign)
         assert abs(val_d - 1.0) < 1e-12

@@ -94,7 +94,7 @@ class TestLogSeries:
         ctx = series_context(cfg_for(1, 2))
         entry = log_partial_sums(ctx).a12
         beta_mono = (0, 0, 1, 0)
-        c = entry.element.terms[beta_mono]
+        c = entry.terms[beta_mono]
         assert c.coefficient(0) == 1
 
     def test_diagonal_through_order_two(self):
@@ -103,7 +103,7 @@ class TestLogSeries:
         entry = log_partial_sums(ctx).a11
         expect = {(1, 0, 0, 0): F(1), (2, 0, 0, 0): F(-1, 2),
                   (0, 0, 1, 1): F(-1, 2)}
-        for mono, c in entry.element.terms.items():
+        for mono, c in entry.terms.items():
             if sum(mono) <= 2:
                 assert c.coefficient(0) == expect.pop(mono, F(0))
         assert not expect
@@ -189,6 +189,31 @@ def test_precision_bookkeeping():
     # element bound accordingly
     shallow = ctx.scalar_te(ctx.one_tl.with_cap(3))
     assert shallow.prec == 3
+
+
+class TestElementContract:
+    def test_series_elements_are_elements(self):
+        ctx = series_context(cfg_for(1, 2))
+        assert isinstance(ctx.A, Element)
+        hx = m_entries_scaled(ctx)[0]
+        assert isinstance(hx, Element) and print_element(hx) != "0"
+
+    def test_window_equality_has_no_hash(self):
+        ctx = series_context(cfg_for(1, 2))
+        te = ctx.one_te() + ctx.A
+        with pytest.raises(TypeError):
+            hash(te)
+        # equal on the smaller window, though the stored data differ
+        shallow = TruncElement(ctx, te, 1)
+        assert shallow == te and trunc_dump(shallow) != trunc_dump(te)
+
+    def test_arithmetic_keeps_the_window(self):
+        ctx = series_context(cfg_for(1, 2))
+        te = ctx.one_te() + ctx.A
+        for out in (te + ctx.D, te - ctx.D, -te, te * ctx.beta,
+                    te.smul(ctx.h_inv), te ** 2, te ** -1):
+            assert type(out) is TruncElement and out.ctx is ctx
+        assert (te - te).prec == te.prec
 
 
 class TestWindowRule:
@@ -324,7 +349,7 @@ def test_embed_rejects_a_too_singular_expansion():
     ctx = PRUNE_CTX
     lowest = ctx.even.scalar_elt(TruncLaurent.t_power(-(EXPAND_MARGIN - 1),
                                                        ctx.K))
-    assert _embed(ctx, lowest, (1, 0)).element.terms == {
+    assert _embed(ctx, lowest, (1, 0)).terms == {
         (0, 0, 1, 0): lowest.terms[(0, 0)]}
     with pytest.raises(TruncationUnderflow, match="too singular"):
         _embed(ctx, lowest.smul(ctx.h_inv))
