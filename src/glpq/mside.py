@@ -28,7 +28,7 @@ from functools import lru_cache
 from .coeff import RatFunc
 from .nc import Element, Presentation, commutator
 from .poly import Pol, SymbolSet
-from .report import Identity, run_exact
+from .report import Identity, run_exact, tagged
 from .supermatrix import SuperMatrix, matrix_power, sdet
 
 M_SYMS = SymbolSet(("p", "q", "phi", "x", "y", "E1", "E2"),
@@ -223,40 +223,45 @@ def resolve_f_placement(n_probe=4):
     return "ambiguous"
 
 
+def bracket_rows(x, mu, nu, y, phi, psi, zero):
+    """The defining brackets of the exponent algebra as (tag, anchor, lhs,
+    rhs) rows, for any elements x, mu, nu, y and scalars phi, psi; the
+    series sector states them for h*M."""
+    return [
+        ("x.mu", "[x, mu] = phi*mu", commutator(x, mu), mu.smul(phi)),
+        ("y.mu", "[y, mu] = phi*mu", commutator(y, mu), mu.smul(phi)),
+        ("mu.sq", "mu^2 = 0", mu * mu, zero),
+        ("x.nu", "[x, nu] = psi*nu", commutator(x, nu), nu.smul(psi)),
+        ("y.nu", "[y, nu] = psi*nu", commutator(y, nu), nu.smul(psi)),
+        ("nu.sq", "nu^2 = 0", nu * nu, zero),
+        ("x.y", "x*y - y*x = 0", commutator(x, y), zero),
+        ("mu.nu", "mu*nu + nu*mu = 0", mu * nu + nu * mu, zero),
+    ]
+
+
+def central_rows(x, mu, nu, y, zero):
+    """The supertrace x - y commutes with each generator: (tag, anchor,
+    lhs, rhs) rows, as in :func:`bracket_rows`."""
+    st = x - y
+    return [(name, f"[x - y, {name}] = 0", commutator(st, g), zero)
+            for name, g in (("x", x), ("y", y), ("mu", mu), ("nu", nu))]
+
+
 def relation_identities():
     """The defining brackets of the exponent algebra, plus their tau images."""
     ctx = mside()
-    zero = ctx.pres.zero_elt()
-    rels = [
-        ("x.mu", "[x, mu] = phi*mu", commutator(ctx.x, ctx.mu),
-         ctx.mu.smul(ctx.phi)),
-        ("y.mu", "[y, mu] = phi*mu", commutator(ctx.y, ctx.mu),
-         ctx.mu.smul(ctx.phi)),
-        ("mu.sq", "mu^2 = 0", ctx.mu * ctx.mu, zero),
-        ("x.nu", "[x, nu] = psi*nu", commutator(ctx.x, ctx.nu),
-         ctx.nu.smul(ctx.psi)),
-        ("y.nu", "[y, nu] = psi*nu", commutator(ctx.y, ctx.nu),
-         ctx.nu.smul(ctx.psi)),
-        ("nu.sq", "nu^2 = 0", ctx.nu * ctx.nu, zero),
-        ("x.y", "x*y - y*x = 0", commutator(ctx.x, ctx.y), zero),
-        ("mu.nu", "mu*nu + nu*mu = 0",
-         ctx.mu * ctx.nu + ctx.nu * ctx.mu, zero),
-    ]
-    for tag, anchor, lhs, rhs in rels:
-        yield Identity(f"bracket.{tag}", anchor, lhs, rhs)
-    for tag, anchor, lhs, rhs in rels:
-        yield Identity(f"bracket.tau.{tag}", f"tau of: {anchor}",
-                       ctx.tau_elt(lhs), ctx.tau_elt(rhs))
+    rels = bracket_rows(ctx.x, ctx.mu, ctx.nu, ctx.y, ctx.phi, ctx.psi,
+                        ctx.pres.zero_elt())
+    yield from tagged("bracket", rels)
+    yield from tagged("bracket.tau", (
+        (tag, f"tau of: {anchor}", ctx.tau_elt(lhs), ctx.tau_elt(rhs))
+        for tag, anchor, lhs, rhs in rels))
 
 
 def centrality_identities():
     ctx = mside()
-    st = ctx.x - ctx.y
-    zero = ctx.pres.zero_elt()
-    for name, g in (("x", ctx.x), ("y", ctx.y), ("mu", ctx.mu),
-                    ("nu", ctx.nu)):
-        yield Identity(f"supertrace.central.{name}",
-                       f"[x - y, {name}] = 0", commutator(st, g), zero)
+    return tagged("supertrace.central", central_rows(
+        ctx.x, ctx.mu, ctx.nu, ctx.y, ctx.pres.zero_elt()))
 
 
 def group_matrix_identities():
@@ -278,8 +283,7 @@ def group_matrix_identities():
          commutator(a, d),
          (c * b).smul(ctx.p - ctx.q.inv())),
     ]
-    for tag, anchor, lhs, rhs in rels:
-        yield Identity(f"group.{tag}", anchor, lhs, rhs)
+    yield from tagged("group", rels)
     yield Identity("group.sdet", "sdet(T) = E1*E2^-1",
                    sdet(T), ctx.pres.scalar_elt(ctx.E1 * ctx.E2.inv()))
     # the tau involution squares to the identity on the entries

@@ -19,6 +19,18 @@ class Identity:
         self.rhs = rhs
 
 
+def tagged(idbase, rows):
+    """An Identity ``idbase.tag`` for each row (tag, anchor, lhs, rhs)."""
+    for tag, anchor, lhs, rhs in rows:
+        yield Identity(f"{idbase}.{tag}", anchor, lhs, rhs)
+
+
+def matrix_identities(idbase, anchor, lhs, rhs):
+    """The four blocks of two supermatrices, tagged 11, 12, 21, 22."""
+    return tagged(idbase, ((tag, anchor, le, re) for tag, le, re in zip(
+        ("11", "12", "21", "22"), lhs.entries(), rhs.entries())))
+
+
 class Check:
     __slots__ = ("id", "anchor", "status", "witness")
 

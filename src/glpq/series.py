@@ -129,9 +129,10 @@ from operator import itemgetter, mul
 
 from .coeff import TruncLaurent, add_laurent_products, settle_laurent_sums
 from .errors import InvalidRay, NotAUnit, TruncationUnderflow
+from .mside import bracket_rows, central_rows
 from .nc import Element, Presentation, commutator, mul_pairs
 from .poly import power
-from .report import Identity, run_exact
+from .report import Identity, matrix_identities, run_exact, tagged
 from .printing import print_element
 from .supermatrix import SuperMatrix
 
@@ -610,37 +611,23 @@ def series_identities(cfg):
     ln_mat = log_partial_sums(ctx, powers)
     hx, hmu, hnu, hy = m_entries_scaled(ctx)
 
-    for tag, closed, series_entry in (("x", hx, ln_mat.a11),
-                                      ("mu", hmu, ln_mat.a12),
-                                      ("nu", hnu, ln_mat.a21),
-                                      ("y", hy, ln_mat.a22)):
-        yield Identity(f"log.closed.{tag}",
-                       "h*M entry equals the matrix-log series",
-                       closed, series_entry)
+    anchor = "h*M entry equals the matrix-log series"
+    yield from tagged("log.closed", [
+        ("x", anchor, hx, ln_mat.a11), ("mu", anchor, hmu, ln_mat.a12),
+        ("nu", anchor, hnu, ln_mat.a21), ("y", anchor, hy, ln_mat.a22)])
 
     # N <= W, which SeriesConfig enforces
     for n, power in enumerate(powers[:cfg.N], 1):
-        closed = closed_tminus_powers(ctx, n)
-        for tag, lhs, rhs in zip(("11", "12", "21", "22"),
-                                 closed.entries(), power.entries()):
-            yield Identity(f"tpower.closed.n={n}.{tag}",
-                           "(T - I)^n closed block equals iterated product",
-                           lhs, rhs)
+        yield from matrix_identities(
+            f"tpower.closed.n={n}",
+            "(T - I)^n closed block equals iterated product",
+            closed_tminus_powers(ctx, n), power)
 
-    phi_h, psi_h = ctx.phi * ctx.h, ctx.psi * ctx.h
     zero = ctx.zero_te()
-    brackets = [
-        ("x.mu", "[x, mu] = phi*mu", commutator(hx, hmu), hmu.smul(phi_h)),
-        ("y.mu", "[y, mu] = phi*mu", commutator(hy, hmu), hmu.smul(phi_h)),
-        ("mu.sq", "mu^2 = 0", hmu * hmu, zero),
-        ("x.nu", "[x, nu] = psi*nu", commutator(hx, hnu), hnu.smul(psi_h)),
-        ("y.nu", "[y, nu] = psi*nu", commutator(hy, hnu), hnu.smul(psi_h)),
-        ("nu.sq", "nu^2 = 0", hnu * hnu, zero),
-        ("x.y", "x*y - y*x = 0", commutator(hx, hy), zero),
-        ("mu.nu", "mu*nu + nu*mu = 0", hmu * hnu + hnu * hmu, zero),
-    ]
-    for tag, anchor, lhs, rhs in brackets:
-        yield Identity(f"bracket.{tag}", anchor + " (cleared by h)", lhs, rhs)
+    yield from tagged("bracket", (
+        (tag, text + " (cleared by h)", lhs, rhs)
+        for tag, text, lhs, rhs in bracket_rows(
+            hx, hmu, hnu, hy, ctx.phi * ctx.h, ctx.psi * ctx.h, zero)))
 
     # commutators of the diagonal logarithms against the odd generators
     ln_a = hx - _odd_part(hx)
@@ -673,17 +660,12 @@ def series_identities(cfg):
                    x_mix.smul(-one_minus_pq),
                    witness_word.smul(ctx.ln_pq * ctx.ln_pq))
 
-    st = hx - hy
-    for tag, g in (("x", hx), ("y", hy), ("mu", hmu), ("nu", hnu)):
-        yield Identity(f"supertrace.central.{tag}", f"[x - y, {tag}] = 0",
-                       commutator(st, g), zero)
+    yield from tagged("supertrace.central",
+                      central_rows(hx, hmu, hnu, hy, zero))
 
-    hm = SuperMatrix(hx, hmu, hnu, hy)
-    rebuilt = exp_matrix(ctx, hm)
-    target = ctx.T_affine()
-    for tag, lhs, rhs in zip(("11", "12", "21", "22"), rebuilt.entries(),
-                             target.entries()):
-        yield Identity(f"roundtrip.{tag}", "exp(h*M) = T", lhs, rhs)
+    rebuilt = exp_matrix(ctx, SuperMatrix(hx, hmu, hnu, hy))
+    yield from matrix_identities("roundtrip", "exp(h*M) = T", rebuilt,
+                                 ctx.T_affine())
 
     if cfg.alpha == cfg.beta_ray:
         yield Identity("specialize.phi", "phi = 1 on the equal-ray",

@@ -14,7 +14,7 @@ from .coeff import RatFunc
 from .errors import UnsupportedNegativeN
 from .nc import Presentation, commutator, invert_even_unit
 from .poly import SymbolSet
-from .report import Identity, run_exact
+from .report import Identity, matrix_identities, run_exact, tagged
 from .supermatrix import (SuperMatrix, crout, sdet, sdet_factorizations,
                           sinverse)
 
@@ -129,12 +129,6 @@ def tside():
     return TSide()
 
 
-def _matrix_identities(idbase, anchor, lhs, rhs):
-    tags = ("11", "12", "21", "22")
-    for tag, le, re in zip(tags, lhs.entries(), rhs.entries()):
-        yield Identity(f"{idbase}.{tag}", anchor, le, re)
-
-
 # -- relation checks shared by the power suites -----------------------------
 
 
@@ -153,8 +147,7 @@ def gl_relation_identities(idbase, A, B, C, D, pn, qn, *, with_commutator=True):
     if with_commutator:
         rel.append(("AD", "[A, D] = (p^n - q^-n)*C*B",
                     commutator(A, D), (C * B).smul(pn - qn.inv())))
-    for tag, anchor, lhs, rhs in rel:
-        yield Identity(f"{idbase}.{tag}", anchor, lhs, rhs)
+    yield from tagged(idbase, rel)
 
 
 # -- suite: defining relations, inverse and superdeterminant ------------------
@@ -171,13 +164,13 @@ def section2_identities(n_bound=6, m_bound=4):
                           -(ctx.beta * d2_inv).smul(ctx.q_inv),
                           -(ctx.gamma * d1_inv).smul(ctx.p_inv),
                           ctx.a * d2_inv)
-    yield from _matrix_identities(
+    yield from matrix_identities(
         "inverse.display",
         "T^-1 = (d*D1^-1, -q^-1*beta*D2^-1; -p^-1*gamma*D1^-1, a*D2^-1)",
         Tinv, display)
     ident = SuperMatrix.identity(pres)
-    yield from _matrix_identities("inverse.right", "T*T^-1 = I", T * Tinv, ident)
-    yield from _matrix_identities("inverse.left", "T^-1*T = I", Tinv * T, ident)
+    yield from matrix_identities("inverse.right", "T*T^-1 = I", T * Tinv, ident)
+    yield from matrix_identities("inverse.left", "T^-1*T = I", Tinv * T, ident)
 
     sd = sdet(T)
     sd_inv_mat = sdet(Tinv)
@@ -239,7 +232,7 @@ def section3_identities(n_max=8):
 
     for n in range(1, n_max + 1):
         blocks = ctx.closed_power_blocks(n)
-        yield from _matrix_identities(
+        yield from matrix_identities(
             f"blocks.n={n}",
             "T^n = (a^n + F_n*beta*gamma, G_n*beta; G_n~*gamma, d^n + F_n~*gamma*beta)",
             powers[n], blocks)
@@ -258,9 +251,9 @@ def section3_identities(n_max=8):
         yield Identity(f"sdet.crout.second.n={n}",
                        "sdet(T^n) = (A_n - B_n*D_n^-1*C_n)*D_n^-1", second, sd_n)
         lower, upper = crout(powers[n])
-        yield from _matrix_identities(f"crout.product.n={n}",
-                                      "lower*upper = T^n",
-                                      lower * upper, powers[n])
+        yield from matrix_identities(f"crout.product.n={n}",
+                                     "lower*upper = T^n",
+                                     lower * upper, powers[n])
 
     # closure under inversion: the blocks of T^-1 satisfy the relations
     # with both deformation parameters inverted
@@ -290,14 +283,12 @@ def appendix_identities(k_max=6):
     for k in range(1, k_max + 1):
         Ak, Bk, Ck, Dk = blocks(k)
         An, Bn, Cn, Dn = blocks(k + 1)
-        recs = [
-            ("A", "A_(k+1) = A_1*A_k + B_1*C_k", An, A1 * Ak + B1 * Ck),
-            ("B", "B_(k+1) = A_1*B_k + B_1*D_k", Bn, A1 * Bk + B1 * Dk),
-            ("C", "C_(k+1) = C_1*A_k + D_1*C_k", Cn, C1 * Ak + D1 * Ck),
-            ("D", "D_(k+1) = D_1*D_k + C_1*B_k", Dn, D1 * Dk + C1 * Bk),
-        ]
-        for tag, anchor, lhs, rhs in recs:
-            yield Identity(f"recurrence.{tag}.k={k}", anchor, lhs, rhs)
+        yield from tagged("recurrence", [
+            (f"A.k={k}", "A_(k+1) = A_1*A_k + B_1*C_k", An, A1 * Ak + B1 * Ck),
+            (f"B.k={k}", "B_(k+1) = A_1*B_k + B_1*D_k", Bn, A1 * Bk + B1 * Dk),
+            (f"C.k={k}", "C_(k+1) = C_1*A_k + D_1*C_k", Cn, C1 * Ak + D1 * Ck),
+            (f"D.k={k}", "D_(k+1) = D_1*D_k + C_1*B_k", Dn, D1 * Dk + C1 * Bk),
+        ])
 
         big_k = ((C1 * Ak * B1 * Dk).smul(p ** (2 * k + 1) * q ** k
                                           - q ** (-k - 1))
