@@ -180,8 +180,9 @@ class TruncElement(Element):
 
     Every sum, product and scalar multiple is trimmed to the weight
     window; the rest (``pres``, ``terms``, ``is_zero``, ``parity``,
-    ``-``) is the Element's own.  ``==`` compares windows, as for
-    TruncLaurent, so the class has no hash.
+    subtraction as a sum with the negation) is the Element's own.
+    ``==`` compares windows, as for TruncLaurent, so the class has no
+    hash.
     """
 
     __slots__ = ("ctx", "prec")
@@ -236,7 +237,7 @@ class TruncElement(Element):
         return power(self.ctx.one_te(), self, n, mul)
 
     def __eq__(self, other):
-        return (isinstance(other, TruncElement)
+        return (isinstance(other, TruncElement) and self.pres is other.pres
                 and (self - other).is_zero())
 
     def __repr__(self):
