@@ -49,6 +49,11 @@ class NotAUnit(AlgebraError):
     """Inversion requested for an element that is not an even unit."""
 
 
+class NotNilpotent(AlgebraError):
+    """Series exponential of a matrix with an entry of weight 0, whose
+    terms would never leave the weight window."""
+
+
 class InvalidRay(AlgebraError):
     """Series configuration with a degenerate ray."""
 

@@ -223,19 +223,33 @@ def resolve_f_placement(n_probe=4):
     return "ambiguous"
 
 
-def bracket_rows(x, mu, nu, y, phi, psi, zero):
+def entry_products(x, mu, nu, y):
+    """Every product of two of the entries x, mu, nu, y, keyed by their
+    names, as ``prod["x", "mu"]`` for x*mu: each is made once and read
+    by :func:`bracket_rows` (and by the series sector's M^2)."""
+    entries = {"x": x, "mu": mu, "nu": nu, "y": y}
+    return {(a, b): ea * eb for a, ea in entries.items()
+            for b, eb in entries.items()}
+
+
+def bracket_rows(mu, nu, prod, phi, psi, zero):
     """The defining brackets of the exponent algebra as (tag, anchor, lhs,
-    rhs) rows, for any elements x, mu, nu, y and scalars phi, psi; the
-    series sector states them for h*M."""
+    rhs) rows, for the entry products ``prod`` of :func:`entry_products`
+    and scalars phi, psi; the series sector states them for h*M."""
+    def comm(a, b):
+        # nc.commutator's a*b - b*a, from the table
+        return prod[a, b] - prod[b, a]
+
     return [
-        ("x.mu", "[x, mu] = phi*mu", commutator(x, mu), mu.smul(phi)),
-        ("y.mu", "[y, mu] = phi*mu", commutator(y, mu), mu.smul(phi)),
-        ("mu.sq", "mu^2 = 0", mu * mu, zero),
-        ("x.nu", "[x, nu] = psi*nu", commutator(x, nu), nu.smul(psi)),
-        ("y.nu", "[y, nu] = psi*nu", commutator(y, nu), nu.smul(psi)),
-        ("nu.sq", "nu^2 = 0", nu * nu, zero),
-        ("x.y", "x*y - y*x = 0", commutator(x, y), zero),
-        ("mu.nu", "mu*nu + nu*mu = 0", mu * nu + nu * mu, zero),
+        ("x.mu", "[x, mu] = phi*mu", comm("x", "mu"), mu.smul(phi)),
+        ("y.mu", "[y, mu] = phi*mu", comm("y", "mu"), mu.smul(phi)),
+        ("mu.sq", "mu^2 = 0", prod["mu", "mu"], zero),
+        ("x.nu", "[x, nu] = psi*nu", comm("x", "nu"), nu.smul(psi)),
+        ("y.nu", "[y, nu] = psi*nu", comm("y", "nu"), nu.smul(psi)),
+        ("nu.sq", "nu^2 = 0", prod["nu", "nu"], zero),
+        ("x.y", "x*y - y*x = 0", comm("x", "y"), zero),
+        ("mu.nu", "mu*nu + nu*mu = 0", prod["mu", "nu"] + prod["nu", "mu"],
+         zero),
     ]
 
 
@@ -250,8 +264,9 @@ def central_rows(x, mu, nu, y, zero):
 def relation_identities():
     """The defining brackets of the exponent algebra, plus their tau images."""
     ctx = mside()
-    rels = bracket_rows(ctx.x, ctx.mu, ctx.nu, ctx.y, ctx.phi, ctx.psi,
-                        ctx.pres.zero_elt())
+    rels = bracket_rows(ctx.mu, ctx.nu,
+                        entry_products(ctx.x, ctx.mu, ctx.nu, ctx.y),
+                        ctx.phi, ctx.psi, ctx.pres.zero_elt())
     yield from tagged("bracket", rels)
     yield from tagged("bracket.tau", (
         (tag, f"tau of: {anchor}", ctx.tau_elt(lhs), ctx.tau_elt(rhs))

@@ -119,6 +119,30 @@ bound (the least margin is 0).
 tests/test_series.py builds every identity of rays (1,1) and (1,2) at
 the default N, K and weight with and without the view and compares
 them datum for datum.
+
+Shared products: ``series_identities`` makes each distinct product of
+two operands once per ray.  ``closed_tminus_powers`` builds the powers
+of A, D, q^-1 d - 1, p^-1 a - 1, (pq)^-1 a - 1 and (pq)^-1 d - 1 once
+each, by successive products, and the right factors
+(q^-1 d - 1)^j*beta, their products with gamma and the powers of
+(pq)^-1 a - 1 times those once for every n (likewise for c and d), so a
+block term is one product A^k*(...) or D^k*(...).  The brackets of h*M,
+its square and ``specialize.bracket`` read one table of the 16 products
+of the entries (``mside.entry_products``).  A table read equals the
+product it replaces because a product is a function of its operands
+alone: it reads their terms and windows, and the context's fixed
+presentation and weight cap, nothing else.  ``exp_matrix`` starts its
+series at term 1 = M and term 2 = M^2/2, where the old loop made term
+1 as (I*M)*1.  That equals M datum for datum: every entry of h*M is
+trimmed to its window prec <= W and has min weight w >= 1, with
+K + w >= prec.  So the product with the unit keeps the window
+min(W + w, prec) = prec, the zero product of the other block adds
+nothing and a window of at least W + 1, and the scaling by 1, exact
+through t^K, keeps min(prec, K + w) = prec; each trim then meets
+coefficients already cut to that window and cuts nothing more.
+tests/test_series.py builds every identity of the five default rays
+and of a weight-10 ray both ways (each product made afresh, the series
+started at the identity) and compares them datum for datum.
 """
 
 from __future__ import annotations
@@ -128,8 +152,8 @@ from fractions import Fraction
 from operator import itemgetter, mul
 
 from .coeff import TruncLaurent, add_laurent_products, settle_laurent_sums
-from .errors import InvalidRay, NotAUnit, TruncationUnderflow
-from .mside import bracket_rows, central_rows
+from .errors import InvalidRay, NotAUnit, NotNilpotent, TruncationUnderflow
+from .mside import bracket_rows, central_rows, entry_products
 from .nc import Element, Presentation, commutator, mul_pairs
 from .poly import power
 from .report import Identity, matrix_identities, run_exact, tagged
@@ -542,27 +566,56 @@ def log_partial_sums(ctx, powers=None):
     return acc
 
 
-def closed_tminus_powers(ctx, n):
-    """The displayed closed forms of the blocks of (T - I)^n."""
+def closed_tminus_powers(ctx, n_max):
+    """[closed (T - I)^1, ..., closed (T - I)^n_max]: the displayed closed
+    forms of the blocks.  Every power and right factor is made once, so
+    each term is one product A^k*(...) or D^k*(...)."""
     one = ctx.one_te()
     qd1 = (one + ctx.D).smul(ctx.q_inv) - one      # q^-1 d - 1
     pa1 = (one + ctx.A).smul(ctx.p_inv) - one      # p^-1 a - 1
     pqa1 = (one + ctx.A).smul(ctx.p_inv * ctx.q_inv) - one
     pqd1 = (one + ctx.D).smul(ctx.p_inv * ctx.q_inv) - one
-    b = ctx.zero_te()
-    c = ctx.zero_te()
-    for j in range(n):
-        b = b + ctx.A ** (n - j - 1) * qd1 ** j * ctx.beta
-        c = c + ctx.D ** (n - j - 1) * pa1 ** j * ctx.gamma
-    a = ctx.A ** n
-    d = ctx.D ** n
-    for j in range(n - 1):
-        for k in range(n - j - 1):
-            a = a + (ctx.A ** k * pqa1 ** (n - k - j - 2) * qd1 ** j
-                     * ctx.beta * ctx.gamma)
-            d = d + (ctx.D ** k * pqd1 ** (n - k - j - 2) * pa1 ** j
-                     * ctx.gamma * ctx.beta)
-    return SuperMatrix(a, b, c, d)
+    a_pow, d_pow = _powers(ctx.A, n_max), _powers(ctx.D, n_max)
+    qd_pow, pa_pow = _powers(qd1, n_max - 1), _powers(pa1, n_max - 1)
+    pqa_pow, pqd_pow = _powers(pqa1, n_max - 2), _powers(pqd1, n_max - 2)
+    # right factors: (q^-1 d - 1)^j*beta, then times gamma, then
+    # ((pq)^-1 a - 1)^i times that (likewise for c and d)
+    b_right = [_lmul(qd_pow, j, ctx.beta) for j in range(n_max)]
+    c_right = [_lmul(pa_pow, j, ctx.gamma) for j in range(n_max)]
+    a_right = {}
+    d_right = {}
+    for j in range(n_max - 1):
+        bg, gb = b_right[j] * ctx.gamma, c_right[j] * ctx.beta
+        for i in range(n_max - 1 - j):
+            a_right[i, j] = _lmul(pqa_pow, i, bg)
+            d_right[i, j] = _lmul(pqd_pow, i, gb)
+    zero = ctx.zero_te()
+    blocks = []
+    for n in range(1, n_max + 1):
+        b = sum((_lmul(a_pow, n - j - 1, b_right[j]) for j in range(n)), zero)
+        c = sum((_lmul(d_pow, n - j - 1, c_right[j]) for j in range(n)), zero)
+        a, d = a_pow[n], d_pow[n]
+        for j in range(n - 1):
+            for k in range(n - j - 1):
+                i = n - k - j - 2
+                a = a + _lmul(a_pow, k, a_right[i, j])
+                d = d + _lmul(d_pow, k, d_right[i, j])
+        blocks.append(SuperMatrix(a, b, c, d))
+    return blocks
+
+
+def _powers(te, n):
+    """[None, te, te^2, ..., te^n], each the one before times ``te``; the
+    unit at index 0 is left out of the products (see :func:`_lmul`)."""
+    out = [None, te]
+    for _ in range(1, n):
+        out.append(out[-1] * te)
+    return out
+
+
+def _lmul(powers, k, right):
+    """powers[k]*right, with the unit powers[0] left out."""
+    return powers[k] * right if k else right
 
 
 def m_entries_scaled(ctx):
@@ -589,18 +642,32 @@ def log_T(cfg):
     return log_partial_sums(ctx).map(lambda e: e.smul(ctx.h_inv))
 
 
-def exp_matrix(ctx, m):
-    """Entrywise-truncated exponential; terminates by the weight cap."""
-    ident = SuperMatrix(ctx.one_te(), ctx.zero_te(), ctx.zero_te(),
-                        ctx.one_te())
-    acc = ident
-    term = ident
-    for n in range(1, 2 * ctx.W + 6):
-        term = (term * m).smul(ctx.tl(Fraction(1, n)))
-        if all(e.is_zero() for e in term.entries()):
-            break
+def exp_matrix(ctx, m, square):
+    """Entrywise-truncated exponential of ``m``, given its square.
+
+    Every entry must have weight at least 1: term n then has weight at
+    least n, so the series ends once n passes the weight cap.  An entry
+    of weight 0 would make the series run on past any window, and is
+    refused with NotNilpotent."""
+    if any(e.min_weight() < 1 for e in m.entries()):
+        raise NotNilpotent("exponential needs entries of weight at least 1")
+    acc = SuperMatrix(ctx.one_te(), ctx.zero_te(), ctx.zero_te(),
+                      ctx.one_te())
+    term, n = m, 1
+    while not all(e.is_zero() for e in term.entries()):
         acc = acc + term
+        n += 1
+        term = (square if n == 2 else term * m).smul(ctx.tl(Fraction(1, n)))
     return acc
+
+
+def _square(prod):
+    """M^2 from the entry products of ``mside.entry_products``, each
+    block summed in the order of SuperMatrix.__mul__."""
+    return SuperMatrix(prod["x", "x"] + prod["mu", "nu"],
+                       prod["x", "mu"] + prod["mu", "y"],
+                       prod["nu", "x"] + prod["y", "nu"],
+                       prod["nu", "mu"] + prod["y", "y"])
 
 
 # -- identity lists ---------------------------------------------------------------
@@ -618,17 +685,18 @@ def series_identities(cfg):
         ("nu", anchor, hnu, ln_mat.a21), ("y", anchor, hy, ln_mat.a22)])
 
     # N <= W, which SeriesConfig enforces
-    for n, power in enumerate(powers[:cfg.N], 1):
+    for n, (closed, power) in enumerate(
+            zip(closed_tminus_powers(ctx, cfg.N), powers), 1):
         yield from matrix_identities(
             f"tpower.closed.n={n}",
-            "(T - I)^n closed block equals iterated product",
-            closed_tminus_powers(ctx, n), power)
+            "(T - I)^n closed block equals iterated product", closed, power)
 
     zero = ctx.zero_te()
+    prod = entry_products(hx, hmu, hnu, hy)
     yield from tagged("bracket", (
         (tag, text + " (cleared by h)", lhs, rhs)
         for tag, text, lhs, rhs in bracket_rows(
-            hx, hmu, hnu, hy, ctx.phi * ctx.h, ctx.psi * ctx.h, zero)))
+            hmu, hnu, prod, ctx.phi * ctx.h, ctx.psi * ctx.h, zero)))
 
     # commutators of the diagonal logarithms against the odd generators
     ln_a = hx - _odd_part(hx)
@@ -664,7 +732,7 @@ def series_identities(cfg):
     yield from tagged("supertrace.central",
                       central_rows(hx, hmu, hnu, hy, zero))
 
-    rebuilt = exp_matrix(ctx, SuperMatrix(hx, hmu, hnu, hy))
+    rebuilt = exp_matrix(ctx, SuperMatrix(hx, hmu, hnu, hy), _square(prod))
     yield from matrix_identities("roundtrip", "exp(h*M) = T", rebuilt,
                                  ctx.T_affine())
 
@@ -672,7 +740,7 @@ def series_identities(cfg):
         yield Identity("specialize.phi", "phi = 1 on the equal-ray",
                        ctx.scalar_te(ctx.phi), ctx.one_te())
         yield Identity("specialize.bracket", "[x, mu] = mu when h1 = h2",
-                       commutator(hx, hmu), hmu.smul(ctx.h))
+                       prod["x", "mu"] - prod["mu", "x"], hmu.smul(ctx.h))
 
 
 def _odd_part(te):

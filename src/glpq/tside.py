@@ -134,6 +134,7 @@ def tside():
 
 def gl_relation_identities(idbase, A, B, C, D, pn, qn, *, with_commutator=True):
     """The defining exchange relations at deformation parameters (pn, qn)."""
+    cb = C * B
     rel = [
         ("AB", "A*B = q^n*B*A", A * B, (B * A).smul(qn)),
         ("DB", "D*B = q^n*B*D", D * B, (B * D).smul(qn)),
@@ -142,11 +143,11 @@ def gl_relation_identities(idbase, A, B, C, D, pn, qn, *, with_commutator=True):
         ("B2", "B^2 = 0", B * B, A.pres.zero_elt()),
         ("C2", "C^2 = 0", C * C, A.pres.zero_elt()),
         ("BC", "q^n*B*C + p^n*C*B = 0",
-         (B * C).smul(qn) + (C * B).smul(pn), A.pres.zero_elt()),
+         (B * C).smul(qn) + cb.smul(pn), A.pres.zero_elt()),
     ]
     if with_commutator:
         rel.append(("AD", "[A, D] = (p^n - q^-n)*C*B",
-                    commutator(A, D), (C * B).smul(pn - qn.inv())))
+                    commutator(A, D), cb.smul(pn - qn.inv())))
     yield from tagged(idbase, rel)
 
 

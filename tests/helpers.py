@@ -7,9 +7,10 @@ from fractions import Fraction
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.dsl import MAX_EXPONENT
 from glpq.errors import DivisionByZero, DslSyntaxError, UnknownIdentifier
-from glpq.nc import Element
+from glpq.nc import Element, commutator
 from glpq.poly import Pol, SymbolSet, _pol, poly_gcd
 from glpq.series import INF, TruncElement
+from glpq.supermatrix import SuperMatrix
 from glpq.tside import tside
 
 # the interpreter's limit on the digits int() and str() convert (CPython
@@ -185,6 +186,76 @@ def naive_power(te, n):
     for _ in range(n):
         out = naive_product(out, te)
     return out
+
+
+# -- the series suite's constructions before its products were shared -------
+
+
+def closed_block_as_displayed(ctx, n):
+    """The closed blocks of (T - I)^n as displayed, every product made
+    afresh: powers by ``**``, each term multiplied left to right."""
+    one = ctx.one_te()
+    qd1 = (one + ctx.D).smul(ctx.q_inv) - one      # q^-1 d - 1
+    pa1 = (one + ctx.A).smul(ctx.p_inv) - one      # p^-1 a - 1
+    pqa1 = (one + ctx.A).smul(ctx.p_inv * ctx.q_inv) - one
+    pqd1 = (one + ctx.D).smul(ctx.p_inv * ctx.q_inv) - one
+    b = ctx.zero_te()
+    c = ctx.zero_te()
+    for j in range(n):
+        b = b + ctx.A ** (n - j - 1) * qd1 ** j * ctx.beta
+        c = c + ctx.D ** (n - j - 1) * pa1 ** j * ctx.gamma
+    a = ctx.A ** n
+    d = ctx.D ** n
+    for j in range(n - 1):
+        for k in range(n - j - 1):
+            a = a + (ctx.A ** k * pqa1 ** (n - k - j - 2) * qd1 ** j
+                     * ctx.beta * ctx.gamma)
+            d = d + (ctx.D ** k * pqd1 ** (n - k - j - 2) * pa1 ** j
+                     * ctx.gamma * ctx.beta)
+    return SuperMatrix(a, b, c, d)
+
+
+class RecomputedProducts:
+    """Stand-in for ``mside.entry_products``: ``prod[a, b]`` makes the
+    product of the entries named a and b afresh on every read."""
+
+    def __init__(self, x, mu, nu, y):
+        self.entries = {"x": x, "mu": mu, "nu": nu, "y": y}
+
+    def __getitem__(self, key):
+        a, b = key
+        return self.entries[a] * self.entries[b]
+
+
+def commutator_bracket_rows(mu, nu, prod, phi, psi, zero):
+    """``mside.bracket_rows`` with every commutator made by
+    ``nc.commutator`` from the entries of a RecomputedProducts."""
+    x, y = prod.entries["x"], prod.entries["y"]
+    return [
+        ("x.mu", "[x, mu] = phi*mu", commutator(x, mu), mu.smul(phi)),
+        ("y.mu", "[y, mu] = phi*mu", commutator(y, mu), mu.smul(phi)),
+        ("mu.sq", "mu^2 = 0", mu * mu, zero),
+        ("x.nu", "[x, nu] = psi*nu", commutator(x, nu), nu.smul(psi)),
+        ("y.nu", "[y, nu] = psi*nu", commutator(y, nu), nu.smul(psi)),
+        ("nu.sq", "nu^2 = 0", nu * nu, zero),
+        ("x.y", "x*y - y*x = 0", commutator(x, y), zero),
+        ("mu.nu", "mu*nu + nu*mu = 0", mu * nu + nu * mu, zero),
+    ]
+
+
+def exp_from_identity(ctx, m):
+    """Entrywise-truncated exponential whose series starts at the
+    identity matrix: term n is (term n-1)*M/n from n = 1 on."""
+    ident = SuperMatrix(ctx.one_te(), ctx.zero_te(), ctx.zero_te(),
+                        ctx.one_te())
+    acc = ident
+    term = ident
+    for n in range(1, 2 * ctx.W + 6):
+        term = (term * m).smul(ctx.tl(Fraction(1, n)))
+        if all(e.is_zero() for e in term.entries()):
+            break
+        acc = acc + term
+    return acc
 
 
 def naive_laurent_mul(a, b):

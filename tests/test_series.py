@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glpq.coeff import TruncLaurent
-from glpq.errors import InvalidRay, TruncationUnderflow
+from glpq.errors import InvalidRay, NotNilpotent, TruncationUnderflow
 from glpq.nc import Element, Presentation
 from glpq.printing import print_element
 from glpq.report import Identity
@@ -18,7 +18,9 @@ from glpq.series import (DEFAULT_RAYS, EXPAND_MARGIN, SeriesConfig,
                          series_context, series_identities, verify_series)
 from glpq.supermatrix import SuperMatrix
 
-from helpers import naive_power, naive_product, trunc_dump
+from helpers import (RecomputedProducts, closed_block_as_displayed,
+                     commutator_bracket_rows, exp_from_identity, naive_power,
+                     naive_product, trunc_dump)
 
 
 def cfg_for(a, b, weight=8):
@@ -111,8 +113,7 @@ class TestLogSeries:
     def test_closed_square_top_right(self):
         # (T - I)^2 off-diagonal: A*beta + q^-1*D*beta + (q^-1 - 1)*beta
         ctx = series_context(cfg_for(1, 2))
-        sq = closed_tminus_powers(ctx, 2)
-        got = sq.a12
+        got = closed_tminus_powers(ctx, 2)[1].a12
         want = (ctx.A * ctx.beta + (ctx.D * ctx.beta).smul(ctx.q_inv)
                 + ctx.beta.smul(ctx.q_inv - 1))
         assert (got - want).is_zero()
@@ -120,10 +121,13 @@ class TestLogSeries:
     def test_closed_matches_iterated(self):
         ctx = series_context(cfg_for(2, 1))
         tm = ctx.T_minus_I()
-        power = tm * tm * tm
+        power = tm
         closed = closed_tminus_powers(ctx, 3)
-        for lhs, rhs in zip(closed.entries(), power.entries()):
-            assert (lhs - rhs).is_zero()
+        assert len(closed) == 3
+        for block in closed:
+            for lhs, rhs in zip(block.entries(), power.entries()):
+                assert (lhs - rhs).is_zero()
+            power = power * tm
 
 
 class TestRoundTrip:
@@ -131,15 +135,28 @@ class TestRoundTrip:
         ctx = series_context(cfg_for(1, 2))
         zero = SuperMatrix(ctx.zero_te(), ctx.zero_te(), ctx.zero_te(),
                            ctx.zero_te())
-        ident = exp_matrix(ctx, zero)
+        ident = exp_matrix(ctx, zero, zero * zero)
         assert (ident.a11 - ctx.one_te()).is_zero()
         assert ident.a12.is_zero()
+
+    def test_exp_refuses_an_entry_of_weight_zero(self):
+        # e = sum 1/n! never ends in the window; stopping after a fixed
+        # number of terms would pass off a truncated e as exact
+        ctx = series_context(cfg_for(1, 2))
+        one, zero = ctx.one_te(), ctx.zero_te()
+        m = SuperMatrix(one, zero, zero, one)
+        with pytest.raises(NotNilpotent, match="weight at least 1"):
+            exp_matrix(ctx, m, m * m)
+        # weight 1 through a coefficient, not a generator, is accepted
+        t = SuperMatrix(ctx.scalar_te(ctx.h), zero, zero, zero)
+        assert exp_matrix(ctx, t, t * t).a11.prec == ctx.W
 
     def test_exp_log_inverse_pair(self):
         cfg = cfg_for(1, -3)
         ctx = series_context(cfg)
         hx, hmu, hnu, hy = m_entries_scaled(ctx)
-        rebuilt = exp_matrix(ctx, SuperMatrix(hx, hmu, hnu, hy))
+        m = SuperMatrix(hx, hmu, hnu, hy)
+        rebuilt = exp_matrix(ctx, m, m * m)
         target = ctx.T_affine()
         for lhs, rhs in zip(rebuilt.entries(), target.entries()):
             diff = lhs - rhs
@@ -458,3 +475,46 @@ def test_capped_view_shares_rules_not_caches():
     # a canonical concatenation keeps the uncapped unit
     assert view.word_product((1, 0, 0, 0), (0, 1, 0, 0)) == (
         ((1, 1, 0, 0), one),)
+
+
+# -- shared products against the constructions that make each one afresh ----
+
+REFERENCE_CFGS = [SeriesConfig(*ray) for ray in DEFAULT_RAYS] + [
+    SeriesConfig(F(1), F(2), N=8, K=14, weight=10)]
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CFGS, ids=lambda c: (
+    f"{c.alpha},{c.beta_ray},W={c.weight}"))
+def test_shared_products_match_the_reference_route(cfg, monkeypatch):
+    # the closed blocks from shared power tables, the brackets and M^2
+    # from one table of entry products, and the exponential started at
+    # term 1 = M: every identity equals its build with each product made
+    # afresh, datum for datum
+    def dump():
+        return [(i.id, trunc_dump(i.lhs), trunc_dump(i.rhs),
+                 (i.lhs - i.rhs).prec) for i in series_identities(cfg)]
+
+    shared = dump()
+    monkeypatch.setattr(series, "closed_tminus_powers", lambda ctx, n_max: [
+        closed_block_as_displayed(ctx, n) for n in range(1, n_max + 1)])
+    monkeypatch.setattr(series, "entry_products", RecomputedProducts)
+    monkeypatch.setattr(series, "bracket_rows", commutator_bracket_rows)
+    monkeypatch.setattr(series, "exp_matrix",
+                        lambda ctx, m, square: exp_from_identity(ctx, m))
+    assert shared == dump()
+
+
+@pytest.mark.parametrize("ray", DEFAULT_RAYS[:2], ids=lambda r: f"{r[0]},{r[1]}")
+def test_series_suite_makes_each_product_once(ray, monkeypatch):
+    # 921 products on ray (1,1) and 919 on (1,2) before the power tables
+    # and the entry table; a repeated product brings the count back up
+    calls = []
+    mul = TruncElement.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncElement, "__mul__", counting)
+    assert verify_series(SeriesConfig(*ray)).ok
+    assert len(calls) <= 420
