@@ -549,11 +549,7 @@ def scalar_expansions(ctx, swapped=False):
 
 def tminus_powers(ctx):
     """[(T - I)^1, ..., (T - I)^W], each the one before times T - I."""
-    tm = ctx.T_minus_I()
-    powers = [tm]
-    for _ in range(1, ctx.W):
-        powers.append(powers[-1] * tm)
-    return powers
+    return _powers(ctx.T_minus_I(), ctx.W)[1:]
 
 
 def log_partial_sums(ctx, powers=None):
@@ -604,12 +600,12 @@ def closed_tminus_powers(ctx, n_max):
     return blocks
 
 
-def _powers(te, n):
-    """[None, te, te^2, ..., te^n], each the one before times ``te``; the
+def _powers(x, n):
+    """[None, x, x^2, ..., x^n], each the one before times ``x``; the
     unit at index 0 is left out of the products (see :func:`_lmul`)."""
-    out = [None, te]
+    out = [None, x]
     for _ in range(1, n):
-        out.append(out[-1] * te)
+        out.append(out[-1] * x)
     return out
 
 
