@@ -4,13 +4,13 @@ from .coeff import RatFunc, TruncLaurent
 from .nc import Element, Presentation, anticommutator, commutator, invert_even_unit
 from .poly import Pol, SymbolSet
 from .report import Check, Identity, Report
-from .supermatrix import SuperMatrix, crout, matrix_power, sdet, sinverse
+from .supermatrix import Schur, SuperMatrix, matrix_power, sdet, sinverse
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Check", "Element", "Identity", "Pol", "Presentation", "RatFunc",
-    "Report", "SuperMatrix", "SymbolSet", "TruncLaurent",
-    "anticommutator", "commutator", "crout", "invert_even_unit",
+    "Report", "Schur", "SuperMatrix", "SymbolSet", "TruncLaurent",
+    "anticommutator", "commutator", "invert_even_unit",
     "matrix_power", "sdet", "sinverse",
 ]

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .coeff import RatFunc
 from .nc import Element, Presentation, commutator
-from .poly import Pol, SymbolSet
+from .poly import Pol, SymbolSet, power_table
 from .report import Identity, run_exact, tagged
 from .supermatrix import SuperMatrix, matrix_power, sdet
 
@@ -108,24 +108,24 @@ class MSide:
 
     # -- closed forms ----------------------------------------------------
 
-    def f_closed(self, n, *maps):
+    def f_closed(self, n, args=None):
         """Rational closed form F_n of the even correction in the n-th
-        power, evaluated at the arguments that the coefficient ``maps``
-        give (see :meth:`_args`)."""
-        x, y, phi, psi = self._args(*maps)
+        power, evaluated at ``args`` = (x, y, phi, psi), by default the
+        plain symbols (see :meth:`mapped_args`)."""
+        x, y, phi, psi = args or self.mapped_args()
         s = x - y
         two = _rconst(2)
         num = x ** n * (s + phi) - (x + two) ** n * (s - psi) - \
             (y + psi) ** n * two
         return num / ((s + phi) * (s - psi) * two)
 
-    def g_closed(self, n, *maps):
-        """Closed form G_n of the odd blocks, at the arguments that the
-        coefficient ``maps`` give."""
-        x, y, phi, _ = self._args(*maps)
+    def g_closed(self, n, args=None):
+        """Closed form G_n of the odd blocks, at ``args`` as for
+        :meth:`f_closed`."""
+        x, y, phi, _ = args or self.mapped_args()
         return ((x + phi) ** n - y ** n) / (x - y + phi)
 
-    def _args(self, *maps):
+    def mapped_args(self, *maps):
         """x, y, phi and psi, each sent through the coefficient maps in
         order.  The maps are substitutions, so ring homomorphisms (see
         the module docstring): the closed forms at these arguments equal
@@ -183,17 +183,22 @@ def power_block_identities(n_max=8):
     """
     ctx = mside()
     tau = ctx.tau_rf
-    powers = {1: ctx.M()}
-    for n in range(2, n_max + 1):
-        powers[n] = powers[n - 1] * ctx.M()
+    # the mapped arguments of each block, made once for every n; the maps
+    # are read here, per call, so a patched map reaches them
+    args_a = ctx.mapped_args(_shift_munu_inv_rf)
+    args_d = ctx.mapped_args(tau, _shift_munu_inv_rf)
+    args_b = ctx.mapped_args(_shift_mu_inv_rf)
+    args_c = ctx.mapped_args(tau, _shift_nu_inv_rf)
+    mu_nu, nu_mu = ctx.mu * ctx.nu, ctx.nu * ctx.mu
+    powers = power_table(ctx.M(), n_max)
     for n in range(1, n_max + 1):
         m = powers[n]
         lhs_a = ctx.pres.scalar_elt(ctx.x_rf ** n) - \
-            (ctx.mu * ctx.nu).smul(ctx.f_closed(n, _shift_munu_inv_rf))
+            mu_nu.smul(ctx.f_closed(n, args_a))
         lhs_d = ctx.pres.scalar_elt(ctx.y_rf ** n) - \
-            (ctx.nu * ctx.mu).smul(ctx.f_closed(n, tau, _shift_munu_inv_rf))
-        lhs_b = ctx.mu.smul(ctx.g_closed(n, _shift_mu_inv_rf))
-        lhs_c = ctx.nu.smul(ctx.g_closed(n, tau, _shift_nu_inv_rf))
+            nu_mu.smul(ctx.f_closed(n, args_d))
+        lhs_b = ctx.mu.smul(ctx.g_closed(n, args_b))
+        lhs_c = ctx.nu.smul(ctx.g_closed(n, args_c))
         yield Identity(f"power.A.n={n}", "M^n_11 = x^n - mu*nu*F_n",
                        m.a11, lhs_a)
         yield Identity(f"power.B.n={n}", "M^n_12 = mu*G_n", m.a12, lhs_b)
@@ -212,8 +217,10 @@ def resolve_f_placement(n_probe=4):
     ctx = mside()
     m = ctx.m_power(n_probe)
     target = m.a11 - ctx.pres.scalar_elt(ctx.x_rf ** n_probe)
-    right = -(ctx.mu * ctx.nu).smul(ctx.f_closed(n_probe, _shift_munu_inv_rf))
-    left = -(ctx.mu * ctx.nu).smul(ctx.f_closed(n_probe))
+    mu_nu = ctx.mu * ctx.nu
+    right = -mu_nu.smul(ctx.f_closed(n_probe,
+                                     ctx.mapped_args(_shift_munu_inv_rf)))
+    left = -mu_nu.smul(ctx.f_closed(n_probe))
     right_ok = (target - right).is_zero()
     left_ok = (target - left).is_zero()
     if right_ok and not left_ok:

@@ -494,6 +494,16 @@ def power(one, base, n, mul=mul):
     return r
 
 
+def power_table(x, n):
+    """[None, x, x^2, ..., x^n], each the one before times ``x``: one
+    product per power.  Index 0 holds None, not a unit, so that the
+    table makes no product with the unit."""
+    out = [None, x]
+    for _ in range(1, n):
+        out.append(out[-1] * x)
+    return out
+
+
 def remember(table, key, value):
     """Store ``key -> value`` in a printer table and return ``value``.  A
     table that holds :data:`PRINT_TABLE_SIZE` entries is emptied first,

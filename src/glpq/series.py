@@ -155,7 +155,7 @@ from .coeff import TruncLaurent, add_laurent_products, settle_laurent_sums
 from .errors import InvalidRay, NotAUnit, NotNilpotent, TruncationUnderflow
 from .mside import bracket_rows, central_rows, entry_products
 from .nc import Element, Presentation, commutator, mul_pairs
-from .poly import power
+from .poly import power, power_table
 from .report import Identity, matrix_identities, run_exact, tagged
 from .printing import print_element
 from .supermatrix import SuperMatrix
@@ -255,10 +255,11 @@ class TruncElement(Element):
         return TruncElement(self.ctx, super().smul(s), prec)
 
     def power(self, n, mul=mul):
-        """self**n with every product made by ``mul(x, y)``."""
+        """self**n with every product made by ``mul(x, y)``; as for
+        ``nc.Element.power`` the first factor is self, not the unit."""
         if n < 0:
             return self.ctx.invert_unit(self).power(-n, mul)
-        return power(self.ctx.one_te(), self, n, mul)
+        return power(None, self, n, mul) if n else self.ctx.one_te()
 
     def __eq__(self, other):
         return (isinstance(other, TruncElement) and self.pres is other.pres
@@ -549,7 +550,7 @@ def scalar_expansions(ctx, swapped=False):
 
 def tminus_powers(ctx):
     """[(T - I)^1, ..., (T - I)^W], each the one before times T - I."""
-    return _powers(ctx.T_minus_I(), ctx.W)[1:]
+    return power_table(ctx.T_minus_I(), ctx.W)[1:]
 
 
 def log_partial_sums(ctx, powers=None):
@@ -571,9 +572,11 @@ def closed_tminus_powers(ctx, n_max):
     pa1 = (one + ctx.A).smul(ctx.p_inv) - one      # p^-1 a - 1
     pqa1 = (one + ctx.A).smul(ctx.p_inv * ctx.q_inv) - one
     pqd1 = (one + ctx.D).smul(ctx.p_inv * ctx.q_inv) - one
-    a_pow, d_pow = _powers(ctx.A, n_max), _powers(ctx.D, n_max)
-    qd_pow, pa_pow = _powers(qd1, n_max - 1), _powers(pa1, n_max - 1)
-    pqa_pow, pqd_pow = _powers(pqa1, n_max - 2), _powers(pqd1, n_max - 2)
+    a_pow, d_pow = power_table(ctx.A, n_max), power_table(ctx.D, n_max)
+    qd_pow = power_table(qd1, n_max - 1)
+    pa_pow = power_table(pa1, n_max - 1)
+    pqa_pow = power_table(pqa1, n_max - 2)
+    pqd_pow = power_table(pqd1, n_max - 2)
     # right factors: (q^-1 d - 1)^j*beta, then times gamma, then
     # ((pq)^-1 a - 1)^i times that (likewise for c and d)
     b_right = [_lmul(qd_pow, j, ctx.beta) for j in range(n_max)]
@@ -598,15 +601,6 @@ def closed_tminus_powers(ctx, n_max):
                 d = d + _lmul(d_pow, k, d_right[i, j])
         blocks.append(SuperMatrix(a, b, c, d))
     return blocks
-
-
-def _powers(x, n):
-    """[None, x, x^2, ..., x^n], each the one before times ``x``; the
-    unit at index 0 is left out of the products (see :func:`_lmul`)."""
-    out = [None, x]
-    for _ in range(1, n):
-        out.append(out[-1] * x)
-    return out
 
 
 def _lmul(powers, k, right):

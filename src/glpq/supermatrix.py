@@ -1,6 +1,22 @@
-"""2x2 supermatrices over a presentation: diagonal even, off-diagonal odd."""
+"""2x2 supermatrices over a presentation: diagonal even, off-diagonal odd.
+
+Shared products.  The superdeterminant of m = (A B; C D), its two Crout
+forms, the Crout pair and the block inverse all read the same pieces:
+A^-1, D^-1, A^-1.B, D^-1.C and the Schur products C.A^-1.B, B.D^-1.C.
+A :class:`Schur` makes each piece on first read and keeps it, so a
+caller that needs several of these results of one matrix, as the power
+suite of tside does for every T^n, inverts A and D once.  Reusing a
+piece cannot change a result.  The entries are exact normal forms,
+which are canonical, and a product is a function of its operands, so a
+kept piece equals the one it replaces, and (X.Y).Z and X.(Y.Z) are one
+normal form.  Unlike in the series sector there is no weight window
+here, so neither the order of the products nor which of them are shared
+shows in any result.
+"""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import PresentationMismatch
 from .nc import invert_even_unit
@@ -67,35 +83,83 @@ def matrix_power(m, n, inv=invert_even_unit):
     return out
 
 
+class Schur:
+    """The pieces of m = (A B; C D) that :func:`sdet`, the Crout forms,
+    the Crout pair and :func:`sinverse` read, each made on first read and
+    kept (see the module docstring).  ``inv`` inverts an even unit; each
+    inverse that is read (of A, D and the two Schur complements) must
+    exist."""
+
+    def __init__(self, m, inv=invert_even_unit):
+        self.m = m
+        self.inv = inv
+
+    @cached_property
+    def a_inv(self):
+        return self.inv(self.m.a11)
+
+    @cached_property
+    def d_inv(self):
+        return self.inv(self.m.a22)
+
+    @cached_property
+    def a_inv_b(self):
+        return self.a_inv * self.m.a12
+
+    @cached_property
+    def d_inv_c(self):
+        return self.d_inv * self.m.a21
+
+    @cached_property
+    def b_d_inv_c(self):
+        return self.m.a12 * self.d_inv_c
+
+    @cached_property
+    def d_minus_cab(self):
+        """D - C.A^-1.B, the Schur complement of A."""
+        return self.m.a22 - self.m.a21 * self.a_inv_b
+
+    @cached_property
+    def a_minus_bdc(self):
+        """A - B.D^-1.C, the Schur complement of D."""
+        return self.m.a11 - self.b_d_inv_c
+
+    @cached_property
+    def d_minus_cab_inv(self):
+        return self.inv(self.d_minus_cab)
+
+    @cached_property
+    def a_minus_bdc_inv(self):
+        return self.inv(self.a_minus_bdc)
+
+    @cached_property
+    def sdet(self):
+        """Superdeterminant a11.a22^-1 - a12.a22^-1.a21.a22^-1."""
+        return self.m.a11 * self.d_inv - self.b_d_inv_c * self.d_inv
+
+    def factorizations(self):
+        """The two superdeterminant forms from the Crout splitting,
+        A.(D - C.A^-1.B)^-1 and (A - B.D^-1.C).D^-1."""
+        return (self.m.a11 * self.d_minus_cab_inv,
+                self.a_minus_bdc * self.d_inv)
+
+    def crout(self):
+        """Lower times unitriangular factorization (lower, upper)."""
+        m = self.m
+        one, zero = m.pres.one_elt(), m.pres.zero_elt()
+        return (SuperMatrix(m.a11, zero, m.a21, self.d_minus_cab),
+                SuperMatrix(one, self.a_inv_b, zero, one))
+
+
 def sdet(m, inv=invert_even_unit):
     """Superdeterminant a11.a22^-1 - a12.a22^-1.a21.a22^-1."""
-    d_inv = inv(m.a22)
-    return m.a11 * d_inv - m.a12 * d_inv * m.a21 * d_inv
+    return Schur(m, inv).sdet
 
 
 def sinverse(m, inv=invert_even_unit):
-    """Two-sided block inverse; every Schur complement must be an even unit."""
-    a, b, c, d = m.a11, m.a12, m.a21, m.a22
-    a_inv, d_inv = inv(a), inv(d)
-    x = inv(a - b * d_inv * c)
-    w = inv(d - c * a_inv * b)
-    return SuperMatrix(x, -(a_inv * b * w), -(d_inv * c * x), w)
-
-
-def crout(m, inv=invert_even_unit):
-    """Lower times unitriangular factorization (lower, upper)."""
-    a, b, c, d = m.a11, m.a12, m.a21, m.a22
-    a_inv = inv(a)
-    pres = m.pres
-    one, zero = pres.one_elt(), pres.zero_elt()
-    lower = SuperMatrix(a, zero, c, d - c * a_inv * b)
-    upper = SuperMatrix(one, a_inv * b, zero, one)
-    return lower, upper
-
-
-def sdet_factorizations(m, inv=invert_even_unit):
-    """The two superdeterminant forms from the Crout splitting."""
-    a, b, c, d = m.a11, m.a12, m.a21, m.a22
-    first = a * inv(d - c * inv(a) * b)
-    second = (a - b * inv(d) * c) * inv(d)
-    return first, second
+    """Two-sided block inverse of a SuperMatrix, or of the matrix of a
+    :class:`Schur` ``m``, whose pieces (and ``inv``) it then reads; every
+    Schur complement must be an even unit."""
+    s = m if isinstance(m, Schur) else Schur(m, inv)
+    x, w = s.a_minus_bdc_inv, s.d_minus_cab_inv
+    return SuperMatrix(x, -(s.a_inv_b * w), -(s.d_inv_c * x), w)

@@ -4,6 +4,19 @@ Provides the defining presentation (generators a, d, beta, gamma with
 invertible diagonal generators), the closed power-block forms, and the
 verification suites for the superdeterminant, power and block-recurrence
 identities.
+
+Shared products.  Each suite call makes every value that it reads more
+than once a single time: one :class:`~glpq.supermatrix.Schur` per power
+T^n serves its sdet, both Crout forms and the Crout pair (and, for T,
+the block inverse); the appendix builds C_1*A_k*B_1*D_k and
+C_k*A_1*B_k*D_1 once for K and L, from prefixes that the recurrences
+share, and reads each [A_k, D_k] back from the expansion at k - 1; the
+closed blocks read one table of brackets, and the reorder family one
+quotient (p^k - q^-k)/(p - q^-1) per exponent.  A reused value equals
+the one it replaces: coefficients are canonical rational functions and
+elements canonical normal forms, and a product is a function of its
+operands, so neither its order nor its reuse can change a result.
+Unlike the series sector there is no weight window to track.
 """
 
 from __future__ import annotations
@@ -13,10 +26,9 @@ from functools import lru_cache
 from .coeff import RatFunc
 from .errors import UnsupportedNegativeN
 from .nc import Presentation, commutator, invert_even_unit
-from .poly import SymbolSet
+from .poly import SymbolSet, power_table
 from .report import Identity, matrix_identities, run_exact, tagged
-from .supermatrix import (SuperMatrix, crout, sdet, sdet_factorizations,
-                          sinverse)
+from .supermatrix import Schur, SuperMatrix, sdet, sinverse
 
 
 class TSide:
@@ -85,38 +97,58 @@ class TSide:
         """(1 - (pq)^-n) / (1 - (pq)^-1)."""
         return (self.one - self.pq ** (-n)) / (self.one - self.pq.inv())
 
-    def closed_power_blocks(self, n):
-        if n < 1:
-            raise UnsupportedNegativeN(f"closed blocks need n >= 1, got {n}")
-        an = self.a ** n
-        dn = self.d ** n
-        bn = self.pres.zero_elt()
-        cn = self.pres.zero_elt()
-        for k in range(n):
-            bn = bn + self.word([("a", n - k - 1), ("d", k), ("beta", 1)],
-                                self.q_inv ** k)
-            cn = cn + self.word([("d", n - k - 1), ("a", k), ("gamma", 1)],
-                                self.p_inv ** k)
-        for k in range(n - 1):
-            coef = self.bracket(n - k - 1)
-            an = an + self.word([("a", n - k - 2), ("d", k),
-                                 ("beta", 1), ("gamma", 1)],
-                                coef * self.q_inv ** k)
-            dn = dn + self.word([("d", n - k - 2), ("a", k),
-                                 ("gamma", 1), ("beta", 1)],
-                                coef * self.p_inv ** k)
-        return SuperMatrix(an, bn, cn, dn)
+    def closed_power_blocks(self, n_max):
+        """The closed blocks of T^n for n = 1..n_max, in one list.  The
+        brackets <j> and the powers of p^-1 and q^-1 that they read are
+        made once for the whole list."""
+        if n_max < 1:
+            raise UnsupportedNegativeN(
+                f"closed blocks need n >= 1, got {n_max}")
+        brackets = [None] + [self.bracket(j) for j in range(1, n_max)]
+        p_pows = [self.p_inv ** k for k in range(n_max)]
+        q_pows = [self.q_inv ** k for k in range(n_max)]
+        out = []
+        for n in range(1, n_max + 1):
+            an = self.word([("a", n)])
+            dn = self.word([("d", n)])
+            bn = self.pres.zero_elt()
+            cn = self.pres.zero_elt()
+            for k in range(n):
+                bn = bn + self.word([("a", n - k - 1), ("d", k), ("beta", 1)],
+                                    q_pows[k])
+                cn = cn + self.word([("d", n - k - 1), ("a", k), ("gamma", 1)],
+                                    p_pows[k])
+            for k in range(n - 1):
+                coef = brackets[n - k - 1]
+                an = an + self.word([("a", n - k - 2), ("d", k),
+                                     ("beta", 1), ("gamma", 1)],
+                                    coef * q_pows[k])
+                dn = dn + self.word([("d", n - k - 2), ("a", k),
+                                     ("gamma", 1), ("beta", 1)],
+                                    coef * p_pows[k])
+            out.append(SuperMatrix(an, bn, cn, dn))
+        return out
 
     def schur_power_rhs(self, n):
         coef = (self.q ** n - self.p ** (-n)) / (self.q - self.p_inv)
         return self.a ** n - self.word(
             [("beta", 1), ("a", n - 1), ("d", -1), ("gamma", 1)], coef)
 
-    def reorder_power_rhs(self, n, m):
-        coef = ((self.p ** n - self.q ** (-n))
-                * (self.p ** m - self.q ** (-m)) / (self.p - self.q_inv))
+    def reorder_scalars(self, bound):
+        """p^k - q^-k and <k> = (p^k - q^-k)/(p - q^-1) for |k| <= bound,
+        as two dicts keyed by k: one division per k."""
+        den = self.p - self.q_inv
+        diffs = {k: self.p ** k - self.q ** (-k)
+                 for k in range(-bound, bound + 1)}
+        return diffs, {k: v / den for k, v in diffs.items()}
+
+    def reorder_power_rhs(self, n, m, scalars):
+        """d^m*a^n + (p^n - q^-n)<m>*gamma*a^(n-1)*d^(m-1)*beta, the
+        scalars read from the :meth:`reorder_scalars` pair."""
+        diffs, quotients = scalars
         return self.word([("d", m), ("a", n)]) + self.word(
-            [("gamma", 1), ("a", n - 1), ("d", m - 1), ("beta", 1)], coef)
+            [("gamma", 1), ("a", n - 1), ("d", m - 1), ("beta", 1)],
+            diffs[n] * quotients[m])
 
     def sdet_power_rhs(self, n):
         coef = self.p * (self.p ** (-n) - self.q ** n) / (self.p - self.q_inv)
@@ -154,11 +186,22 @@ def gl_relation_identities(idbase, A, B, C, D, pn, qn, *, with_commutator=True):
 # -- suite: defining relations, inverse and superdeterminant ------------------
 
 
+def _signed_powers(x, x_inv, bound):
+    """{n: x^n} for |n| <= bound, from one power table of x and one of
+    its inverse ``x_inv``."""
+    pos, neg = power_table(x, bound), power_table(x_inv, bound)
+    out = {0: x.pres.one_elt()}
+    for n in range(1, bound + 1):
+        out[n], out[-n] = pos[n], neg[n]
+    return out
+
+
 def section2_identities(n_bound=6, m_bound=4):
     ctx = tside()
     pres = ctx.pres
     T = ctx.T()
-    Tinv = sinverse(T)
+    t_split = Schur(T)
+    Tinv = sinverse(t_split)
     d1_inv = invert_even_unit(ctx.delta1())
     d2_inv = invert_even_unit(ctx.delta2())
     display = SuperMatrix(ctx.d * d1_inv,
@@ -173,48 +216,50 @@ def section2_identities(n_bound=6, m_bound=4):
     yield from matrix_identities("inverse.right", "T*T^-1 = I", T * Tinv, ident)
     yield from matrix_identities("inverse.left", "T^-1*T = I", Tinv * T, ident)
 
-    sd = sdet(T)
+    sd = t_split.sdet
     sd_inv_mat = sdet(Tinv)
-    yield Identity("sdet.delta2", "sdet(T) = a^2*D2^-1",
-                   sd, ctx.a * ctx.a * d2_inv)
+    a2_d2 = ctx.a * ctx.a * d2_inv
+    d2_d1 = ctx.d * ctx.d * d1_inv
+    yield Identity("sdet.delta2", "sdet(T) = a^2*D2^-1", sd, a2_d2)
     yield Identity("sdet.inverse.delta1", "sdet(T^-1) = d^2*D1^-1",
-                   sd_inv_mat, ctx.d * ctx.d * d1_inv)
+                   sd_inv_mat, d2_d1)
     yield Identity("sdet.reciprocal", "(a^2*D2^-1)^-1 = d^2*D1^-1",
-                   invert_even_unit(ctx.a * ctx.a * d2_inv),
-                   ctx.d * ctx.d * d1_inv)
+                   invert_even_unit(a2_d2), d2_d1)
     yield Identity("sdet.inverse.product", "sdet(T^-1)*sdet(T) = 1",
                    sd_inv_mat * sd, pres.one_elt())
 
-    central = [("a", ctx.a), ("a_inv", invert_even_unit(ctx.a)),
-               ("d", ctx.d), ("d_inv", invert_even_unit(ctx.d)),
+    # the inverses of a and d, and a - beta*d^-1*gamma with its inverse,
+    # are pieces of T's block inverse
+    central = [("a", ctx.a), ("a_inv", t_split.a_inv),
+               ("d", ctx.d), ("d_inv", t_split.d_inv),
                ("beta", ctx.beta), ("gamma", ctx.gamma)]
     for name, g in central:
         yield Identity(f"sdet.central.{name}", f"[sdet(T), {name}] = 0",
                        commutator(sd, g), pres.zero_elt())
 
-    base = ctx.a - ctx.beta * invert_even_unit(ctx.d) * ctx.gamma
-    base_inv = invert_even_unit(base)
+    base_powers = _signed_powers(t_split.a_minus_bdc,
+                                 t_split.a_minus_bdc_inv, n_bound)
     for n in range(-n_bound, n_bound + 1):
-        lhs = base ** n if n >= 0 else base_inv ** (-n)
         yield Identity(
             f"power.schur.n={n}",
             "(a - beta*d^-1*gamma)^n = a^n - <n>_qp*beta*a^(n-1)*d^-1*gamma",
-            lhs, ctx.schur_power_rhs(n))
+            base_powers[n], ctx.schur_power_rhs(n))
 
+    scalars = ctx.reorder_scalars(m_bound)
     for n in range(-m_bound, m_bound + 1):
         for m in range(-m_bound, m_bound + 1):
             yield Identity(
                 f"reorder.power.n={n}.m={m}",
                 "a^n*d^m = d^m*a^n + (p^n - q^-n)<m>*gamma*a^(n-1)*d^(m-1)*beta",
-                ctx.word([("a", n), ("d", m)]), ctx.reorder_power_rhs(n, m))
+                ctx.word([("a", n), ("d", m)]),
+                ctx.reorder_power_rhs(n, m, scalars))
 
-    sd_pow_inv = invert_even_unit(sd)
+    sd_powers = _signed_powers(sd, invert_even_unit(sd), n_bound)
     for n in range(-n_bound, n_bound + 1):
-        lhs = sd ** n if n >= 0 else sd_pow_inv ** (-n)
         yield Identity(
             f"sdet.power.n={n}",
             "sdet(T)^n = a^n*d^-n - p*(p^-n - q^n)/(p - q^-1)*a^(n-1)*gamma*d^(-n-1)*beta",
-            lhs, ctx.sdet_power_rhs(n))
+            sd_powers[n], ctx.sdet_power_rhs(n))
 
 
 # -- suite: powers of T ----------------------------------------------------------
@@ -223,16 +268,15 @@ def section2_identities(n_bound=6, m_bound=4):
 def section3_identities(n_max=8):
     ctx = tside()
     T = ctx.T()
-    powers = {1: T}
-    for n in range(2, n_max + 1):
-        powers[n] = powers[n - 1] * T
-    sd = sdet(T)
-    sd_powers = {1: sd}
-    for n in range(2, n_max + 1):
-        sd_powers[n] = sd_powers[n - 1] * sd
+    powers = power_table(T, n_max)
+    # one Schur per power: sdet, both Crout forms and the Crout pair of
+    # T^n read its A_n^-1, D_n^-1 and Schur products
+    t_split = Schur(T)
+    sd_powers = power_table(t_split.sdet, n_max)
+    closed = ctx.closed_power_blocks(n_max) if n_max >= 1 else []
 
-    for n in range(1, n_max + 1):
-        blocks = ctx.closed_power_blocks(n)
+    for n, blocks in enumerate(closed, 1):
+        split = t_split if n == 1 else Schur(powers[n])
         yield from matrix_identities(
             f"blocks.n={n}",
             "T^n = (a^n + F_n*beta*gamma, G_n*beta; G_n~*gamma, d^n + F_n~*gamma*beta)",
@@ -240,25 +284,25 @@ def section3_identities(n_max=8):
         pn, qn = ctx.p ** n, ctx.q ** n
         yield from gl_relation_identities(
             f"relations.n={n}", *blocks.entries(), pn, qn)
-        sd_n = sdet(powers[n])
+        sd_n = split.sdet
         yield Identity(f"sdet.closed.n={n}",
                        "sdet(T^n) = a^n*d^-n - p*(p^-n - q^n)/(p - q^-1)*...",
                        sd_n, ctx.sdet_power_rhs(n))
         yield Identity(f"sdet.multiplicative.n={n}",
                        "sdet(T)^n = sdet(T^n)", sd_powers[n], sd_n)
-        first, second = sdet_factorizations(powers[n])
+        first, second = split.factorizations()
         yield Identity(f"sdet.crout.first.n={n}",
                        "sdet(T^n) = A_n*(D_n - C_n*A_n^-1*B_n)^-1", first, sd_n)
         yield Identity(f"sdet.crout.second.n={n}",
                        "sdet(T^n) = (A_n - B_n*D_n^-1*C_n)*D_n^-1", second, sd_n)
-        lower, upper = crout(powers[n])
+        lower, upper = split.crout()
         yield from matrix_identities(f"crout.product.n={n}",
                                      "lower*upper = T^n",
                                      lower * upper, powers[n])
 
     # closure under inversion: the blocks of T^-1 satisfy the relations
     # with both deformation parameters inverted
-    Tinv = sinverse(T)
+    Tinv = sinverse(t_split)
     yield from gl_relation_identities(
         "relations.inverse", Tinv.a11, Tinv.a12, Tinv.a21, Tinv.a22,
         ctx.p.inv(), ctx.q.inv())
@@ -270,49 +314,48 @@ def section3_identities(n_max=8):
 def appendix_identities(k_max=6):
     ctx = tside()
     T = ctx.T()
-    powers = {1: T}
-    for n in range(2, k_max + 2):
-        powers[n] = powers[n - 1] * T
-
-    def blocks(n):
-        m = powers[n]
-        return m.a11, m.a12, m.a21, m.a22
-
-    A1, B1, C1, D1 = blocks(1)
+    powers = power_table(T, k_max + 1)
+    A1, B1, C1, D1 = T.entries()
     p, q = ctx.p, ctx.q
     pq = ctx.pq
+    # [A_n, D_n]: the expansion at k = n - 1 makes it for the closed form
+    commutators = {1: commutator(A1, D1)}
     for k in range(1, k_max + 1):
-        Ak, Bk, Ck, Dk = blocks(k)
-        An, Bn, Cn, Dn = blocks(k + 1)
+        Ak, Bk, Ck, Dk = powers[k].entries()
+        An, Bn, Cn, Dn = powers[k + 1].entries()
+        # products that the recurrences, K, L and the display share
+        c1ak, d1ck, c1bk, d1dk = C1 * Ak, D1 * Ck, C1 * Bk, D1 * Dk
+        cka1 = Ck * A1
+        c1akb1dk, cka1bkd1 = c1ak * B1 * Dk, cka1 * Bk * D1
         yield from tagged("recurrence", [
             (f"A.k={k}", "A_(k+1) = A_1*A_k + B_1*C_k", An, A1 * Ak + B1 * Ck),
             (f"B.k={k}", "B_(k+1) = A_1*B_k + B_1*D_k", Bn, A1 * Bk + B1 * Dk),
-            (f"C.k={k}", "C_(k+1) = C_1*A_k + D_1*C_k", Cn, C1 * Ak + D1 * Ck),
-            (f"D.k={k}", "D_(k+1) = D_1*D_k + C_1*B_k", Dn, D1 * Dk + C1 * Bk),
+            (f"C.k={k}", "C_(k+1) = C_1*A_k + D_1*C_k", Cn, c1ak + d1ck),
+            (f"D.k={k}", "D_(k+1) = D_1*D_k + C_1*B_k", Dn, d1dk + c1bk),
         ])
 
-        big_k = ((C1 * Ak * B1 * Dk).smul(p ** (2 * k + 1) * q ** k
-                                          - q ** (-k - 1))
-                 + (Ck * A1 * Bk * D1).smul(p ** (k + 1) - p * q ** (-k))
-                 + (Ck * A1 * Ak * B1 - C1 * Ak * A1 * Bk).smul(p ** (k + 1))
-                 + (Dk * C1 * Bk * D1 - D1 * Ck * B1 * Dk).smul(p ** (k + 1)))
-        big_l = ((Ck * A1 * Bk * D1).smul(p ** (k + 2) * q - p * q ** (-k))
-                 + (C1 * Ak * B1 * Dk).smul(p ** (k + 1) - q ** (-k - 1)))
+        p_k1, q_k1, pq_k = p ** (k + 1), q ** (-k - 1), p * q ** (-k)
+        big_k = (c1akb1dk.smul(p ** (2 * k + 1) * q ** k - q_k1)
+                 + cka1bkd1.smul(p_k1 - pq_k)
+                 + (cka1 * Ak * B1 - c1ak * A1 * Bk).smul(p_k1)
+                 + (Dk * C1 * Bk * D1 - d1ck * B1 * Dk).smul(p_k1))
+        big_l = (cka1bkd1.smul(p ** (k + 2) * q - pq_k)
+                 + c1akb1dk.smul(p_k1 - q_k1))
         yield Identity(f"cancellation.k={k}", "K - L = 0",
                        big_k - big_l, ctx.pres.zero_elt())
-        display = ((C1 * Bk * A1 * Ak
-                    - (D1 * Dk * B1 * Ck).smul(pq ** (-k - 1)))
+        display = ((c1bk * A1 * Ak - (d1dk * B1 * Ck).smul(pq ** (-k - 1)))
                    .smul(pq ** (k + 1) - ctx.one) + big_k)
+        commutators[k + 1] = commutator(An, Dn)
         yield Identity(
             f"commutator.expansion.k={k}",
             "[A_(k+1), D_(k+1)] = ((pq)^(k+1) - 1)*(C_1*B_k*A_1*A_k - (pq)^(-k-1)*D_1*D_k*B_1*C_k) + K",
-            commutator(An, Dn), display)
+            commutators[k + 1], display)
 
     for k in range(1, k_max + 1):
-        Ak, Bk, Ck, Dk = blocks(k)
+        Ak, Bk, Ck, Dk = powers[k].entries()
         yield Identity(f"commutator.closed.k={k}",
                        "[A_k, D_k] = (p^k - q^-k)*C_k*B_k",
-                       commutator(Ak, Dk),
+                       commutators[k],
                        (Ck * Bk).smul(p ** k - q ** (-k)))
 
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 from glpq.coeff import RatFunc, TruncLaurent
 from glpq.dsl import MAX_EXPONENT
 from glpq.errors import DivisionByZero, DslSyntaxError, UnknownIdentifier
-from glpq.nc import Element, commutator
+from glpq.nc import Element, commutator, invert_even_unit
 from glpq.poly import Pol, SymbolSet, _pol, poly_gcd
+from glpq.report import Identity
 from glpq.series import INF, TruncElement
 from glpq.supermatrix import SuperMatrix
 from glpq.tside import tside
@@ -372,7 +373,6 @@ def subst_power_blocks(n_max):
     maps are read from :mod:`glpq.mside` at call time, so a patched map
     reaches both routes."""
     from glpq import mside as ms
-    from glpq.report import Identity
     ctx = ms.mside()
     tau = ctx.tau_rf
     sc = ctx.pres.scalar_elt
@@ -391,6 +391,245 @@ def subst_power_blocks(n_max):
         )
         for block, lhs, rhs in sides:
             yield Identity(f"power.{block}.n={n}", "", lhs, rhs)
+
+
+def count_calls(fn, run):
+    """Calls of the Python function ``fn`` while ``run()`` runs, however
+    the callers reach it (a default argument bound at import included)."""
+    code = fn.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+# -- the exact suites' constructions before their products were shared -------
+# Every inverse, Schur product, four-fold product and closed-form scalar
+# below is made afresh where the suite reads it, as the suites did before
+# they shared them; the identities come in the suites' order.
+
+
+def _afresh_sdet(m):
+    d_inv = invert_even_unit(m.a22)
+    return m.a11 * d_inv - m.a12 * d_inv * m.a21 * d_inv
+
+
+def _afresh_sinverse(m):
+    a, b, c, d = m.entries()
+    a_inv, d_inv = invert_even_unit(a), invert_even_unit(d)
+    x = invert_even_unit(a - b * d_inv * c)
+    w = invert_even_unit(d - c * a_inv * b)
+    return SuperMatrix(x, -(a_inv * b * w), -(d_inv * c * x), w)
+
+
+def _afresh_crout(m):
+    a, b, c, d = m.entries()
+    a_inv = invert_even_unit(a)
+    one, zero = m.pres.one_elt(), m.pres.zero_elt()
+    return (SuperMatrix(a, zero, c, d - c * a_inv * b),
+            SuperMatrix(one, a_inv * b, zero, one))
+
+
+def _afresh_factorizations(m):
+    a, b, c, d = m.entries()
+    inv = invert_even_unit
+    return a * inv(d - c * inv(a) * b), (a - b * inv(d) * c) * inv(d)
+
+
+def _afresh_closed_power_blocks(ctx, n):
+    an, dn = ctx.a ** n, ctx.d ** n
+    bn = cn = ctx.pres.zero_elt()
+    for k in range(n):
+        bn = bn + ctx.word([("a", n - k - 1), ("d", k), ("beta", 1)],
+                           ctx.q_inv ** k)
+        cn = cn + ctx.word([("d", n - k - 1), ("a", k), ("gamma", 1)],
+                           ctx.p_inv ** k)
+    for k in range(n - 1):
+        coef = ctx.bracket(n - k - 1)
+        an = an + ctx.word([("a", n - k - 2), ("d", k), ("beta", 1),
+                            ("gamma", 1)], coef * ctx.q_inv ** k)
+        dn = dn + ctx.word([("d", n - k - 2), ("a", k), ("gamma", 1),
+                            ("beta", 1)], coef * ctx.p_inv ** k)
+    return SuperMatrix(an, bn, cn, dn)
+
+
+def _afresh_gl_relations(idbase, A, B, C, D, pn, qn, with_commutator=True):
+    zero = A.pres.zero_elt()
+    rel = [("AB", A * B, (B * A).smul(qn)), ("DB", D * B, (B * D).smul(qn)),
+           ("AC", A * C, (C * A).smul(pn)), ("DC", D * C, (C * D).smul(pn)),
+           ("B2", B * B, zero), ("C2", C * C, zero),
+           ("BC", (B * C).smul(qn) + (C * B).smul(pn), zero)]
+    if with_commutator:
+        rel.append(("AD", commutator(A, D), (C * B).smul(pn - qn.inv())))
+    for tag, lhs, rhs in rel:
+        yield Identity(f"{idbase}.{tag}", "", lhs, rhs)
+
+
+def _afresh_blocks(idbase, lhs, rhs):
+    for tag, le, re in zip(("11", "12", "21", "22"), lhs.entries(),
+                           rhs.entries()):
+        yield Identity(f"{idbase}.{tag}", "", le, re)
+
+
+def section2_afresh(n_bound, m_bound):
+    """``tside.section2_identities`` with nothing shared."""
+    ctx = tside()
+    pres = ctx.pres
+    inv = invert_even_unit
+    T = ctx.T()
+    Tinv = _afresh_sinverse(T)
+    d1_inv, d2_inv = inv(ctx.delta1()), inv(ctx.delta2())
+    display = SuperMatrix(ctx.d * d1_inv,
+                          -(ctx.beta * d2_inv).smul(ctx.q_inv),
+                          -(ctx.gamma * d1_inv).smul(ctx.p_inv),
+                          ctx.a * d2_inv)
+    yield from _afresh_blocks("inverse.display", Tinv, display)
+    ident = SuperMatrix.identity(pres)
+    yield from _afresh_blocks("inverse.right", T * Tinv, ident)
+    yield from _afresh_blocks("inverse.left", Tinv * T, ident)
+    sd, sd_inv_mat = _afresh_sdet(T), _afresh_sdet(Tinv)
+    yield Identity("sdet.delta2", "", sd, ctx.a * ctx.a * d2_inv)
+    yield Identity("sdet.inverse.delta1", "", sd_inv_mat,
+                   ctx.d * ctx.d * d1_inv)
+    yield Identity("sdet.reciprocal", "", inv(ctx.a * ctx.a * d2_inv),
+                   ctx.d * ctx.d * d1_inv)
+    yield Identity("sdet.inverse.product", "", sd_inv_mat * sd,
+                   pres.one_elt())
+    central = [("a", ctx.a), ("a_inv", inv(ctx.a)), ("d", ctx.d),
+               ("d_inv", inv(ctx.d)), ("beta", ctx.beta),
+               ("gamma", ctx.gamma)]
+    for name, g in central:
+        yield Identity(f"sdet.central.{name}", "", commutator(sd, g),
+                       pres.zero_elt())
+    base = ctx.a - ctx.beta * inv(ctx.d) * ctx.gamma
+    base_inv = inv(base)
+    p, q, p_inv, q_inv = ctx.p, ctx.q, ctx.p_inv, ctx.q_inv
+    for n in range(-n_bound, n_bound + 1):
+        coef = (q ** n - p ** (-n)) / (q - p_inv)
+        rhs = ctx.a ** n - ctx.word(
+            [("beta", 1), ("a", n - 1), ("d", -1), ("gamma", 1)], coef)
+        yield Identity(f"power.schur.n={n}", "",
+                       base ** n if n >= 0 else base_inv ** (-n), rhs)
+    for n in range(-m_bound, m_bound + 1):
+        for m in range(-m_bound, m_bound + 1):
+            coef = ((p ** n - q ** (-n)) * (p ** m - q ** (-m))
+                    / (p - q_inv))
+            rhs = ctx.word([("d", m), ("a", n)]) + ctx.word(
+                [("gamma", 1), ("a", n - 1), ("d", m - 1), ("beta", 1)],
+                coef)
+            yield Identity(f"reorder.power.n={n}.m={m}", "",
+                           ctx.word([("a", n), ("d", m)]), rhs)
+    sd_pow_inv = inv(sd)
+    for n in range(-n_bound, n_bound + 1):
+        yield Identity(f"sdet.power.n={n}", "",
+                       sd ** n if n >= 0 else sd_pow_inv ** (-n),
+                       _afresh_sdet_power_rhs(ctx, n))
+
+
+def _afresh_sdet_power_rhs(ctx, n):
+    p, q = ctx.p, ctx.q
+    coef = p * (p ** (-n) - q ** n) / (p - ctx.q_inv)
+    return ctx.word([("a", n), ("d", -n)]) - ctx.word(
+        [("a", n - 1), ("gamma", 1), ("d", -n - 1), ("beta", 1)], coef)
+
+
+def section3_afresh(n_max):
+    """``tside.section3_identities`` with nothing shared."""
+    ctx = tside()
+    T = ctx.T()
+    powers = {1: T}
+    for n in range(2, n_max + 1):
+        powers[n] = powers[n - 1] * T
+    sd = _afresh_sdet(T)
+    sd_powers = {1: sd}
+    for n in range(2, n_max + 1):
+        sd_powers[n] = sd_powers[n - 1] * sd
+    for n in range(1, n_max + 1):
+        blocks = _afresh_closed_power_blocks(ctx, n)
+        yield from _afresh_blocks(f"blocks.n={n}", powers[n], blocks)
+        yield from _afresh_gl_relations(f"relations.n={n}", *blocks.entries(),
+                                        ctx.p ** n, ctx.q ** n)
+        sd_n = _afresh_sdet(powers[n])
+        yield Identity(f"sdet.closed.n={n}", "", sd_n,
+                       _afresh_sdet_power_rhs(ctx, n))
+        yield Identity(f"sdet.multiplicative.n={n}", "", sd_powers[n], sd_n)
+        first, second = _afresh_factorizations(powers[n])
+        yield Identity(f"sdet.crout.first.n={n}", "", first, sd_n)
+        yield Identity(f"sdet.crout.second.n={n}", "", second, sd_n)
+        lower, upper = _afresh_crout(powers[n])
+        yield from _afresh_blocks(f"crout.product.n={n}", lower * upper,
+                                  powers[n])
+    Tinv = _afresh_sinverse(T)
+    yield from _afresh_gl_relations("relations.inverse", *Tinv.entries(),
+                                    ctx.p.inv(), ctx.q.inv())
+
+
+def appendix_afresh(k_max):
+    """``tside.appendix_identities`` with nothing shared."""
+    ctx = tside()
+    T = ctx.T()
+    powers = {1: T}
+    for n in range(2, k_max + 2):
+        powers[n] = powers[n - 1] * T
+    A1, B1, C1, D1 = T.entries()
+    p, q, pq = ctx.p, ctx.q, ctx.pq
+    zero = ctx.pres.zero_elt()
+    for k in range(1, k_max + 1):
+        Ak, Bk, Ck, Dk = powers[k].entries()
+        An, Bn, Cn, Dn = powers[k + 1].entries()
+        yield Identity(f"recurrence.A.k={k}", "", An, A1 * Ak + B1 * Ck)
+        yield Identity(f"recurrence.B.k={k}", "", Bn, A1 * Bk + B1 * Dk)
+        yield Identity(f"recurrence.C.k={k}", "", Cn, C1 * Ak + D1 * Ck)
+        yield Identity(f"recurrence.D.k={k}", "", Dn, D1 * Dk + C1 * Bk)
+        big_k = ((C1 * Ak * B1 * Dk).smul(p ** (2 * k + 1) * q ** k
+                                          - q ** (-k - 1))
+                 + (Ck * A1 * Bk * D1).smul(p ** (k + 1) - p * q ** (-k))
+                 + (Ck * A1 * Ak * B1 - C1 * Ak * A1 * Bk).smul(p ** (k + 1))
+                 + (Dk * C1 * Bk * D1 - D1 * Ck * B1 * Dk).smul(p ** (k + 1)))
+        big_l = ((Ck * A1 * Bk * D1).smul(p ** (k + 2) * q - p * q ** (-k))
+                 + (C1 * Ak * B1 * Dk).smul(p ** (k + 1) - q ** (-k - 1)))
+        yield Identity(f"cancellation.k={k}", "", big_k - big_l, zero)
+        display = ((C1 * Bk * A1 * Ak
+                    - (D1 * Dk * B1 * Ck).smul(pq ** (-k - 1)))
+                   .smul(pq ** (k + 1) - ctx.one) + big_k)
+        yield Identity(f"commutator.expansion.k={k}", "", commutator(An, Dn),
+                       display)
+    for k in range(1, k_max + 1):
+        Ak, Bk, Ck, Dk = powers[k].entries()
+        yield Identity(f"commutator.closed.k={k}", "", commutator(Ak, Dk),
+                       (Ck * Bk).smul(p ** k - q ** (-k)))
+
+
+def mside_power_blocks_afresh(n_max):
+    """``mside.power_block_identities`` with x, y, phi, psi sent through
+    the coefficient maps again for every n."""
+    from glpq import mside as ms
+    ctx = ms.mside()
+    tau = ctx.tau_rf
+    sc = ctx.pres.scalar_elt
+    powers = {1: ctx.M()}
+    for n in range(2, n_max + 1):
+        powers[n] = powers[n - 1] * ctx.M()
+    for n in range(1, n_max + 1):
+        m = powers[n]
+        f_a = ctx.f_closed(n, ctx.mapped_args(ms._shift_munu_inv_rf))
+        f_d = ctx.f_closed(n, ctx.mapped_args(tau, ms._shift_munu_inv_rf))
+        g_b = ctx.g_closed(n, ctx.mapped_args(ms._shift_mu_inv_rf))
+        g_c = ctx.g_closed(n, ctx.mapped_args(tau, ms._shift_nu_inv_rf))
+        yield Identity(f"power.A.n={n}", "", m.a11,
+                       sc(ctx.x_rf ** n) - (ctx.mu * ctx.nu).smul(f_a))
+        yield Identity(f"power.B.n={n}", "", m.a12, ctx.mu.smul(g_b))
+        yield Identity(f"power.C.n={n}", "", m.a21, ctx.nu.smul(g_c))
+        yield Identity(f"power.D.n={n}", "", m.a22,
+                       sc(ctx.y_rf ** n) - (ctx.nu * ctx.mu).smul(f_d))
 
 
 def naive_subst(f, mapping):

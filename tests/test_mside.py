@@ -6,18 +6,18 @@ import pytest
 from glpq.dsl import evaluate
 from glpq.coeff import RatFunc
 from glpq import mside as mside_module
-from glpq.mside import (M_SYMS, _shift_mu_inv_rf, _shift_munu_inv_rf,
+from glpq.mside import (M_SYMS, MSide, _shift_mu_inv_rf, _shift_munu_inv_rf,
                         _shift_nu_inv_rf, centrality_identities,
                         group_matrix_identities, mside, mside_identities,
-                        relation_identities, resolve_f_placement,
-                        verify_mside)
+                        power_block_identities, relation_identities,
+                        resolve_f_placement, verify_mside)
 from glpq.nc import commutator
 from glpq.poly import Pol
 from glpq.printing import print_element
 from glpq.report import run_exact
 from glpq.supermatrix import sdet
 
-from helpers import subst_power_blocks
+from helpers import count_calls, mside_power_blocks_afresh, subst_power_blocks
 
 
 class TestPowers:
@@ -196,8 +196,8 @@ def test_closed_forms_at_mapped_arguments(n):
         want_f, want_g = f, g
         for m in maps:
             want_f, want_g = m(want_f), m(want_g)
-        assert ctx.f_closed(n, *maps) == want_f
-        assert ctx.g_closed(n, *maps) == want_g
+        assert ctx.f_closed(n, ctx.mapped_args(*maps)) == want_f
+        assert ctx.g_closed(n, ctx.mapped_args(*maps)) == want_g
 
 
 def _failing_ids(report):
@@ -239,3 +239,20 @@ def test_mutated_maps_fail_the_same_checks_on_both_routes(mutant,
         assert got
     else:
         assert got == []
+
+
+def test_power_blocks_match_the_afresh_construction():
+    # the mapped x, y, phi, psi made once per call give every identity of
+    # the power suite at the benchmark's size, lhs and rhs, as mapping
+    # them again for each n does
+    got = [(i.id, i.lhs, i.rhs) for i in power_block_identities(10)]
+    assert got == [(i.id, i.lhs, i.rhs)
+                   for i in mside_power_blocks_afresh(10)]
+
+
+@pytest.mark.parametrize("n_max", [1, 6])
+def test_power_blocks_map_the_arguments_once_per_call(n_max):
+    # one argument tuple per block (A, B, C, D), whatever n_max
+    calls = count_calls(MSide.mapped_args,
+                        lambda: list(power_block_identities(n_max)))
+    assert calls == 4

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glpq.coeff import TruncLaurent
+from glpq.dsl import get_context, parse
 from glpq.errors import InvalidRay, NotNilpotent, TruncationUnderflow
 from glpq.nc import Element, Presentation
+from glpq.poly import power
 from glpq.printing import print_element
 from glpq.report import Identity
 from glpq import series
@@ -518,3 +520,38 @@ def test_series_suite_makes_each_product_once(ray, monkeypatch):
     monkeypatch.setattr(TruncElement, "__mul__", counting)
     assert verify_series(SeriesConfig(*ray)).ok
     assert len(calls) <= 420
+
+
+# -- powers start from the base ---------------------------------------------
+
+
+def test_power_makes_no_product_by_the_unit(monkeypatch):
+    # square-and-multiply from the base: k - 1 products for k = 1, 2, 3
+    ctx = series_context(SeriesConfig())
+    x = ctx.A + ctx.beta
+    products = []
+    orig = TruncElement.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return orig(a, b)
+
+    monkeypatch.setattr(TruncElement, "__mul__", counted)
+    counts = []
+    for k in range(6):
+        products.clear()
+        x ** k
+        counts.append(len(products))
+    assert counts == [0, 0, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("text", ["A + beta", "1 + A - 3*D^2 + gamma",
+                                  "(1 + A)^-1*beta + t*D",
+                                  "p*A*beta - q^-1*D*gamma + 2"])
+def test_power_equals_the_unit_started_power(text):
+    # a DSL series coefficient has valuation >= 0, so the product by the
+    # unit never lowered prec: dropping it changes no datum
+    dctx = get_context("series")
+    x = dctx.eval(parse(text, dctx))
+    for k in range(6):
+        assert trunc_dump(x ** k) == trunc_dump(power(x.ctx.one_te(), x, k))

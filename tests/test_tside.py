@@ -1,12 +1,15 @@
 import pytest
 
+from glpq.coeff import RatFunc
 from glpq.errors import UnsupportedNegativeN
 from glpq.nc import commutator, invert_even_unit
-from glpq.supermatrix import (SuperMatrix, crout, matrix_power, sdet,
-                              sdet_factorizations, sinverse)
+from glpq.supermatrix import Schur, SuperMatrix, matrix_power, sdet, sinverse
 from glpq.tside import (appendix_identities, section2_identities,
                         section3_identities, tside, verify_appendix,
                         verify_section2, verify_section3)
+
+from helpers import (appendix_afresh, count_calls, section2_afresh,
+                     section3_afresh)
 
 
 class TestSdet:
@@ -81,7 +84,7 @@ class TestClosedBlocks:
 
     def test_blocks_two(self):
         ctx = tside()
-        b = ctx.closed_power_blocks(2)
+        b = ctx.closed_power_blocks(2)[1]
         assert b.a11 == ctx.a * ctx.a + ctx.beta * ctx.gamma
         want_d = (ctx.d * ctx.d
                   - (ctx.beta * ctx.gamma).smul(ctx.q * ctx.p_inv))
@@ -96,19 +99,19 @@ class TestCrout:
     def test_identity(self):
         ctx = tside()
         ident = SuperMatrix.identity(ctx.pres)
-        lower, upper = crout(ident)
+        lower, upper = Schur(ident).crout()
         assert lower == ident and upper == ident
 
     def test_roundtrip(self):
         ctx = tside()
         T = ctx.T()
-        lower, upper = crout(T)
+        lower, upper = Schur(T).crout()
         assert lower * upper == T
 
     def test_sdet_factorizations_on_square(self):
         ctx = tside()
         sq = matrix_power(ctx.T(), 2)
-        first, second = sdet_factorizations(sq)
+        first, second = Schur(sq).factorizations()
         assert first == second == sdet(sq)
 
 
@@ -130,3 +133,50 @@ class TestSuites:
         ids += [i.id for i in section3_identities(2)]
         ids += [i.id for i in appendix_identities(1)]
         assert len(ids) == len(set(ids))
+
+
+# -- shared inverses, Schur products and scalars -----------------------------
+
+
+def _data(identities):
+    return [(i.id, i.lhs, i.rhs) for i in identities]
+
+
+@pytest.mark.parametrize("suite", ["section2", "section3", "appendix"])
+def test_shared_products_match_the_afresh_construction(suite):
+    # at the benchmark's sizes every identity equals, lhs and rhs, its
+    # build with each inverse, Schur product, four-fold product and
+    # closed-form scalar made afresh where it is read
+    shared, afresh = {
+        "section2": (section2_identities(10, 6), section2_afresh(10, 6)),
+        "section3": (section3_identities(12), section3_afresh(12)),
+        "appendix": (appendix_identities(10), appendix_afresh(10)),
+    }[suite]
+    assert _data(shared) == _data(afresh)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5])
+def test_section3_inverts_three_times_per_power(n_max):
+    # A_n^-1, D_n^-1 and (D_n - C_n*A_n^-1*B_n)^-1 per power, plus
+    # (A - B*D^-1*C)^-1 for the block inverse of T, whose other pieces
+    # the n = 1 power has made
+    calls = count_calls(invert_even_unit,
+                        lambda: list(section3_identities(n_max)))
+    assert calls == 3 * n_max + 1
+
+
+def test_reorder_family_divides_once_per_exponent():
+    # one (p^k - q^-k)/(p - q^-1) per k: raising m_bound by one adds the
+    # two exponents +-(m_bound + 1), so two divisions, not one per pair
+    def divisions(m_bound):
+        return count_calls(RatFunc.__truediv__,
+                           lambda: list(section2_identities(1, m_bound)))
+
+    for m_bound in (2, 5):
+        assert divisions(m_bound + 1) - divisions(m_bound) == 2
+
+
+def test_closed_blocks_make_each_bracket_once():
+    ctx = tside()
+    assert count_calls(type(ctx).bracket,
+                       lambda: ctx.closed_power_blocks(12)) == 11
