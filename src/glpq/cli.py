@@ -1,11 +1,12 @@
 """Command-line front end: normalize expressions, run suites, spot-check.
 
 Exit codes: 0 all checks pass, 1 at least one failure or an algebra
-error (such as a symbol ``eval`` needs and has no value for), 2 usage or
-syntax errors, an expression whose evaluation would make a product
-over the DSL's work bound (``dsl.MAX_PRODUCT_PAIRS``), a polynomial gcd
-over its work budget (``poly.GCD_BUDGET``), or an answer with a
-coefficient of more digits than Python converts to a string.
+error (such as a symbol ``eval`` needs and has no value for), 2 usage
+errors and every :class:`~glpq.errors.InputRejected`: syntax errors, an
+expression whose evaluation would make a product over the DSL's work
+bound (``dsl.MAX_PRODUCT_PAIRS``), a polynomial gcd over its work budget
+(``poly.GCD_BUDGET``), or an answer with a coefficient of more digits
+than Python converts to a string.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import dsl, mside, series, tside
-from .errors import (AlgebraError, BadAssignment, CoefficientTooLarge,
-                     DivisionBudgetExceeded, DslSyntaxError,
-                     ExponentOutOfRange, GcdBudgetExceeded, InvalidRay,
-                     ProductTooLarge, UnknownIdentifier)
+from .errors import AlgebraError, BadAssignment, InputRejected
 from .numeric import (sample_mside, sample_series, sample_tside, spotcheck)
 from .report import Report
 
@@ -207,9 +205,7 @@ def main(argv=None):
             return _finish(run_suites(args), args)
         if args.command == "spotcheck":
             return _finish(run_spotcheck(args), args)
-    except (DslSyntaxError, UnknownIdentifier, InvalidRay, BadAssignment,
-            ExponentOutOfRange, ProductTooLarge, CoefficientTooLarge,
-            GcdBudgetExceeded, DivisionBudgetExceeded) as exc:
+    except InputRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

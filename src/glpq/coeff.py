@@ -412,28 +412,9 @@ class TruncLaurent:
             raise DivisionByZero("zero denominator in series")
         if den < 0:
             den = -den
-            nums = tuple(-n for n in nums)
-        nums = list(nums)
-        # drop slots above the cap
-        if lead + len(nums) - 1 > cap:
-            del nums[max(0, cap - lead + 1):]
-        while nums and nums[0] == 0:
-            nums.pop(0)
-            lead += 1
-        while nums and nums[-1] == 0:
-            nums.pop()
-        if not nums:
-            lead = cap + 1
-            den = 1
-        else:
-            g = math.gcd(den, *nums)
-            if g > 1:
-                den //= g
-                nums = [n // g for n in nums]
-        self.lead = lead
-        self.nums = tuple(nums)
-        self.den = den
-        self.cap = cap
+            nums = [-n for n in nums]
+        s = _settle(lead, list(nums) if lead <= cap else [], den, cap)
+        self.lead, self.nums, self.den, self.cap = s.lead, s.nums, s.den, s.cap
 
     # -- constructors -----------------------------------------------------
 

@@ -393,11 +393,10 @@ def _mside_context():
 
 
 @lru_cache(maxsize=8)
-def _series_dsl_context(cfg=None):
+def _series_dsl_context():
     from .coeff import TruncLaurent
     from .series import SeriesConfig, series_context
-    cfg = cfg or SeriesConfig()
-    ctx = series_context(cfg)
+    ctx = series_context(SeriesConfig())
     bindings = {
         "A": ctx.A, "D": ctx.D, "beta": ctx.beta, "gamma": ctx.gamma,
         "p": ctx.scalar_te(ctx.p), "q": ctx.scalar_te(ctx.q),
@@ -406,19 +405,18 @@ def _series_dsl_context(cfg=None):
     return Context("series", bindings, lambda v: ctx.scalar_te(ctx.tl(v)))
 
 
-def get_context(name, series_cfg=None):
+def get_context(name):
     if name == "tside":
         return _tside_context()
     if name == "mside":
         return _mside_context()
     if name == "series":
-        return _series_dsl_context(series_cfg)
+        return _series_dsl_context()
     raise ValueError(f"unknown context {name!r}")
 
 
-def evaluate(text, context, series_cfg=None):
-    ctx = get_context(context, series_cfg) if isinstance(context, str) \
-        else context
+def evaluate(text, context):
+    ctx = get_context(context) if isinstance(context, str) else context
     return ctx.eval(parse(text, ctx))
 
 

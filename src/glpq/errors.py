@@ -5,6 +5,11 @@ class AlgebraError(Exception):
     """Base class for errors raised by the kernel."""
 
 
+class InputRejected(AlgebraError):
+    """Base class for errors that refuse an input rather than report a
+    failed computation; the CLI exits 2 on these."""
+
+
 class SymbolSetMismatch(AlgebraError):
     """Operands live over different symbol sets."""
 
@@ -29,7 +34,7 @@ class NumericOverflow(AlgebraError):
     """Numeric evaluation left the float range (a non-finite value)."""
 
 
-class ExponentOutOfRange(AlgebraError):
+class ExponentOutOfRange(InputRejected):
     """Exponent outside the range that packed exponent keys can hold."""
 
 
@@ -54,19 +59,19 @@ class NotNilpotent(AlgebraError):
     terms would never leave the weight window."""
 
 
-class InvalidRay(AlgebraError):
+class InvalidRay(InputRejected):
     """Series configuration with a degenerate ray."""
 
 
-class BadAssignment(AlgebraError):
+class BadAssignment(InputRejected):
     """Numeric assignment that is not a name=number pair."""
 
 
-class UnknownIdentifier(AlgebraError):
+class UnknownIdentifier(InputRejected):
     """Expression references a name the active context does not define."""
 
 
-class DslSyntaxError(AlgebraError):
+class DslSyntaxError(InputRejected):
     """Parse failure; carries position and the expected token kinds."""
 
     def __init__(self, message, pos, expected=()):
@@ -76,22 +81,22 @@ class DslSyntaxError(AlgebraError):
         self.expected = tuple(expected)
 
 
-class GcdBudgetExceeded(AlgebraError):
+class GcdBudgetExceeded(InputRejected):
     """A polynomial gcd needed more steps than its fixed work budget
     (``poly.GCD_BUDGET``)."""
 
 
-class DivisionBudgetExceeded(AlgebraError):
+class DivisionBudgetExceeded(InputRejected):
     """An exact polynomial division needed more work than its fixed
     budget (``poly.DIVISION_BUDGET``)."""
 
 
-class ProductTooLarge(AlgebraError):
+class ProductTooLarge(InputRejected):
     """Expression evaluation reached a product of more term pairs than
     the DSL's work bound."""
 
 
-class CoefficientTooLarge(AlgebraError):
+class CoefficientTooLarge(InputRejected):
     """A coefficient to print has more digits than Python converts to a
     string (``sys.get_int_max_str_digits``)."""
 

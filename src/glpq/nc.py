@@ -129,6 +129,7 @@ from operator import add, mul
 from .errors import (AlgebraError, NonInvertibleNegativePower, NotAUnit,
                      PresentationMismatch, UnknownGenerator)
 from .poly import power
+from .printing import print_element
 
 
 class Presentation:
@@ -305,15 +306,6 @@ class Presentation:
                 add_products(new, one, sc, one, self.word_product(mono, run))
             acc = new
         return Element(self, acc)
-
-    def monomial_letters(self, mono):
-        letters = []
-        for g, e in enumerate(mono):
-            if e > 0:
-                letters.extend([(g, 1)] * e)
-            elif e < 0:
-                letters.extend([(g, -1)] * (-e))
-        return letters
 
     # -- core rewriting -------------------------------------------------------
 
@@ -763,15 +755,7 @@ class Element:
         return hash((id(self.pres), frozenset(self.terms)))
 
     def __repr__(self):
-        if not self.terms:
-            return "Element(0)"
-        bits = []
-        for m in sorted(self.terms):
-            word = "*".join(f"{self.pres.gen_names[g]}^{e}" if e != 1 else
-                            self.pres.gen_names[g]
-                            for g, e in enumerate(m) if e) or "1"
-            bits.append(f"({self.terms[m]})*{word}")
-        return "Element(" + " + ".join(bits) + ")"
+        return f"Element({print_element(self)})"
 
 
 def add_products(out, one, c1, c2, terms):

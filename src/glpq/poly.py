@@ -196,9 +196,6 @@ class Pol:
     def is_monomial(self):
         return len(self.terms) <= 1
 
-    def total_degree(self):
-        return max(self.terms) >> self.syms.top if self.terms else 0
-
     # -- ring operations -----------------------------------------------
 
     def _check(self, other):
@@ -653,17 +650,9 @@ def _monomial_gcd(f, g):
     return _pol(f.syms, {f.syms.pack(low): c})
 
 
-def _shift_div(p, h):
-    """p / h for a single-term h that divides every term of p."""
-    (hk, hc), = h.terms.items()
-    p = p.shift(p.syms.zero - hk)
-    return p if hc == 1 else \
-        _pol(p.syms, {k: c // hc for k, c in p.terms.items()})
-
-
 def _quotient(f, g):
-    """f / g when g divides f exactly, else None; f and g have at least
-    two terms each."""
+    """f / g when g divides f exactly, else None; f and g nonzero
+    polynomials."""
     if any(g.degree_in(i) > f.degree_in(i) for i in range(len(f.syms))):
         return None     # g has a higher degree in some variable
     try:
@@ -676,15 +665,15 @@ def cofactors(f, g):
     """``(h, f/h, g/h)`` with ``h = poly_gcd(f, g)``; f and g nonzero
     polynomials.
 
-    The route depends on the operands' shape, and each lands on the
-    gcd that :func:`poly_gcd` returns (primitive part with positive
-    leading coefficient, times the integer gcd of the contents):
+    Two routes, and each lands on the gcd that :func:`poly_gcd` returns
+    (primitive part with positive leading coefficient, times the integer
+    gcd of the contents):
 
-    * a single-term operand: ``h`` is the single-term gcd and both
-      cofactors are exponent shifts with an integer division;
     * one operand divides the other: ``h`` is the divisor with its sign
-      normalized, found by one exact division instead of a PRS;
-    * otherwise ``h`` comes from the primitive PRS in :func:`poly_gcd`.
+      normalized, found by one exact division instead of a gcd;
+    * otherwise ``h`` is :func:`poly_gcd` (the single-term gcd when an
+      operand has one term, else the primitive PRS) and the cofactors
+      are two exact divisions.
     """
     if f.syms is not g.syms and f.syms != g.syms:
         raise SymbolSetMismatch(f"{f.syms} vs {g.syms}")
@@ -692,9 +681,6 @@ def cofactors(f, g):
         return g, f, g
     if f.is_one():
         return f, f, g
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        h = _monomial_gcd(f, g)
-        return h, _shift_div(f, h), _shift_div(g, h)
     q = _quotient(f, g)
     if q is not None:
         unit = Pol.const(f.syms, 1)

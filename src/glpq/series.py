@@ -325,7 +325,6 @@ class SeriesContext:
         self.h2 = TruncLaurent(1, (cfg.beta_ray.numerator,),
                                cfg.beta_ray.denominator, K)
         self.h = (self.h1 + self.h2) * Fraction(1, 2)
-        self.h_inv = self.h.inv()
         self.phi = tl(2 * cfg.alpha / (cfg.alpha + cfg.beta_ray))
         self.psi = tl(2 * cfg.beta_ray / (cfg.alpha + cfg.beta_ray))
         self.ln_pq = self.h1 + self.h2
@@ -618,18 +617,6 @@ def m_entries_scaled(ctx):
     hmu = _embed(ctx, g_q, (1, 0))
     hnu = _embed(ctx, g_p, (0, 1))
     return hx, hmu, hnu, hy
-
-
-def m_from_T(cfg):
-    """Matrix of the scaled logarithm entries divided by h."""
-    ctx = series_context(cfg)
-    hx, hmu, hnu, hy = m_entries_scaled(ctx)
-    return SuperMatrix(hx, hmu, hnu, hy).map(lambda e: e.smul(ctx.h_inv))
-
-
-def log_T(cfg):
-    ctx = series_context(cfg)
-    return log_partial_sums(ctx).map(lambda e: e.smul(ctx.h_inv))
 
 
 def exp_matrix(ctx, m, square):

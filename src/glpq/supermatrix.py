@@ -20,6 +20,7 @@ from functools import cached_property
 
 from .errors import PresentationMismatch
 from .nc import invert_even_unit
+from .poly import power_table
 
 
 class SuperMatrix:
@@ -60,9 +61,6 @@ class SuperMatrix:
     def smul(self, scalar):
         return SuperMatrix(*(e.smul(scalar) for e in self.entries()))
 
-    def map(self, fn):
-        return SuperMatrix(*(fn(e) for e in self.entries()))
-
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
@@ -72,15 +70,14 @@ class SuperMatrix:
         return f"SuperMatrix({self.a11!r}, {self.a12!r}, {self.a21!r}, {self.a22!r})"
 
 
-def matrix_power(m, n, inv=invert_even_unit):
+def matrix_power(m, n):
+    """m^n from the successive-product table of m, or of sinverse(m)
+    for n < 0."""
     if n == 0:
         return SuperMatrix.identity(m.pres)
     if n < 0:
-        return matrix_power(sinverse(m, inv=inv), -n, inv=inv)
-    out = m
-    for _ in range(n - 1):
-        out = out * m
-    return out
+        m, n = sinverse(m), -n
+    return power_table(m, n)[n]
 
 
 class Schur:
@@ -156,10 +153,10 @@ def sdet(m, inv=invert_even_unit):
     return Schur(m, inv).sdet
 
 
-def sinverse(m, inv=invert_even_unit):
+def sinverse(m):
     """Two-sided block inverse of a SuperMatrix, or of the matrix of a
     :class:`Schur` ``m``, whose pieces (and ``inv``) it then reads; every
     Schur complement must be an even unit."""
-    s = m if isinstance(m, Schur) else Schur(m, inv)
+    s = m if isinstance(m, Schur) else Schur(m)
     x, w = s.a_minus_bdc_inv, s.d_minus_cab_inv
     return SuperMatrix(x, -(s.a_inv_b * w), -(s.d_inv_c * x), w)

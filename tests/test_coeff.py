@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -260,6 +261,20 @@ def test_exact_quotient_matches_prs(g, k, negate):
         assert got == want
 
 
+@given(monomials(), st.one_of(monomials(), sparse_pols(), factored()),
+       st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cofactors_with_a_single_term_operand(m, k, divides):
+    # a single-term operand in both argument orders, against a free
+    # operand or one it divides; the pools carry negative coefficients
+    if k.is_zero():
+        k = _TWO
+    other = k * m if divides else k
+    for x, y in ((m, other), (other, m)):
+        h = poly_gcd(x, y)
+        assert cofactors(x, y) == (h, x.divexact(h), y.divexact(h))
+
+
 class TestScalarContracts:
     def test_constant_ratfunc_equals_and_hashes_like_its_value(self):
         one, half = r_const(1), r_const(Fraction(1, 2))
@@ -420,6 +435,36 @@ def test_laurent_sum_matches_constructor(a, b):
 def test_with_cap_matches_constructor(a, cap):
     assert laurent_dump(a.with_cap(cap)) == laurent_dump(
         TruncLaurent(a.lead, a.nums, a.den, cap))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(-4, 6), st.integers(0, 3),
+       st.lists(st.integers(-6, 6), max_size=5), st.integers(0, 3),
+       st.sampled_from((1, 2, 3, 6, 12, -1, -2, -4)), st.integers(-3, 12))
+# zeros at both ends, a negative den, a lead above the cap, slots all
+# past the cap, and all zeros
+@example(-1, 2, [3, 6], 2, -3, 8)
+@example(5, 0, [1, 2], 0, 2, 3)
+@example(2, 1, [0, 4], 0, -4, 2)
+@example(0, 2, [], 3, -6, 4)
+def test_constructor_matches_fraction_reference(lead, left, body, right,
+                                                den, cap):
+    nums = [0] * left + body + [0] * right
+    s = TruncLaurent(lead, nums, den, cap)
+
+    def ref(n):
+        i = n - lead
+        return Fraction(nums[i], den) if 0 <= i < len(nums) else 0
+
+    for n in range(min(lead, 0) - 1, cap + 1):
+        assert s.coefficient(n) == ref(n), n
+    assert s.cap == cap and s.den > 0
+    if s.nums:
+        assert s.nums[0] and s.nums[-1]
+        assert math.gcd(s.den, *s.nums) == 1
+        assert s.lead + len(s.nums) - 1 <= cap
+    else:
+        assert (s.lead, s.den) == (cap + 1, 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -412,7 +412,7 @@ def test_closed_form_matches_letter_by_letter_on_the_suites(monkeypatch):
     fired = set()
     for (_, m1, m2), (pres, out) in made.items():
         one = pres.one
-        built = pres._append({m1: one}, pres.monomial_letters(m2))
+        built = pres._append({m1: one}, pres._letters(enumerate(m2)))
         if pres.top is not None:
             built = pres._cap_terms(built)
         assert _datum(out, one) == _datum(built.items(), one)
@@ -453,7 +453,7 @@ def test_prefix_built_word_product_matches_from_scratch(name, monkeypatch):
 
     def from_scratch(m1, m2):
         built = Presentation._append(pres, {m1: one},
-                                     pres.monomial_letters(m2))
+                                     pres._letters(enumerate(m2)))
         if pres.top is not None:
             built = pres._cap_terms(built)
         return _datum(built.items(), one)
@@ -470,7 +470,7 @@ def test_prefix_built_word_product_matches_from_scratch(name, monkeypatch):
         got = pres.word_product(m1, m2)
         assert _datum(got, one) == from_scratch(m1, m2)
         if appended:
-            n = len(pres.monomial_letters(m2))
+            n = len(pres._letters(enumerate(m2)))
             started.add("empty" if sum(appended) == n else "prefix")
     for (m1, m2), got in pres._word_cache.items():
         assert _datum(got, one) == from_scratch(m1, m2)

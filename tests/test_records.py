@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from glpq.dsl import get_context
 from glpq.errors import InvalidRay
 from glpq.report import Check, Identity, Report
 from glpq.series import SeriesConfig, series_context
@@ -22,7 +21,6 @@ class TestSeriesConfig:
         b = SeriesConfig(alpha=F(1), beta_ray=F(2), N=6, K=12, weight=8)
         assert a == b and hash(a) == hash(b)
         assert series_context(a) is series_context(b)
-        assert get_context("series", a) is get_context("series", b)
 
     @pytest.mark.parametrize("field", ["alpha", "beta_ray", "N", "K",
                                        "weight"])

@@ -15,9 +15,9 @@ from glpq.report import Identity
 from glpq import series
 from glpq.series import (DEFAULT_RAYS, EXPAND_MARGIN, SeriesConfig,
                          TruncElement, _embed, _even_div, closed_tminus_powers,
-                         exp_matrix, log_partial_sums, log_T,
-                         m_entries_scaled, m_from_T, scalar_expansions,
-                         series_context, series_identities, verify_series)
+                         exp_matrix, log_partial_sums, m_entries_scaled,
+                         scalar_expansions, series_context, series_identities,
+                         verify_series)
 from glpq.supermatrix import SuperMatrix
 
 from helpers import (RecomputedProducts, closed_block_as_displayed,
@@ -168,22 +168,16 @@ class TestRoundTrip:
 
 class TestClosedFormEquality:
     def test_closed_entries_equal_log_series(self):
-        cfg = cfg_for(3, -1)
-        ctx = series_context(cfg)
-        ln_mat = log_partial_sums(ctx)
-        hx, hmu, hnu, hy = m_entries_scaled(ctx)
-        for closed, entry in ((hx, ln_mat.a11), (hmu, ln_mat.a12),
-                              (hnu, ln_mat.a21), (hy, ln_mat.a22)):
-            diff = closed - entry
-            assert diff.prec >= cfg.N
-            assert diff.is_zero()
-
-    def test_log_T_and_m_from_T_agree(self):
-        cfg = cfg_for(1, 2)
-        lhs = m_from_T(cfg)
-        rhs = log_T(cfg)
-        for a, b in zip(lhs.entries(), rhs.entries()):
-            assert (a - b).is_zero()
+        for ray in ((3, -1), (1, 2)):
+            cfg = cfg_for(*ray)
+            ctx = series_context(cfg)
+            ln_mat = log_partial_sums(ctx)
+            hx, hmu, hnu, hy = m_entries_scaled(ctx)
+            for closed, entry in ((hx, ln_mat.a11), (hmu, ln_mat.a12),
+                                  (hnu, ln_mat.a21), (hy, ln_mat.a22)):
+                diff = closed - entry
+                assert diff.prec >= cfg.N, ray
+                assert diff.is_zero(), ray
 
 
 def test_suite_on_equal_ray_includes_specialization():
@@ -198,7 +192,7 @@ def test_precision_bookkeeping():
     ctx = series_context(cfg)
     a = ctx.one_te() + ctx.A
     # dividing by the t-valuation-one scalar h costs one weight order
-    scaled = a.smul(ctx.h_inv)
+    scaled = a.smul(ctx.h.inv())
     assert scaled.prec == a.prec - 1
     # multiplying by h recovers nothing beyond the tracked window
     back = scaled.smul(ctx.h)
@@ -231,7 +225,7 @@ class TestElementContract:
         ctx = series_context(cfg_for(1, 2))
         te = ctx.one_te() + ctx.A
         for out in (te + ctx.D, te - ctx.D, -te, te * ctx.beta,
-                    te.smul(ctx.h_inv), te ** 2, te ** -1):
+                    te.smul(ctx.h.inv()), te ** 2, te ** -1):
             assert type(out) is TruncElement and out.ctx is ctx
         assert (te - te).prec == te.prec
 
@@ -372,7 +366,7 @@ def test_embed_rejects_a_too_singular_expansion():
     assert _embed(ctx, lowest, (1, 0)).terms == {
         (0, 0, 1, 0): lowest.terms[(0, 0)]}
     with pytest.raises(TruncationUnderflow, match="too singular"):
-        _embed(ctx, lowest.smul(ctx.h_inv))
+        _embed(ctx, lowest.smul(ctx.h.inv()))
 
 
 @pytest.mark.parametrize("n, k, weight", [(6, 12, 8), (8, 14, 10),
