@@ -233,7 +233,8 @@ def resolve_f_placement(n_probe=4):
 def entry_products(x, mu, nu, y):
     """Every product of two of the entries x, mu, nu, y, keyed by their
     names, as ``prod["x", "mu"]`` for x*mu: each is made once and read
-    by :func:`bracket_rows` (and by the series sector's M^2)."""
+    by :func:`bracket_rows` and :func:`central_rows` (and by the series
+    sector's M^2)."""
     entries = {"x": x, "mu": mu, "nu": nu, "y": y}
     return {(a, b): ea * eb for a, ea in entries.items()
             for b, eb in entries.items()}
@@ -260,30 +261,31 @@ def bracket_rows(mu, nu, prod, phi, psi, zero):
     ]
 
 
-def central_rows(x, mu, nu, y, zero):
+def central_rows(prod, zero):
     """The supertrace x - y commutes with each generator: (tag, anchor,
-    lhs, rhs) rows, as in :func:`bracket_rows`."""
-    st = x - y
-    return [(name, f"[x - y, {name}] = 0", commutator(st, g), zero)
-            for name, g in (("x", x), ("y", y), ("mu", mu), ("nu", nu))]
+    lhs, rhs) rows, as in :func:`bracket_rows`, with each commutator
+    [x - y, g] read from the table as (x*g - y*g) - (g*x - g*y)."""
+    return [(g, f"[x - y, {g}] = 0",
+             (prod["x", g] - prod["y", g]) - (prod[g, "x"] - prod[g, "y"]),
+             zero)
+            for g in ("x", "y", "mu", "nu")]
 
 
-def relation_identities():
-    """The defining brackets of the exponent algebra, plus their tau images."""
+def relation_identities(prod):
+    """The defining brackets of the exponent algebra, plus their tau
+    images, for the entry products ``prod`` of the generators."""
     ctx = mside()
-    rels = bracket_rows(ctx.mu, ctx.nu,
-                        entry_products(ctx.x, ctx.mu, ctx.nu, ctx.y),
-                        ctx.phi, ctx.psi, ctx.pres.zero_elt())
+    rels = bracket_rows(ctx.mu, ctx.nu, prod, ctx.phi, ctx.psi,
+                        ctx.pres.zero_elt())
     yield from tagged("bracket", rels)
     yield from tagged("bracket.tau", (
         (tag, f"tau of: {anchor}", ctx.tau_elt(lhs), ctx.tau_elt(rhs))
         for tag, anchor, lhs, rhs in rels))
 
 
-def centrality_identities():
-    ctx = mside()
-    return tagged("supertrace.central", central_rows(
-        ctx.x, ctx.mu, ctx.nu, ctx.y, ctx.pres.zero_elt()))
+def centrality_identities(prod):
+    return tagged("supertrace.central",
+                  central_rows(prod, mside().pres.zero_elt()))
 
 
 def group_matrix_identities():
@@ -315,9 +317,13 @@ def group_matrix_identities():
 
 
 def mside_identities(n_max=8):
+    # one table of the generator products for the bracket and supertrace
+    # rows
+    ctx = mside()
+    prod = entry_products(ctx.x, ctx.mu, ctx.nu, ctx.y)
     yield from power_block_identities(n_max)
-    yield from relation_identities()
-    yield from centrality_identities()
+    yield from relation_identities(prod)
+    yield from centrality_identities(prod)
     yield from group_matrix_identities()
 
 

@@ -127,28 +127,53 @@ each, by successive products, and the right factors
 (q^-1 d - 1)^j*beta, their products with gamma and the powers of
 (pq)^-1 a - 1 times those once for every n (likewise for c and d), so a
 block term is one product A^k*(...) or D^k*(...).  The brackets of h*M,
-its square and ``specialize.bracket`` read one table of the 16 products
-of the entries (``mside.entry_products``).  A table read equals the
-product it replaces because a product is a function of its operands
-alone: it reads their terms and windows, and the context's fixed
-presentation and weight cap, nothing else.  ``exp_matrix`` starts its
-series at term 1 = M and term 2 = M^2/2, where the old loop made term
-1 as (I*M)*1.  That equals M datum for datum: every entry of h*M is
-trimmed to its window prec <= W and has min weight w >= 1, with
-K + w >= prec.  So the product with the unit keeps the window
-min(W + w, prec) = prec, the zero product of the other block adds
-nothing and a window of at least W + 1, and the scaling by 1, exact
-through t^K, keeps min(prec, K + w) = prec; each trim then meets
-coefficients already cut to that window and cuts nothing more.
+the supertrace rows, its square and ``specialize.bracket`` read one
+table of the 16 products of the entries (``mside.entry_products``); a
+supertrace row [x - y, g] is (x*g - y*g) - (g*x - g*y), so no product
+of x - y (44 terms at the default weight on ray (1,1)) is made.  A
+table read equals the product it replaces because a product is a
+function of its operands alone: it reads their terms and windows, and
+the context's fixed presentation and weight cap, nothing else.
+
+The table's sums give the data of the products of sums they replace:
+the entries of h*M have window W and min weight >= 1 (on every ray, as
+``_embed`` trims them to W and each carries a generator or h), so each
+product on either route has window min(prec1 + w2, prec2 + w1) >= W + 1,
+cut to W, and each sum keeps W.  Through the cap W - g that the trim
+then sets at a monomial of degree g, both routes hold the exact value
+of the same bilinear expression, so they agree slot for slot.
+
+``exp_matrix`` sums M^n/n! by Paterson and Stockmeyer's scheme in
+C = M^3 (blocks of I, M and M^2, then acc = B_k + C*acc), where the
+term loop made each term from the one before.  Both give the same data:
+
+* the terms: a product of factors of min weights w1, w2 has min weight
+  at least w1 + w2, so a product holding M^n with n > W lies past the
+  window and the trim drops it, as the term loop drops the zero term
+  n = W + 1 and stops.  The blocks hold exactly the n <= W of the loop;
+* the windows: I is exact, and every other factor has window W and min
+  weight >= 1.  A product with the unit keeps the other factor's
+  window, any other product has window >= W + 1 before the cut, and
+  the scaling by 1/n!, exact through t^K, keeps min(W, K + w) = W.  So
+  every entry on either route has window W;
+* the coefficients: through the cap W - g, both routes hold the exact
+  coefficients of the same polynomial in M, so they agree slot for
+  slot.
+
 tests/test_series.py builds every identity of the five default rays
-and of a weight-10 ray both ways (each product made afresh, the series
-started at the identity) and compares them datum for datum.
+and of a weight-10 ray both ways (each product made afresh, each
+supertrace commutator made by ``nc.commutator``, the exponential
+summed term by term from the identity) and compares them datum for
+datum; it also compares ``exp_matrix`` with the term loop at weights 6,
+7, 9, 10 and 11, which split the W + 1 terms into blocks in every way
+W mod 3 allows.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 from operator import itemgetter, mul
 
 from .coeff import TruncLaurent, add_laurent_products, settle_laurent_sums
@@ -622,19 +647,30 @@ def m_entries_scaled(ctx):
 def exp_matrix(ctx, m, square):
     """Entrywise-truncated exponential of ``m``, given its square.
 
-    Every entry must have weight at least 1: term n then has weight at
-    least n, so the series ends once n passes the weight cap.  An entry
-    of weight 0 would make the series run on past any window, and is
-    refused with NotNilpotent."""
+    Every entry must have weight at least 1: M^n then has weight at
+    least n, so every term past n = W lies outside the window and the
+    sum ends at n = W.  An entry of weight 0 would make the series run
+    on past any window, and is refused with NotNilpotent.
+
+    The sum of M^n/n! over n <= W is evaluated by Paterson and
+    Stockmeyer's scheme (SIAM J. Comput. 2(1), 1973) in C = M^3: with
+    the blocks B_k = sum over i < 3 of M^i/(3k + i)!, made from I, M and
+    M^2 by scaling alone, acc = B_k + C*acc from the top block down.
+    That is W//3 + 1 products of supermatrices, 3 at W = 8."""
     if any(e.min_weight() < 1 for e in m.entries()):
         raise NotNilpotent("exponential needs entries of weight at least 1")
-    acc = SuperMatrix(ctx.one_te(), ctx.zero_te(), ctx.zero_te(),
-                      ctx.one_te())
-    term, n = m, 1
-    while not all(e.is_zero() for e in term.entries()):
-        acc = acc + term
-        n += 1
-        term = (square if n == 2 else term * m).smul(ctx.tl(Fraction(1, n)))
+    one, zero = ctx.one_te(), ctx.zero_te()
+    powers = (SuperMatrix(one, zero, zero, one), m, square)
+    cube = square * m
+    acc = None
+    for k in range(ctx.W // 3, -1, -1):
+        block = None
+        for n in range(3 * k, min(3 * k + 2, ctx.W) + 1):
+            term = powers[n - 3 * k]
+            if n > 1:       # 1/0! = 1/1! = 1: I and M enter as they are
+                term = term.smul(ctx.tl(Fraction(1, factorial(n))))
+            block = term if block is None else block + term
+        acc = block if acc is None else block + cube * acc
     return acc
 
 
@@ -706,8 +742,7 @@ def series_identities(cfg):
                    x_mix.smul(-one_minus_pq),
                    witness_word.smul(ctx.ln_pq * ctx.ln_pq))
 
-    yield from tagged("supertrace.central",
-                      central_rows(hx, hmu, hnu, hy, zero))
+    yield from tagged("supertrace.central", central_rows(prod, zero))
 
     rebuilt = exp_matrix(ctx, SuperMatrix(hx, hmu, hnu, hy), _square(prod))
     yield from matrix_identities("roundtrip", "exp(h*M) = T", rebuilt,

@@ -244,6 +244,15 @@ def commutator_bracket_rows(mu, nu, prod, phi, psi, zero):
     ]
 
 
+def commutator_central_rows(prod, zero):
+    """``mside.central_rows`` with each commutator [x - y, g] made afresh
+    by ``nc.commutator`` from the entries of a RecomputedProducts."""
+    entries = prod.entries
+    st = entries["x"] - entries["y"]
+    return [(g, f"[x - y, {g}] = 0", commutator(st, entries[g]), zero)
+            for g in ("x", "y", "mu", "nu")]
+
+
 def exp_from_identity(ctx, m):
     """Entrywise-truncated exponential whose series starts at the
     identity matrix: term n is (term n-1)*M/n from n = 1 on."""

@@ -7,17 +7,19 @@ from glpq.dsl import evaluate
 from glpq.coeff import RatFunc
 from glpq import mside as mside_module
 from glpq.mside import (M_SYMS, MSide, _shift_mu_inv_rf, _shift_munu_inv_rf,
-                        _shift_nu_inv_rf, centrality_identities,
-                        group_matrix_identities, mside, mside_identities,
-                        power_block_identities, relation_identities,
-                        resolve_f_placement, verify_mside)
+                        _shift_nu_inv_rf, central_rows, centrality_identities,
+                        entry_products, group_matrix_identities, mside,
+                        mside_identities, power_block_identities,
+                        relation_identities, resolve_f_placement,
+                        verify_mside)
 from glpq.nc import commutator
 from glpq.poly import Pol
 from glpq.printing import print_element
 from glpq.report import run_exact
 from glpq.supermatrix import sdet
 
-from helpers import count_calls, mside_power_blocks_afresh, subst_power_blocks
+from helpers import (RecomputedProducts, commutator_central_rows, count_calls,
+                     mside_power_blocks_afresh, subst_power_blocks)
 
 
 class TestPowers:
@@ -231,14 +233,35 @@ def test_mutated_maps_fail_the_same_checks_on_both_routes(mutant,
         monkeypatch.setitem(mside_module._TAU_MAP, "p", _pol("p"))
         monkeypatch.setitem(mside_module._TAU_MAP, "q", _pol("q"))
     got = _failing_ids(verify_mside(4))
+    ctx = mside()
+    prod = entry_products(ctx.x, ctx.mu, ctx.nu, ctx.y)
     want = _failing_ids(run_exact("mside", [
-        *subst_power_blocks(4), *relation_identities(),
-        *centrality_identities(), *group_matrix_identities()]))
+        *subst_power_blocks(4), *relation_identities(prod),
+        *centrality_identities(prod), *group_matrix_identities()]))
     assert got == want
     if mutant in _MUTANTS:
         assert got
     else:
         assert got == []
+
+
+@pytest.mark.parametrize("mutant", [None, *_MUTANTS])
+def test_supertrace_rows_from_the_table_match_the_commutators(mutant,
+                                                              monkeypatch):
+    # [x - y, g] read from the entry products equals the commutator of
+    # x - y made afresh, also under a wrong shift map; a wrong shift of x
+    # makes the rows of mu or nu nonzero
+    name = None
+    if mutant is not None:
+        table, name, value = _MUTANTS[mutant]
+        monkeypatch.setitem(getattr(mside_module, table), name, value)
+    ctx = mside()
+    zero = ctx.pres.zero_elt()
+    got = central_rows(entry_products(ctx.x, ctx.mu, ctx.nu, ctx.y), zero)
+    want = commutator_central_rows(
+        RecomputedProducts(ctx.x, ctx.mu, ctx.nu, ctx.y), zero)
+    assert got == want
+    assert any(not lhs.is_zero() for _, _, lhs, _ in got) == (name == "x")
 
 
 def test_power_blocks_match_the_afresh_construction():

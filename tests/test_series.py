@@ -21,7 +21,8 @@ from glpq.series import (DEFAULT_RAYS, EXPAND_MARGIN, SeriesConfig,
 from glpq.supermatrix import SuperMatrix
 
 from helpers import (RecomputedProducts, closed_block_as_displayed,
-                     commutator_bracket_rows, exp_from_identity, naive_power,
+                     commutator_bracket_rows, commutator_central_rows,
+                     count_calls, exp_from_identity, naive_power,
                      naive_product, trunc_dump)
 
 
@@ -152,6 +153,31 @@ class TestRoundTrip:
         # weight 1 through a coefficient, not a generator, is accepted
         t = SuperMatrix(ctx.scalar_te(ctx.h), zero, zero, zero)
         assert exp_matrix(ctx, t, t * t).a11.prec == ctx.W
+
+    @pytest.mark.parametrize("weight", [6, 7, 9, 10, 11])
+    @pytest.mark.parametrize("ray", [(1, 2), (1, -3), (3, -1)],
+                             ids=lambda r: f"{r[0]},{r[1]}")
+    def test_exp_equals_the_term_loop_from_the_identity(self, ray, weight):
+        # the Paterson-Stockmeyer blocks split W + 1 terms three by three;
+        # these weights cover every W mod 3, and each entry keeps the
+        # data of the term-by-term sum, window included
+        ctx = series_context(SeriesConfig(F(ray[0]), F(ray[1]),
+                                          N=weight - 2, K=weight + 4,
+                                          weight=weight))
+        m = SuperMatrix(*m_entries_scaled(ctx))
+        got = exp_matrix(ctx, m, m * m)
+        want = exp_from_identity(ctx, m)
+        assert [trunc_dump(e) for e in got.entries()] == [
+            trunc_dump(e) for e in want.entries()]
+
+    def test_exp_makes_three_matrix_products_at_weight_8(self):
+        # M^3 and two Horner steps, where the term loop made seven
+        ctx = series_context(cfg_for(1, 2))
+        m = SuperMatrix(*m_entries_scaled(ctx))
+        square = m * m
+        calls = count_calls(SuperMatrix.__mul__,
+                            lambda: exp_matrix(ctx, m, square))
+        assert calls == 3
 
     def test_exp_log_inverse_pair(self):
         cfg = cfg_for(1, -3)
@@ -482,10 +508,11 @@ REFERENCE_CFGS = [SeriesConfig(*ray) for ray in DEFAULT_RAYS] + [
 @pytest.mark.parametrize("cfg", REFERENCE_CFGS, ids=lambda c: (
     f"{c.alpha},{c.beta_ray},W={c.weight}"))
 def test_shared_products_match_the_reference_route(cfg, monkeypatch):
-    # the closed blocks from shared power tables, the brackets and M^2
-    # from one table of entry products, and the exponential started at
-    # term 1 = M: every identity equals its build with each product made
-    # afresh, datum for datum
+    # the closed blocks from shared power tables, the brackets, the
+    # supertrace rows and M^2 from one table of entry products, and the
+    # exponential by Paterson-Stockmeyer from M and M^2: every identity
+    # equals its build with each product made afresh and the exponential
+    # summed term by term from the identity, datum for datum
     def dump():
         return [(i.id, trunc_dump(i.lhs), trunc_dump(i.rhs),
                  (i.lhs - i.rhs).prec) for i in series_identities(cfg)]
@@ -495,6 +522,7 @@ def test_shared_products_match_the_reference_route(cfg, monkeypatch):
         closed_block_as_displayed(ctx, n) for n in range(1, n_max + 1)])
     monkeypatch.setattr(series, "entry_products", RecomputedProducts)
     monkeypatch.setattr(series, "bracket_rows", commutator_bracket_rows)
+    monkeypatch.setattr(series, "central_rows", commutator_central_rows)
     monkeypatch.setattr(series, "exp_matrix",
                         lambda ctx, m, square: exp_from_identity(ctx, m))
     assert shared == dump()
@@ -503,7 +531,9 @@ def test_shared_products_match_the_reference_route(cfg, monkeypatch):
 @pytest.mark.parametrize("ray", DEFAULT_RAYS[:2], ids=lambda r: f"{r[0]},{r[1]}")
 def test_series_suite_makes_each_product_once(ray, monkeypatch):
     # 921 products on ray (1,1) and 919 on (1,2) before the power tables
-    # and the entry table; a repeated product brings the count back up
+    # and the entry table, 309 before the supertrace rows read the table
+    # and the exponential was summed by Paterson-Stockmeyer; a repeated
+    # product brings the count back up
     calls = []
     mul = TruncElement.__mul__
 
@@ -513,7 +543,7 @@ def test_series_suite_makes_each_product_once(ray, monkeypatch):
 
     monkeypatch.setattr(TruncElement, "__mul__", counting)
     assert verify_series(SeriesConfig(*ray)).ok
-    assert len(calls) <= 420
+    assert len(calls) <= 269
 
 
 # -- powers start from the base ---------------------------------------------
